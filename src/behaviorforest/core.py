@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.stats import norm
+from scipy.special import ndtri
 
 
 class EngineError(Exception):
@@ -50,7 +50,7 @@ def gaussian_breakpoints(alpha: int) -> tuple[float, ...]:
     """
     if not isinstance(alpha, int) or alpha < 2:
         raise ConfigError(f"alphabet size must be an integer >= 2, got {alpha!r}")
-    qs = norm.ppf([j / alpha for j in range(1, alpha)])
+    qs = ndtri([j / alpha for j in range(1, alpha)])
     return tuple(float(q) for q in qs)
 
 

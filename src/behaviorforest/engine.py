@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import EngineConfig, validate_stream_header
+from .core import BufferOverflowError, EngineConfig, validate_stream_header
 from .forest import (
     BehaviorDetector,
     BehaviorForest,
@@ -87,6 +87,19 @@ class DiscoveryEngine:
         def settle(behavior: Optional[DiscoveredBehavior]) -> None:
             if behavior is None:
                 return
+            # A behavior that would be recorded from evicted samples fails
+            # here, before the forest or the stats count it.  The lookup is
+            # only paid once a span has already fallen behind the buffer.
+            start, end = behavior.raw_span
+            if (
+                start < buffer.oldest_index
+                and self.forest.occurrence_count(behavior.path) < self.policy.threshold
+            ):
+                raise BufferOverflowError(
+                    f"stream {stream_id!r}: span [{start}, {end}) reaches "
+                    f"{buffer.oldest_index - start} samples behind the look-back "
+                    f"buffer (capacity {buffer.capacity})"
+                )
             receipt = self.forest.insert(behavior.path)
             decision = decide(receipt, self.policy)
             if stats is not None:

@@ -10,6 +10,7 @@ recorded fraction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,68 +58,85 @@ def decide(receipt: InsertionReceipt, policy: RelevancePolicy) -> Decision:
 class SampleBuffer:
     """Look-back buffer of raw frames indexed by absolute sample position.
 
-    capacity bounds the retained samples (None keeps everything).  Asking
-    for a span older than retention raises BufferOverflowError: silently
-    clipping a segment would corrupt what the recorded dataset means.
+    Each extended chunk is kept as its own float64 copy, tagged with the
+    absolute index of its first sample, so storage stays at the raw data's
+    size and no caller can alter recorded history through its own arrays.
+
+    capacity bounds the retained samples (None keeps everything): the
+    buffer answers for at least the last `capacity` samples, and drops a
+    chunk once it lies wholly before them, so it holds at most `capacity`
+    samples plus one chunk.  Asking for a span older than retention raises
+    BufferOverflowError: silently clipping a segment would corrupt what the
+    recorded dataset means.
     """
 
     def __init__(self, capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self.capacity = capacity
-        self._base = 0
-        self._t: List[float] = []
-        self._values: List[Tuple[float, ...]] = []
+        self._next = 0
+        self._starts: List[int] = []
+        self._t: List[np.ndarray] = []
+        self._values: List[np.ndarray] = []
 
     def __len__(self) -> int:
-        return len(self._t)
+        return self._next - self.oldest_index
 
     @property
     def next_index(self) -> int:
-        return self._base + len(self._t)
+        return self._next
 
     @property
     def oldest_index(self) -> int:
-        return self._base
+        if self.capacity is None:
+            return 0
+        return max(0, self._next - self.capacity)
 
     def append(self, t: float, values: Sequence[float]) -> None:
-        self._t.append(float(t))
-        self._values.append(tuple(values))
-        self._evict()
+        self.extend([t], [values])
 
     def extend(self, t: np.ndarray, values: np.ndarray) -> None:
-        self._t.extend(float(x) for x in t)
-        self._values.extend(map(tuple, np.asarray(values, dtype=np.float64)))
-        self._evict()
-
-    def _evict(self) -> None:
-        if self.capacity is None:
+        t = np.array(t, dtype=np.float64)
+        values = np.array(values, dtype=np.float64)
+        if len(t) != len(values):
+            raise ValueError(f"{len(t)} timestamps for {len(values)} samples")
+        if len(t) == 0:
             return
-        excess = len(self._t) - self.capacity
-        if excess > 0:
-            del self._t[:excess]
-            del self._values[:excess]
-            self._base += excess
+        self._starts.append(self._next)
+        self._t.append(t)
+        self._values.append(values)
+        self._next += len(t)
+        # Chunks before the one holding oldest_index lie wholly before it.
+        drop = bisect_right(self._starts, self.oldest_index) - 1
+        if drop > 0:
+            del self._starts[:drop], self._t[:drop], self._values[:drop]
 
     def extract(self, span: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Fresh float64 copies of the samples in the half-open span."""
         start, end = span
+        oldest = self.oldest_index
         if end <= start:
             raise ValueError(f"span must be non-empty, got [{start}, {end})")
-        if start < self._base:
+        if start < oldest:
             raise BufferOverflowError(
-                f"span [{start}, {end}) reaches {self._base - start} samples "
+                f"span [{start}, {end}) reaches {oldest - start} samples "
                 f"behind the look-back buffer (capacity {self.capacity})"
             )
-        if end > self.next_index:
+        if end > self._next:
             raise ValueError(
                 f"span [{start}, {end}) extends past the last buffered sample "
-                f"{self.next_index}"
+                f"{self._next}"
             )
-        lo, hi = start - self._base, end - self._base
-        return (
-            np.array(self._t[lo:hi], dtype=np.float64),
-            np.array(self._values[lo:hi], dtype=np.float64),
-        )
+        first = bisect_right(self._starts, start) - 1
+        last = bisect_left(self._starts, end)
+        t_parts, value_parts = [], []
+        for base, t, values in zip(
+            self._starts[first:last], self._t[first:last], self._values[first:last]
+        ):
+            lo, hi = max(start - base, 0), end - base
+            t_parts.append(t[lo:hi])
+            value_parts.append(values[lo:hi])
+        return np.concatenate(t_parts), np.concatenate(value_parts)
 
 
 @dataclass(eq=False)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from behaviorforest.core import (
@@ -40,6 +41,14 @@ class TestGaussianBreakpoints:
         for j, beta in enumerate(bp, start=1):
             oracle = quantile_by_bisection(j / alpha)
             assert beta == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", range(2, 65))
+    def test_bit_identical_to_scipy_stats(self, alpha):
+        from scipy.stats import norm
+
+        want = norm.ppf([j / alpha for j in range(1, alpha)])
+        got = np.array(gaussian_breakpoints(alpha))
+        assert got.tobytes() == want.tobytes()
 
     def test_alpha_4_reference_values(self):
         bp = gaussian_breakpoints(4)

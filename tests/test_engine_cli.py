@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from behaviorforest import cli
-from behaviorforest.core import BreakpointSpec, ConfigError, EngineConfig
+from behaviorforest.core import BreakpointSpec, BufferOverflowError, ConfigError, EngineConfig
 from behaviorforest.engine import DiscoveryEngine, discover, replay
 from behaviorforest.forest import forest_restore, forest_snapshot
 from behaviorforest.io import (
@@ -20,7 +20,7 @@ from behaviorforest.io import (
     write_segments,
     write_series,
 )
-from behaviorforest.selection import RunStatsAccumulator
+from behaviorforest.selection import RelevancePolicy, RunStatsAccumulator
 
 # Raw single-channel fixture whose runs (under log base 2) reduce to the
 # symbol sequence 1,1,1,2,3,2,1,1,1,1,1,2,3,4 and therefore to exactly the
@@ -84,6 +84,40 @@ class TestEngineOnFixture:
             (s.path, s.raw_span) for s in base
         ]
         assert base_engine.snapshot() == small_engine.snapshot()
+
+    def test_overflow_leaves_forest_and_stats_untouched(self):
+        t, values = fixture_stream()
+        engine, _ = discover(fixture_config(), [("fix", t, values)])
+        forest = engine.forest
+        before = forest_snapshot(forest, "h")
+        stats = RunStatsAccumulator()
+        # Capacity 20 keeps samples [8, 28); the first behavior spans [0, 25)
+        # and is still under the threshold, so it cannot be recorded.
+        small = DiscoveryEngine(fixture_config(), forest=forest, buffer_capacity=20)
+        with pytest.raises(BufferOverflowError):
+            small.process_stream("fix", t, values, stats)
+        assert forest.total_insertions == 2
+        assert forest.terminal_paths() == {(1, 2, 3, 2, 1): 1, (1, 2, 3, 4): 1}
+        assert forest_snapshot(forest, "h") == before
+        assert (stats.detected_db_count, stats.recorded_db_count) == (0, 0)
+        assert stats.finalize() == RunStatsAccumulator().finalize()
+
+    def test_discarded_behavior_may_lie_behind_the_buffer(self):
+        t, values = fixture_stream()
+        engine, _ = discover(fixture_config(), [("fix", t, values)])
+        forest = engine.forest
+        forest.insert((1, 2, 3, 2, 1))
+        small = DiscoveryEngine(
+            fixture_config(),
+            forest=forest,
+            policy=RelevancePolicy(threshold=2),
+            buffer_capacity=20,
+        )
+        stats = RunStatsAccumulator()
+        segments = small.process_stream("fix", t, values, stats)
+        assert [s.raw_span for s in segments] == [(8, 28)]
+        assert forest.terminal_paths() == {(1, 2, 3, 2, 1): 3, (1, 2, 3, 4): 2}
+        assert (stats.detected_db_count, stats.recorded_db_count) == (2, 1)
 
     def test_timestamp_length_mismatch(self):
         t, values = fixture_stream()

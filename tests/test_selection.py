@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ListSampleBuffer
 
 from behaviorforest.core import BufferOverflowError
 from behaviorforest.forest import (
@@ -139,6 +140,70 @@ class TestSampleBuffer:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             SampleBuffer(capacity=0)
+
+    def test_rejects_misaligned_chunk(self):
+        buf = SampleBuffer()
+        with pytest.raises(ValueError):
+            buf.extend(np.arange(3.0), np.zeros((2, 1)))
+        assert buf.next_index == 0
+
+    def test_buffer_owns_its_data(self):
+        buf = SampleBuffer()
+        t = np.arange(10, dtype=float)
+        values = np.stack([t, -t], axis=1)
+        buf.extend(t, values)
+        t[:] = 99.0
+        values[:] = 99.0
+        seg_t, seg_values = buf.extract((2, 6))
+        assert seg_t.tolist() == [2.0, 3.0, 4.0, 5.0]
+        assert seg_values[:, 1].tolist() == [-2.0, -3.0, -4.0, -5.0]
+        seg_t[:] = -1.0
+        seg_values[:] = -1.0
+        again_t, again_values = buf.extract((2, 6))
+        assert again_t.tolist() == [2.0, 3.0, 4.0, 5.0]
+        assert again_values[:, 1].tolist() == [-2.0, -3.0, -4.0, -5.0]
+
+    @staticmethod
+    def outcome(buf, span):
+        try:
+            return buf.extract(span)
+        except (ValueError, BufferOverflowError) as exc:
+            return type(exc)
+
+    @given(
+        chunks=st.lists(st.integers(0, 40), max_size=10),
+        capacity=st.one_of(st.none(), st.integers(1, 100)),
+        n_channels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_list_oracle(self, chunks, capacity, n_channels, seed, data):
+        rng = np.random.default_rng(seed)
+        n = sum(chunks)
+        t = rng.standard_normal(n)
+        values = rng.standard_normal((n, n_channels))
+        values[rng.random(values.shape) < 0.05] = -0.0
+        buf, oracle = SampleBuffer(capacity), ListSampleBuffer(capacity)
+        lo = 0
+        for size in chunks:
+            buf.extend(t[lo : lo + size], values[lo : lo + size])
+            oracle.extend(t[lo : lo + size], values[lo : lo + size])
+            lo += size
+            assert buf.next_index == oracle.next_index
+            assert buf.oldest_index == oracle.oldest_index
+            assert len(buf) == len(oracle)
+            if capacity is not None:
+                assert sum(len(c) for c in buf._t) <= capacity + max(chunks)
+            index = st.integers(oracle.oldest_index - 3, oracle.next_index + 3)
+            for span in data.draw(st.lists(st.tuples(index, index), max_size=6)):
+                got, want = self.outcome(buf, span), self.outcome(oracle, span)
+                if isinstance(want, type):
+                    assert got is want
+                else:
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and g.shape == w.shape
+                        assert g.tobytes() == w.tobytes()
 
 
 class TestMaterialize:
