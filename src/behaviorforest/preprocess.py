@@ -6,6 +6,11 @@ are fused into a single mixed-radix alphabet, and maximal runs of identical
 unified symbols are compressed to a logarithmic number of copies.  The
 pipeline is strictly online; `process_batch` is an equivalent vectorized
 path for array input and produces byte-identical results.
+
+The vectorized hysteresis treats each channel as a K-state machine.  A
+sample deep enough inside its bin commits that bin from every state, so it
+fixes the state outright; only the stretches of ambiguous samples between
+such samples are resolved, by an exact prefix scan over composed state maps.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from .core import (
     StreamHandle,
     SymbolicFrame,
 )
+
+# Map entries (samples x states) per block of the hysteresis scan.
+_SCAN_ENTRIES = 1 << 18
 
 
 def discretize(value: float, breakpoints: Sequence[float]) -> int:
@@ -76,6 +84,19 @@ class HysteresisFilter:
         self.margin = float(margin)
         self.committed: Optional[int] = None
         self._deltas = _penetration_margins(self.breakpoints, self.margin)
+        # Tables for `run`: bin c is entered from every state at lo[c] <= v <= hi[c];
+        # otherwise state s passes into c at thresholds[c, s], from below if s < c
+        # (+inf at s == c, which always passes).
+        k = len(self._deltas)
+        bp, deltas = self.breakpoints, self._deltas
+        self._lo = np.array([-math.inf] + [bp[c - 1] + max(deltas[:c]) for c in range(1, k)])
+        self._hi = np.array([bp[c] - max(deltas[c + 1 :]) for c in range(k - 1)] + [math.inf])
+        self._thresholds = np.array([
+            [bp[c - 1] + deltas[s] if s < c else bp[c] - deltas[s] if s > c else math.inf
+             for s in range(k)]
+            for c in range(k)
+        ])
+        self._states = np.arange(k, dtype=np.min_scalar_type(k - 1))
 
     def step(self, value: float) -> int:
         candidate = discretize(value, self.breakpoints)
@@ -97,44 +118,55 @@ class HysteresisFilter:
     def run(self, values: np.ndarray) -> np.ndarray:
         """Vectorized step over a 1-D array, preserving filter state.
 
-        Works per constant-candidate segment: the committed symbol can only
-        flip at the first in-segment sample that clears the penetration
-        threshold, after which candidate == committed holds to the segment
-        end.  Equivalent to calling `step` per sample.
+        A sample with `lo[c] <= value <= hi[c]` clears the penetration
+        threshold of its bin `c` from every committed state, so its output is
+        `c` whatever came before.  Every other sample is ambiguous: it maps
+        each committed state to a next state by the same comparisons as
+        `step`.  The state entering a stretch of ambiguous samples (the last
+        fixed sample's bin, or the carried state) is folded into the
+        stretch's first map, and the maps are composed by Hillis-Steele
+        doubling until every prefix map is constant.  Ambiguous samples are
+        scanned in blocks of bounded size, so memory stays O(block * K).
+        Equivalent to calling `step` per sample.
         """
         values = np.asarray(values, dtype=np.float64)
-        candidates = discretize_batch(values, self.breakpoints)
-        n = len(candidates)
+        out = discretize_batch(values, self.breakpoints)
+        n = len(out)
         if n == 0:
-            return candidates
+            return out
         if self.margin == 0.0:
-            self.committed = int(candidates[-1])
-            return candidates
-        out = np.empty(n, dtype=np.int64)
-        committed = self.committed
-        bounds = np.flatnonzero(candidates[1:] != candidates[:-1]) + 1
-        starts = [0, *bounds.tolist()]
-        ends = [*bounds.tolist(), n]
-        for s, e in zip(starts, ends):
-            candidate = int(candidates[s])
-            if committed is None or candidate == committed:
-                committed = candidate
-                out[s:e] = candidate
-                continue
-            delta = self._deltas[committed]
-            if candidate > committed:
-                hits = values[s:e] >= self.breakpoints[candidate - 1] + delta
-            else:
-                hits = values[s:e] <= self.breakpoints[candidate] - delta
-            hit_at = np.flatnonzero(hits)
-            if len(hit_at) == 0:
-                out[s:e] = committed
-            else:
-                flip = s + int(hit_at[0])
-                out[s:flip] = committed
-                out[flip:e] = candidate
-                committed = candidate
-        self.committed = committed
+            self.committed = int(out[-1])
+            return out
+        ambiguous = (values < self._lo[out]) | (values > self._hi[out])
+        if self.committed is None:
+            ambiguous[0] = False  # the first sample commits unconditionally
+        amb = np.flatnonzero(ambiguous)
+        # Fold at each stretch start (its predecessor is fixed) and each block start.
+        fold = np.ones(len(amb), dtype=bool)
+        fold[1:] = amb[1:] != amb[:-1] + 1
+        block = max(1, _SCAN_ENTRIES // len(self._states))
+        fold[::block] = True
+        for j in range(0, len(amb), block):
+            idx = amb[j : j + block]
+            cand = out[idx]
+            v = values[idx, None]
+            thr = self._thresholds[cand]
+            passes = np.where(self._states < cand[:, None], v >= thr, v <= thr)
+            maps = np.where(passes, cand[:, None].astype(self._states.dtype), self._states)
+            rows = np.flatnonzero(fold[j : j + block])
+            prev = idx[rows] - 1
+            entry = out[prev]
+            if prev[0] < 0:
+                entry[0] = self.committed
+            maps[rows] = maps[rows, entry][:, None]
+            # Hillis-Steele: maps[i] <- maps[i] o maps[i - d], as a flat take.
+            offsets = np.arange(0, maps.size, maps.shape[1])[:, None]
+            d = 1
+            while not (maps == maps[:, :1]).all():
+                maps[d:] = np.take(maps[d:], maps[:-d] + offsets[:-d])
+                d *= 2
+            out[idx] = maps[:, 0]
+        self.committed = int(out[-1])
         return out
 
 
@@ -199,6 +231,11 @@ class PreprocessPipeline:
             for ch in config.breakpoints.channels
         ]
         self._log_base = config.log_base
+        # log_base**k below 2**62: a run of length L survives as the number of these < L.
+        self._run_powers = np.array(
+            [config.log_base**k for k in range(62) if config.log_base**k < 2**62],
+            dtype=np.int64,
+        )
         self._raw_index = 0
         self._run_symbol: Optional[int] = None
         self._run_start = 0
@@ -249,22 +286,24 @@ class PreprocessPipeline:
         for c in range(1, d):
             unified = unified * self._alphabet_sizes[c] + committed[c]
 
-        out: List[ReducedSymbol] = []
+        # Columnar run closing: the last segment stays open for the next batch.
         base = self._raw_index
-        boundaries = np.flatnonzero(unified[1:] != unified[:-1]) + 1
-        starts = [0, *boundaries.tolist()]
-        ends = [*boundaries.tolist(), n]
-        for s, e in zip(starts, ends):
-            symbol = int(unified[s])
-            if self._run_symbol is None:
-                self._run_symbol = symbol
-                self._run_start = base + s
-            elif symbol != self._run_symbol:
-                out.extend(self._close_run(end=base + s))
-                self._run_symbol = symbol
-                self._run_start = base + s
+        heads = np.concatenate(([0], np.flatnonzero(unified[1:] != unified[:-1]) + 1))
+        symbols, starts = unified[heads], base + heads
+        if self._run_symbol == symbols[0]:
+            starts[0] = self._run_start
+        elif self._run_symbol is not None:
+            symbols = np.concatenate(([self._run_symbol], symbols))
+            starts = np.concatenate(([self._run_start], starts))
+        self._run_symbol, self._run_start = int(symbols[-1]), int(starts[-1])
         self._raw_index = base + n
-        return out
+        copies = np.maximum(np.searchsorted(self._run_powers, np.diff(starts)), 1)
+        ends = starts[1:].tolist()
+        runs = [
+            ReducedSymbol(symbol, (start, end), end - start)
+            for symbol, start, end in zip(symbols.tolist(), starts.tolist(), ends)
+        ]
+        return [run for run, k in zip(runs, copies.tolist()) for _ in range(k)]
 
     def flush(self) -> List[ReducedSymbol]:
         """Close the trailing run; the pipeline is ready for reuse after."""

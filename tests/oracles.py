@@ -5,6 +5,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from behaviorforest.core import BufferOverflowError
+from behaviorforest.preprocess import HysteresisFilter, discretize_batch
 
 
 class ListSampleBuffer:
@@ -72,3 +73,49 @@ class ListSampleBuffer:
             np.array(self._t[lo:hi], dtype=np.float64),
             np.array(self._values[lo:hi], dtype=np.float64),
         )
+
+
+class SegmentHysteresisFilter(HysteresisFilter):
+    """Hysteresis filter whose `run` loops once per constant-candidate segment.
+
+    The reference for `preprocess.HysteresisFilter.run`: the committed
+    symbol can only flip at the first in-segment sample that clears the
+    penetration threshold, after which candidate == committed holds to the
+    segment end.
+    """
+
+    def run(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=np.float64)
+        candidates = discretize_batch(values, self.breakpoints)
+        n = len(candidates)
+        if n == 0:
+            return candidates
+        if self.margin == 0.0:
+            self.committed = int(candidates[-1])
+            return candidates
+        out = np.empty(n, dtype=np.int64)
+        committed = self.committed
+        bounds = np.flatnonzero(candidates[1:] != candidates[:-1]) + 1
+        starts = [0, *bounds.tolist()]
+        ends = [*bounds.tolist(), n]
+        for s, e in zip(starts, ends):
+            candidate = int(candidates[s])
+            if committed is None or candidate == committed:
+                committed = candidate
+                out[s:e] = candidate
+                continue
+            delta = self._deltas[committed]
+            if candidate > committed:
+                hits = values[s:e] >= self.breakpoints[candidate - 1] + delta
+            else:
+                hits = values[s:e] <= self.breakpoints[candidate] - delta
+            hit_at = np.flatnonzero(hits)
+            if len(hit_at) == 0:
+                out[s:e] = committed
+            else:
+                flip = s + int(hit_at[0])
+                out[s:flip] = committed
+                out[flip:e] = candidate
+                committed = candidate
+        self.committed = committed
+        return out

@@ -1,6 +1,8 @@
 """Symbolization pipeline: binning, hysteresis, fusion, run compression."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from behaviorforest.core import (
     SampleFrame,
     validate_stream_header,
 )
+from behaviorforest import preprocess
 from behaviorforest.preprocess import (
     HysteresisFilter,
     PreprocessPipeline,
@@ -25,6 +28,7 @@ from behaviorforest.preprocess import (
     symbolic_frames,
     unify_symbols,
 )
+from oracles import SegmentHysteresisFilter
 
 
 def make_handle(channels, **kw):
@@ -156,6 +160,56 @@ class TestHysteresisFilter:
         f = HysteresisFilter(bp, margin)
         assert f.run(values).tolist() == expected
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_run_equals_step_and_segment_oracle(self, data):
+        bp = tuple(sorted(data.draw(st.lists(
+            st.floats(-4.0, 4.0), min_size=1, max_size=8, unique=True
+        ))))
+        margin = data.draw(st.one_of(st.just(0.0), st.just(1e-12), st.floats(0.0, 0.49)))
+        deltas = preprocess._penetration_margins(bp, margin)
+        on_thresholds = [b + s * d for b in bp for d in deltas for s in (1, -1)]
+        values = np.array(data.draw(st.lists(
+            st.one_of(
+                st.sampled_from(bp + tuple(on_thresholds) + (math.inf, -math.inf)),
+                st.floats(bp[0] - 1.0, bp[-1] + 1.0),
+            ),
+            min_size=1,
+            max_size=150,
+        )))
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(values) - 1)))))
+        preset = data.draw(st.none() | st.integers(0, len(bp)))
+        # Small scan blocks force the state to be carried between blocks.
+        scan_entries = data.draw(st.sampled_from([1, 7, 1 << 18]))
+        new, ref = HysteresisFilter(bp, margin), HysteresisFilter(bp, margin)
+        segment = SegmentHysteresisFilter(bp, margin)
+        new.committed = segment.committed = ref.committed = preset
+        with mock.patch.object(preprocess, "_SCAN_ENTRIES", scan_entries):
+            for chunk in np.split(values, cuts):
+                expected = [ref.step(float(v)) for v in chunk]
+                assert new.run(chunk).tolist() == expected
+                assert segment.run(chunk).tolist() == expected
+                assert new.committed == segment.committed == ref.committed
+
+    def test_run_memory_is_bounded_on_ambiguous_input(self):
+        # Every value lies 0.1 from a breakpoint, inside the 0.4 penetration
+        # margin, so no sample fixes the state and all of them go through the
+        # map scan; a scan over the whole input at once would need ~0.5 GB.
+        bp = tuple(float(b) for b in range(63))
+        rng = np.random.default_rng(0)
+        n = 1_000_000
+        values = rng.integers(0, 63, size=n) + rng.choice([-0.1, 0.1], size=n)
+        f = HysteresisFilter(bp, margin=0.4)
+        tracemalloc.start()
+        try:
+            out = f.run(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        head = values[:20_000]
+        assert out[:20_000].tolist() == SegmentHysteresisFilter(bp, 0.4).run(head).tolist()
+
 
 class TestUnification:
     def test_reference_value(self):
@@ -275,6 +329,30 @@ class TestPipeline:
             assert counts[span] == copies_for_run_length(n, 2)
             start += n
 
+    @pytest.mark.parametrize("base", [2, 3, 10, 2**31, 10**30])
+    def test_copy_counts_around_powers_across_chunks(self, base):
+        handle = make_handle([(0.5,)], log_base=base, hysteresis_margin=0.0)
+        powers = [base**k for k in range(20) if base**k <= 70_000]
+        around_powers = {p + o for p in powers for o in (-1, 0, 1)} - {0}
+        lengths = [1, 2, 3, 4, 9, 17, *sorted(around_powers)]
+        values = np.concatenate(
+            [np.full(n, i % 2, dtype=float) for i, n in enumerate(lengths)]
+        ).reshape(-1, 1)
+        pipe = PreprocessPipeline(handle)
+        reduced = []
+        for chunk in np.array_split(values, 37):
+            reduced += pipe.process_batch(chunk)
+        reduced += pipe.flush()
+        counts = {}
+        for rs in reduced:
+            counts[rs.raw_span] = counts.get(rs.raw_span, 0) + 1
+        start = 0
+        for n in lengths:
+            span = (start, start + n)
+            assert counts.pop(span) == copies_for_run_length(n, base)
+            start += n
+        assert counts == {}
+
     def test_batch_equals_streaming(self):
         rng = np.random.default_rng(5)
         channels = [(-0.5, 0.5), (0.0,)]
@@ -292,6 +370,25 @@ class TestPipeline:
         pipe = PreprocessPipeline(make_handle(channels, hysteresis_margin=0.1))
         got = []
         for chunk in np.array_split(values, 11):
+            got.extend(pipe.process_batch(chunk))
+        got.extend(pipe.flush())
+        assert got == expected
+
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_equals_streaming_with_runs_across_chunks(self, seed):
+        rng = np.random.default_rng(seed)
+        channels = [(-0.5, 0.5), (0.0,)]
+        lengths = rng.integers(1, 60, size=40)
+        levels = rng.choice([-1.0, -0.45, 0.02, 0.55, 1.0], size=(40, 2))
+        values = np.repeat(levels, lengths, axis=0)
+        kw = dict(hysteresis_margin=0.1, log_base=10**30)
+        expected = run_streaming(make_handle(channels, **kw), values)
+        pipe = PreprocessPipeline(make_handle(channels, **kw))
+        got = []
+        # About ten samples per chunk, so most runs span several chunks.
+        cuts = np.sort(rng.choice(np.arange(1, len(values)), len(values) // 10, replace=False))
+        for chunk in np.split(values, cuts):
             got.extend(pipe.process_batch(chunk))
         got.extend(pipe.flush())
         assert got == expected
