@@ -1,8 +1,9 @@
 """From raw samples to a compact symbol stream.
 
-Walks the three preprocessing stages one at a time: value-to-bin
-discretization, hysteresis debouncing at bin boundaries, and
-logarithmic run compression.  Everything prints; no files are written.
+Walks the preprocessing stages one at a time: value-to-bin
+discretization, hysteresis debouncing at bin boundaries, channel fusion
+with logarithmic run compression, and the pipeline that chains them.
+Everything prints; no files are written.
 """
 
 import numpy as np
@@ -11,13 +12,16 @@ from behaviorforest import (
     BreakpointSpec,
     EngineConfig,
     HysteresisFilter,
-    copies_for_run_length,
-    discretize,
+    PreprocessPipeline,
+    discretize_batch,
     gaussian_breakpoints,
-    make_pipeline,
-    unify_symbols,
     validate_stream_header,
 )
+
+
+def pipeline_for(channels, **config) -> PreprocessPipeline:
+    engine_config = EngineConfig(BreakpointSpec(channels), **config)
+    return PreprocessPipeline(validate_stream_header(len(channels), engine_config, "demo"))
 
 
 def main() -> None:
@@ -29,8 +33,9 @@ def main() -> None:
     # ...or be chosen by hand.  Bins are half-open: a value sitting exactly
     # on a breakpoint belongs to the bin above it.
     bp = (-0.5, 0.5)
-    for v in (-1.0, -0.5, 0.0, 0.5, 1.0):
-        print(f"  value {v:+.2f} -> bin {discretize(v, bp)}")
+    values = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    for v, b in zip(values, discretize_batch(values, bp)):
+        print(f"  value {v:+.2f} -> bin {b}")
 
     # --- Stage 2: hysteresis ----------------------------------------------
     # A signal hovering at a boundary flickers between bins.  The filter
@@ -38,31 +43,34 @@ def main() -> None:
     # breakpoint by a fraction of the committed bin's width.
     rng = np.random.default_rng(7)
     hover = 0.5 + 0.03 * rng.standard_normal(20)
-    plain = [discretize(v, bp) for v in hover]
-
-    filt = HysteresisFilter(bp, margin=0.1)
-    debounced = [filt.step(v) for v in hover]
+    plain = discretize_batch(hover, bp).tolist()
+    debounced = HysteresisFilter(bp, margin=0.1).run(hover).tolist()
     print("\nsignal hovering at the 0.5 boundary:")
     print("  plain binning :", plain, f"({len(set(plain))} distinct bins)")
     print("  with hysteresis:", debounced, f"({len(set(debounced))} distinct bins)")
 
     # --- Stage 3: fusion and run compression ------------------------------
-    # Two channels with 3 bins each fuse into one symbol out of 9.
-    sizes = (3, 3)
-    for pair in [(0, 0), (1, 2), (2, 2)]:
-        print(f"channel bins {pair} -> unified symbol {unify_symbols(pair, sizes)}")
+    # Two channels with 3 bins each fuse into one symbol out of 9; the first
+    # channel is the most significant digit.  Each frame below differs from
+    # the last, so each one is a run of its own.
+    pipeline = pipeline_for(((-0.5, 0.5), (-0.5, 0.5)), hysteresis_margin=0.0)
+    pairs = [(0, 0), (1, 2), (2, 2)]
+    frames = np.array([-1.0, 0.0, 1.0])[np.array(pairs)]  # bin j -> a value inside it
+    for pair, r in zip(pairs, pipeline.process_batch(frames) + pipeline.flush()):
+        print(f"channel bins {pair} -> unified symbol {r.symbol}")
 
     # A run of L identical symbols is kept as ceil(log10 L) copies, so a
     # ten-minute idle stretch costs about as much as a one-minute one.
     print("\nrun length -> copies kept (base 10):")
     for length in (1, 5, 10, 99, 100, 5000):
-        print(f"  {length:5d} -> {copies_for_run_length(length, 10)}")
+        pipeline = pipeline_for(((0.5,),), log_base=10)
+        copies = pipeline.process_batch(np.zeros(length)) + pipeline.flush()
+        print(f"  {length:5d} -> {len(copies)}")
 
     # --- All together ------------------------------------------------------
     # The pipeline chains the stages and reports, per reduced symbol, the
     # raw index span it covers and the original run length.
-    config = EngineConfig(BreakpointSpec(((-0.5, 0.5), (-0.5, 0.5))))
-    pipeline = make_pipeline(validate_stream_header(2, config, "demo"))
+    pipeline = pipeline_for(((-0.5, 0.5), (-0.5, 0.5)))
     values = np.zeros((300, 2))
     values[100:120, 0] = 1.0  # channel 1 steps high for 20 samples
     values[100:120, 1] = -1.0  # channel 2 mirrors it

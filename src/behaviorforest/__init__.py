@@ -4,20 +4,12 @@ The engine discretizes continuous channels into symbols, compresses runs,
 detects variable-length behaviors, accumulates them in a weighted prefix
 forest, and records the raw samples of a behavior only while it is still
 novel or rare.  See README.md for the full tour.
+
+The package root exports what the demos and the README use plus the
+exception classes; everything else lives in its submodule.
 """
 
-from .analysis import (
-    FEATURE_NAMES,
-    FiveNumberSummary,
-    PatternFeatures,
-    SyntheticSpec,
-    VarianceComparison,
-    compare_variances,
-    extract_features,
-    generate_synthetic,
-    segment_variance,
-    sliding_window_variances,
-)
+from .analysis import FEATURE_NAMES, compare_variances, extract_features, generate_synthetic
 from .core import (
     BreakpointSpec,
     BufferOverflowError,
@@ -27,59 +19,14 @@ from .core import (
     EngineError,
     InvalidSampleError,
     ReducedSymbol,
-    SampleFrame,
     SnapshotError,
-    StreamHandle,
-    SymbolicFrame,
     gaussian_breakpoints,
     validate_stream_header,
 )
-from .engine import DiscoveryEngine, RunResult, discover, replay
-from .forest import (
-    TERMINATED_BY_PLATEAU,
-    TERMINATED_BY_STREAM_END,
-    BehaviorDetector,
-    BehaviorForest,
-    DiscoveredBehavior,
-    InsertionReceipt,
-    forest_restore,
-    forest_snapshot,
-    forest_to_dot,
-    snapshot_dumps,
-)
-from .io import (
-    config_from_dict,
-    load_config,
-    read_segments,
-    read_series,
-    save_config,
-    write_segments,
-    write_series,
-)
-from .preprocess import (
-    HysteresisFilter,
-    PreprocessPipeline,
-    copies_for_run_length,
-    discretize,
-    discretize_batch,
-    make_pipeline,
-    split_unified,
-    symbolic_frames,
-    unify_symbols,
-)
-from .selection import (
-    RECORD_NOVEL,
-    RECORD_UNDER_THRESHOLD,
-    Decision,
-    RecordedSegment,
-    RelevancePolicy,
-    ReplayStats,
-    RunStats,
-    RunStatsAccumulator,
-    SampleBuffer,
-    decide,
-    materialize,
-)
+from .engine import DiscoveryEngine, discover, replay
+from .forest import BehaviorDetector, BehaviorForest, forest_to_dot
+from .io import load_config, write_segments
+from .preprocess import HysteresisFilter, PreprocessPipeline, discretize_batch
 
 __version__ = "0.1.0"
 
@@ -89,64 +36,25 @@ __all__ = [
     "BreakpointSpec",
     "BufferOverflowError",
     "ConfigError",
-    "Decision",
     "DimensionMismatchError",
-    "DiscoveredBehavior",
     "DiscoveryEngine",
     "EngineConfig",
     "EngineError",
     "FEATURE_NAMES",
-    "FiveNumberSummary",
     "HysteresisFilter",
-    "InsertionReceipt",
     "InvalidSampleError",
-    "PatternFeatures",
     "PreprocessPipeline",
-    "RECORD_NOVEL",
-    "RECORD_UNDER_THRESHOLD",
-    "RecordedSegment",
     "ReducedSymbol",
-    "RelevancePolicy",
-    "ReplayStats",
-    "RunResult",
-    "RunStats",
-    "RunStatsAccumulator",
-    "SampleBuffer",
-    "SampleFrame",
     "SnapshotError",
-    "StreamHandle",
-    "SymbolicFrame",
-    "SyntheticSpec",
-    "TERMINATED_BY_PLATEAU",
-    "TERMINATED_BY_STREAM_END",
-    "VarianceComparison",
     "compare_variances",
-    "config_from_dict",
-    "copies_for_run_length",
-    "decide",
     "discover",
-    "discretize",
     "discretize_batch",
     "extract_features",
-    "forest_restore",
-    "forest_snapshot",
     "forest_to_dot",
     "gaussian_breakpoints",
     "generate_synthetic",
     "load_config",
-    "make_pipeline",
-    "materialize",
-    "read_segments",
-    "read_series",
     "replay",
-    "save_config",
-    "segment_variance",
-    "sliding_window_variances",
-    "snapshot_dumps",
-    "split_unified",
-    "symbolic_frames",
-    "unify_symbols",
     "validate_stream_header",
     "write_segments",
-    "write_series",
 ]

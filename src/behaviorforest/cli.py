@@ -26,7 +26,6 @@ from .core import (
 )
 from .engine import DiscoveryEngine, discover, replay
 from .forest import forest_restore, forest_to_dot, snapshot_dumps
-from .selection import RelevancePolicy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,6 +49,13 @@ def _apply_overrides(config: EngineConfig, args) -> EngineConfig:
     if not changes:
         return config
     return dataclasses.replace(config, **changes)
+
+
+def _check_counts(args) -> None:
+    if args.buffer_capacity is not None and args.buffer_capacity < 1:
+        raise ConfigError(f"--buffer-capacity must be >= 1, got {args.buffer_capacity}")
+    if getattr(args, "runs", 1) < 1:
+        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
 
 
 def _load_streams(paths: List[str]):
@@ -80,17 +86,14 @@ def _write_forest_outputs(out_dir: str, engine: DiscoveryEngine) -> None:
 
 
 def cmd_discover(args) -> int:
+    _check_counts(args)
     config = _apply_overrides(bfio.load_config(args.config), args)
     prior = _load_prior_forest(args.snapshot, config)
     loaded = _load_streams(args.inputs)
     streams = [(sid, t, v) for sid, t, v, _ in loaded]
     channel_names = loaded[0][3] if loaded else None
     engine, result = discover(
-        config,
-        streams,
-        forest=prior,
-        policy=RelevancePolicy(threshold=config.relevance_threshold),
-        buffer_capacity=args.buffer_capacity,
+        config, streams, forest=prior, buffer_capacity=args.buffer_capacity
     )
     os.makedirs(args.out, exist_ok=True)
     bfio.write_segments(args.out, result.segments, channel_names)
@@ -106,15 +109,12 @@ def cmd_discover(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    _check_counts(args)
     config = _apply_overrides(bfio.load_config(args.config), args)
     loaded = _load_streams(args.inputs)
     streams = [(sid, t, v) for sid, t, v, _ in loaded]
     engine, stats, _segments = replay(
-        config,
-        streams,
-        runs=args.runs,
-        policy=RelevancePolicy(threshold=config.relevance_threshold),
-        buffer_capacity=args.buffer_capacity,
+        config, streams, runs=args.runs, buffer_capacity=args.buffer_capacity
     )
     os.makedirs(args.out, exist_ok=True)
     bfio.write_replay_table(os.path.join(args.out, "replay.csv"), stats)

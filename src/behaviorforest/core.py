@@ -97,6 +97,11 @@ class BreakpointSpec:
         return cls(tuple(gaussian_breakpoints(int(a)) for a in sizes))
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True would hash differently from 1.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Immutable engine parameters shared by every stage.
@@ -115,16 +120,16 @@ class EngineConfig:
     initiation_context: int = 2
 
     def __post_init__(self) -> None:
-        if not isinstance(self.log_base, int) or self.log_base < 2:
+        if not _is_int(self.log_base) or self.log_base < 2:
             raise ConfigError(f"log_base must be an integer >= 2, got {self.log_base!r}")
-        if not isinstance(self.relevance_threshold, int) or self.relevance_threshold < 1:
+        if not _is_int(self.relevance_threshold) or self.relevance_threshold < 1:
             raise ConfigError("relevance_threshold must be an integer >= 1")
         h = self.hysteresis_margin
         if not (isinstance(h, (int, float)) and math.isfinite(h) and 0.0 <= h < 0.5):
             raise ConfigError(f"hysteresis_margin must satisfy 0 <= h < 0.5, got {h!r}")
-        if not isinstance(self.termination_run, int) or self.termination_run < 2:
+        if not _is_int(self.termination_run) or self.termination_run < 2:
             raise ConfigError("termination_run must be an integer >= 2")
-        if not isinstance(self.initiation_context, int) or self.initiation_context < 1:
+        if not _is_int(self.initiation_context) or self.initiation_context < 1:
             raise ConfigError("initiation_context must be an integer >= 1")
 
     @property
@@ -143,36 +148,6 @@ class EngineConfig:
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
-
-
-@dataclass(frozen=True)
-class SampleFrame:
-    """One timestamped multivariate sample.
-
-    Timestamps are carried through to recorded output but never interpreted;
-    ordering is by arrival.
-    """
-
-    t: float
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-
-@dataclass(frozen=True)
-class SymbolicFrame:
-    """A unified symbol with the raw half-open index span it covers."""
-
-    symbol: int
-    raw_span: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        s, e = self.raw_span
-        if self.symbol < 0:
-            raise ValueError(f"symbol must be non-negative, got {self.symbol}")
-        if e <= s:
-            raise ValueError(f"raw_span must be non-empty, got [{s}, {e})")
 
 
 @dataclass(frozen=True)
@@ -203,13 +178,6 @@ class StreamHandle:
 
     stream_id: str
     config: EngineConfig
-
-    def check_values(self, values: Sequence[float]) -> None:
-        if len(values) != self.config.n_channels:
-            raise DimensionMismatchError(
-                f"stream {self.stream_id!r}: expected {self.config.n_channels} "
-                f"channels, got {len(values)}"
-            )
 
 
 def validate_stream_header(

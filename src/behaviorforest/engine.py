@@ -1,9 +1,11 @@
 """End-to-end wiring: samples in, recorded segments and forest state out.
 
-One engine owns a forest and a recording policy; each stream gets a fresh
-pipeline and detector so patterns never straddle stream boundaries, while
-the forest keeps accumulating across streams and runs.  Streams are
-processed in chunks so the look-back buffer behaves like it would online.
+One engine owns a forest and records against its config's relevance
+threshold; each stream gets a fresh pipeline and detector so patterns never
+straddle stream boundaries, while the forest keeps accumulating across
+streams and runs.  Streams are processed in chunks so the look-back buffer
+behaves like it would online.  `DiscoveryEngine.run` is the one loop over a
+dataset: `discover` calls it once and `replay` once per run.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from .forest import (
 )
 from .preprocess import PreprocessPipeline
 from .selection import (
-    Decision,
     RecordedSegment,
-    RelevancePolicy,
     ReplayStats,
     RunStats,
     RunStatsAccumulator,
@@ -36,6 +36,12 @@ from .selection import (
 Stream = Tuple[str, np.ndarray, np.ndarray]  # (stream_id, t, values[n, d])
 
 
+@dataclass(frozen=True)
+class RunResult:
+    stats: RunStats
+    segments: Tuple[RecordedSegment, ...]
+
+
 class DiscoveryEngine:
     """Feeds streams through the full chain against one shared forest."""
 
@@ -43,7 +49,6 @@ class DiscoveryEngine:
         self,
         config: EngineConfig,
         forest: Optional[BehaviorForest] = None,
-        policy: Optional[RelevancePolicy] = None,
         buffer_capacity: Optional[int] = None,
         chunk_size: int = 8192,
     ):
@@ -51,11 +56,6 @@ class DiscoveryEngine:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.config = config
         self.forest = forest if forest is not None else BehaviorForest()
-        self.policy = (
-            policy
-            if policy is not None
-            else RelevancePolicy(threshold=config.relevance_threshold)
-        )
         self.buffer_capacity = buffer_capacity
         self.chunk_size = chunk_size
         self._next_segment_id = 0
@@ -82,6 +82,7 @@ class DiscoveryEngine:
             self.config.termination_run, self.config.initiation_context
         )
         buffer = SampleBuffer(self.buffer_capacity)
+        threshold = self.config.relevance_threshold
         segments: List[RecordedSegment] = []
 
         def settle(behavior: Optional[DiscoveredBehavior]) -> None:
@@ -93,7 +94,7 @@ class DiscoveryEngine:
             start, end = behavior.raw_span
             if (
                 start < buffer.oldest_index
-                and self.forest.occurrence_count(behavior.path) < self.policy.threshold
+                and self.forest.occurrence_count(behavior.path) < threshold
             ):
                 raise BufferOverflowError(
                     f"stream {stream_id!r}: span [{start}, {end}) reaches "
@@ -101,7 +102,7 @@ class DiscoveryEngine:
                     f"buffer (capacity {buffer.capacity})"
                 )
             receipt = self.forest.insert(behavior.path)
-            decision = decide(receipt, self.policy)
+            decision = decide(receipt, threshold)
             if stats is not None:
                 stats.add_decision(behavior, decision, stream_id)
             segment = materialize(
@@ -125,40 +126,34 @@ class DiscoveryEngine:
             stats.add_stream_length(n)
         return segments
 
+    def run(self, streams: Sequence[Stream], run_index: int = 0) -> RunResult:
+        """One pass over the dataset: all streams in order against the forest."""
+        stats = RunStatsAccumulator(run_index)
+        segments: List[RecordedSegment] = []
+        for stream_id, t, values in streams:
+            segments.extend(self.process_stream(stream_id, t, values, stats))
+        return RunResult(stats=stats.finalize(), segments=tuple(segments))
+
     def snapshot(self) -> dict:
         return forest_snapshot(self.forest, self.config.config_hash())
-
-
-@dataclass(frozen=True)
-class RunResult:
-    stats: RunStats
-    segments: Tuple[RecordedSegment, ...]
 
 
 def discover(
     config: EngineConfig,
     streams: Sequence[Stream],
     forest: Optional[BehaviorForest] = None,
-    policy: Optional[RelevancePolicy] = None,
     buffer_capacity: Optional[int] = None,
     run_index: int = 0,
 ) -> Tuple[DiscoveryEngine, RunResult]:
     """One pass over the dataset: all streams in order against one forest."""
-    engine = DiscoveryEngine(
-        config, forest=forest, policy=policy, buffer_capacity=buffer_capacity
-    )
-    stats = RunStatsAccumulator(run_index)
-    segments: List[RecordedSegment] = []
-    for stream_id, t, values in streams:
-        segments.extend(engine.process_stream(stream_id, t, values, stats))
-    return engine, RunResult(stats=stats.finalize(), segments=tuple(segments))
+    engine = DiscoveryEngine(config, forest=forest, buffer_capacity=buffer_capacity)
+    return engine, engine.run(streams, run_index)
 
 
 def replay(
     config: EngineConfig,
     streams: Sequence[Stream],
     runs: int,
-    policy: Optional[RelevancePolicy] = None,
     buffer_capacity: Optional[int] = None,
 ) -> Tuple[DiscoveryEngine, ReplayStats, List[Tuple[RecordedSegment, ...]]]:
     """Pass the same dataset through `runs` times against one growing forest.
@@ -168,14 +163,7 @@ def replay(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    engine = DiscoveryEngine(config, policy=policy, buffer_capacity=buffer_capacity)
-    per_run: List[RunStats] = []
-    segments_by_run: List[Tuple[RecordedSegment, ...]] = []
-    for run_index in range(1, runs + 1):
-        stats = RunStatsAccumulator(run_index)
-        segments: List[RecordedSegment] = []
-        for stream_id, t, values in streams:
-            segments.extend(engine.process_stream(stream_id, t, values, stats))
-        per_run.append(stats.finalize())
-        segments_by_run.append(tuple(segments))
-    return engine, ReplayStats(runs=tuple(per_run)), segments_by_run
+    engine = DiscoveryEngine(config, buffer_capacity=buffer_capacity)
+    results = [engine.run(streams, run_index) for run_index in range(1, runs + 1)]
+    stats = ReplayStats(runs=tuple(result.stats for result in results))
+    return engine, stats, [result.segments for result in results]

@@ -1,11 +1,13 @@
-"""Symbolization pipeline: discretize, debounce, unify, compress.
+"""Symbolization pipeline: discretize, debounce, fuse, compress.
 
 Each incoming sample is binned per channel against fixed breakpoints, a
 hysteresis filter suppresses chatter at bin boundaries, the channel symbols
 are fused into a single mixed-radix alphabet, and maximal runs of identical
-unified symbols are compressed to a logarithmic number of copies.  The
-pipeline is strictly online; `process_batch` is an equivalent vectorized
-path for array input and produces byte-identical results.
+fused symbols are compressed to a logarithmic number of copies.  Each stage
+is one array function; `PreprocessPipeline.process_batch` chains them over a
+chunk and carries the filter state and the open run to the next chunk, so
+the output does not depend on how a stream is cut.  `DiscoveryEngine.run`
+feeds every stream through it chunk by chunk.
 
 The vectorized hysteresis treats each channel as a K-state machine.  A
 sample deep enough inside its bin commits that bin from every state, so it
@@ -20,32 +22,19 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    DimensionMismatchError,
-    InvalidSampleError,
-    ReducedSymbol,
-    SampleFrame,
-    StreamHandle,
-    SymbolicFrame,
-)
+from .core import DimensionMismatchError, InvalidSampleError, ReducedSymbol, StreamHandle
 
 # Map entries (samples x states) per block of the hysteresis scan.
 _SCAN_ENTRIES = 1 << 18
 
 
-def discretize(value: float, breakpoints: Sequence[float]) -> int:
-    """Map a value to its bin index under half-open bins [b_j, b_{j+1}).
-
-    The symbol equals the number of breakpoints <= value, so values below
-    every breakpoint map to 0 and values at or above the last map to the
-    top bin.  NaN has no bin and is rejected.
-    """
-    if math.isnan(value):
-        raise InvalidSampleError("NaN sample cannot be discretized")
-    return int(np.searchsorted(breakpoints, value, side="right"))
-
-
 def discretize_batch(values: np.ndarray, breakpoints: Sequence[float]) -> np.ndarray:
+    """Map values to their bin indices under half-open bins [b_j, b_{j+1}).
+
+    A value's symbol equals the number of breakpoints <= value, so values
+    below every breakpoint map to 0 and values at or above the last map to
+    the top bin.  NaN has no bin and is rejected.
+    """
     values = np.asarray(values, dtype=np.float64)
     if np.isnan(values).any():
         idx = int(np.flatnonzero(np.isnan(values))[0])
@@ -73,10 +62,10 @@ class HysteresisFilter:
     """Debounces one channel's symbol sequence at bin boundaries.
 
     The first sample commits unconditionally.  Afterwards the committed
-    symbol only changes when the value penetrates the candidate bin beyond
-    the crossed breakpoint by the committed bin's margin; otherwise the
-    previous symbol is re-emitted.  A margin of 0 degenerates to plain
-    discretization.
+    symbol s only changes to a sample's bin c when the value penetrates c
+    beyond the crossed breakpoint by s's margin: value >= bp[c-1] + delta[s]
+    going up, value <= bp[c] - delta[s] going down; otherwise s is
+    re-emitted.  A margin of 0 degenerates to plain discretization.
     """
 
     def __init__(self, breakpoints: Sequence[float], margin: float):
@@ -98,36 +87,18 @@ class HysteresisFilter:
         ])
         self._states = np.arange(k, dtype=np.min_scalar_type(k - 1))
 
-    def step(self, value: float) -> int:
-        candidate = discretize(value, self.breakpoints)
-        committed = self.committed
-        if committed is None or candidate == committed:
-            self.committed = candidate
-            return candidate
-        if self._passes(value, candidate, committed):
-            self.committed = candidate
-            return candidate
-        return committed
-
-    def _passes(self, value: float, candidate: int, committed: int) -> bool:
-        delta = self._deltas[committed]
-        if candidate > committed:
-            return value >= self.breakpoints[candidate - 1] + delta
-        return value <= self.breakpoints[candidate] - delta
-
     def run(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized step over a 1-D array, preserving filter state.
+        """Debounce a 1-D array of values, carrying the state across calls.
 
         A sample with `lo[c] <= value <= hi[c]` clears the penetration
         threshold of its bin `c` from every committed state, so its output is
         `c` whatever came before.  Every other sample is ambiguous: it maps
-        each committed state to a next state by the same comparisons as
-        `step`.  The state entering a stretch of ambiguous samples (the last
+        each committed state to a next state by the comparisons of the
+        class docstring.  The state entering a stretch of ambiguous samples (the last
         fixed sample's bin, or the carried state) is folded into the
         stretch's first map, and the maps are composed by Hillis-Steele
         doubling until every prefix map is constant.  Ambiguous samples are
         scanned in blocks of bounded size, so memory stays O(block * K).
-        Equivalent to calling `step` per sample.
         """
         values = np.asarray(values, dtype=np.float64)
         out = discretize_batch(values, self.breakpoints)
@@ -170,56 +141,43 @@ class HysteresisFilter:
         return out
 
 
-def unify_symbols(symbols: Sequence[int], alphabet_sizes: Sequence[int]) -> int:
-    """Fuse per-channel symbols into one mixed-radix code.
+def fuse_symbols(columns: Sequence[np.ndarray], alphabet_sizes: Sequence[int]) -> np.ndarray:
+    """Fuse per-channel symbol arrays into one mixed-radix code per sample.
 
-    The first channel is the most significant digit; a single channel maps
-    to itself.  The fusion is a bijection onto range(prod(alphabet_sizes)).
+    columns[c] holds channel c's symbols.  The first channel is the most
+    significant digit and a single channel maps to itself, so the fusion is
+    a bijection onto range(prod(alphabet_sizes)).
     """
-    if len(symbols) != len(alphabet_sizes):
-        raise ValueError(
-            f"got {len(symbols)} symbols for {len(alphabet_sizes)} channels"
-        )
-    unified = 0
-    for s, a in zip(symbols, alphabet_sizes):
-        if not 0 <= s < a:
-            raise ValueError(f"symbol {s} outside alphabet of size {a}")
-        unified = unified * a + s
-    return unified
+    fused = columns[0]
+    for c in range(1, len(alphabet_sizes)):
+        fused = fused * alphabet_sizes[c] + columns[c]
+    return fused
 
 
-def split_unified(unified: int, alphabet_sizes: Sequence[int]) -> tuple[int, ...]:
-    """Invert `unify_symbols` back to per-channel symbols."""
-    out = []
-    for a in reversed(alphabet_sizes):
-        out.append(unified % a)
-        unified //= a
-    if unified:
-        raise ValueError("unified symbol outside the fused alphabet")
-    return tuple(reversed(out))
+def run_powers(log_base: int) -> np.ndarray:
+    """The powers of `log_base` below 2**62: the table `run_copies` searches."""
+    return np.array(
+        [log_base**k for k in range(62) if log_base**k < 2**62], dtype=np.int64
+    )
 
 
-def copies_for_run_length(length: int, log_base: int) -> int:
-    """Number of copies a run of `length` identical symbols survives as.
+def run_copies(lengths: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Number of copies runs of `lengths` identical symbols survive as.
 
-    ceil(log_base(length)), clamped to at least one copy so a symbol that
-    occurred is never erased entirely.
+    ceil(log_base(length)) is the number of powers of log_base below the
+    length; it is clamped to at least one copy so a symbol that occurred is
+    never erased entirely.  `powers` is `run_powers(log_base)`.
     """
-    if length < 1:
-        raise ValueError(f"run length must be >= 1, got {length}")
-    copies, reach = 0, 1
-    while reach < length:
-        reach *= log_base
-        copies += 1
-    return max(1, copies)
+    return np.maximum(np.searchsorted(powers, lengths), 1)
 
 
 class PreprocessPipeline:
-    """Online sample-to-reduced-symbol pipeline for one stream.
+    """Sample-to-reduced-symbol pipeline for one stream.
 
-    `step` accepts one frame and returns the copies of any run that just
-    closed (usually none); `flush` closes the final run at end of stream.
-    Raw indices count frames in arrival order and tile the stream exactly.
+    `process_batch` takes the next chunk of frames and returns the copies of
+    every run the chunk closed; the last run stays open for the next chunk,
+    and `flush` closes it at end of stream.  Raw indices count frames in
+    arrival order and tile the stream exactly.
     """
 
     def __init__(self, handle: StreamHandle):
@@ -230,12 +188,7 @@ class PreprocessPipeline:
             HysteresisFilter(ch, config.hysteresis_margin)
             for ch in config.breakpoints.channels
         ]
-        self._log_base = config.log_base
-        # log_base**k below 2**62: a run of length L survives as the number of these < L.
-        self._run_powers = np.array(
-            [config.log_base**k for k in range(62) if config.log_base**k < 2**62],
-            dtype=np.int64,
-        )
+        self._run_powers = run_powers(config.log_base)
         self._raw_index = 0
         self._run_symbol: Optional[int] = None
         self._run_start = 0
@@ -245,26 +198,8 @@ class PreprocessPipeline:
         """Number of frames consumed so far."""
         return self._raw_index
 
-    def step(self, frame: SampleFrame) -> List[ReducedSymbol]:
-        self.handle.check_values(frame.values)
-        # Reject before touching filter state so a bad frame has no effect.
-        if any(math.isnan(v) for v in frame.values):
-            raise InvalidSampleError(f"NaN sample at index {self._raw_index}")
-        symbols = [f.step(v) for f, v in zip(self._filters, frame.values)]
-        unified = unify_symbols(symbols, self._alphabet_sizes)
-        out: List[ReducedSymbol] = []
-        if self._run_symbol is None:
-            self._run_symbol = unified
-            self._run_start = self._raw_index
-        elif unified != self._run_symbol:
-            out = self._close_run(end=self._raw_index)
-            self._run_symbol = unified
-            self._run_start = self._raw_index
-        self._raw_index += 1
-        return out
-
     def process_batch(self, values: np.ndarray) -> List[ReducedSymbol]:
-        """Vectorized equivalent of calling `step` once per row."""
+        """Reduced symbols of the runs closed by the next (samples, channels) chunk."""
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == 1:
             values = values[:, None]
@@ -281,15 +216,15 @@ class PreprocessPipeline:
         if np.isnan(values).any():
             idx = int(np.flatnonzero(np.isnan(values).any(axis=1))[0])
             raise InvalidSampleError(f"NaN sample at index {self._raw_index + idx}")
-        committed = [self._filters[c].run(values[:, c]) for c in range(d)]
-        unified = committed[0]
-        for c in range(1, d):
-            unified = unified * self._alphabet_sizes[c] + committed[c]
+        fused = fuse_symbols(
+            [f.run(values[:, c]) for c, f in enumerate(self._filters)],
+            self._alphabet_sizes,
+        )
 
-        # Columnar run closing: the last segment stays open for the next batch.
+        # The last run stays open for the next batch.
         base = self._raw_index
-        heads = np.concatenate(([0], np.flatnonzero(unified[1:] != unified[:-1]) + 1))
-        symbols, starts = unified[heads], base + heads
+        heads = np.concatenate(([0], np.flatnonzero(fused[1:] != fused[:-1]) + 1))
+        symbols, starts = fused[heads], base + heads
         if self._run_symbol == symbols[0]:
             starts[0] = self._run_start
         elif self._run_symbol is not None:
@@ -297,60 +232,23 @@ class PreprocessPipeline:
             starts = np.concatenate(([self._run_start], starts))
         self._run_symbol, self._run_start = int(symbols[-1]), int(starts[-1])
         self._raw_index = base + n
-        copies = np.maximum(np.searchsorted(self._run_powers, np.diff(starts)), 1)
-        ends = starts[1:].tolist()
-        runs = [
-            ReducedSymbol(symbol, (start, end), end - start)
-            for symbol, start, end in zip(symbols.tolist(), starts.tolist(), ends)
-        ]
-        return [run for run, k in zip(runs, copies.tolist()) for _ in range(k)]
+        return self._close_runs(symbols.tolist(), starts)
 
     def flush(self) -> List[ReducedSymbol]:
         """Close the trailing run; the pipeline is ready for reuse after."""
         if self._run_symbol is None:
             return []
-        out = self._close_run(end=self._raw_index)
+        bounds = np.array([self._run_start, self._raw_index])
+        out = self._close_runs([self._run_symbol], bounds)
         self._run_symbol = None
         return out
 
-    def _close_run(self, end: int) -> List[ReducedSymbol]:
-        assert self._run_symbol is not None
-        length = end - self._run_start
-        copies = copies_for_run_length(length, self._log_base)
-        reduced = ReducedSymbol(
-            symbol=self._run_symbol,
-            raw_span=(self._run_start, end),
-            run_length_raw=length,
-        )
-        return [reduced] * copies
-
-
-def symbolic_frames(handle: StreamHandle, values: np.ndarray) -> List[SymbolicFrame]:
-    """Post-hysteresis unified symbol of every frame, one entry per row.
-
-    Inspection helper over a fresh filter bank; numerosity reduction is not
-    applied.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        values = values[:, None]
-    config = handle.config
-    if values.shape[1] != config.n_channels:
-        raise DimensionMismatchError(
-            f"stream {handle.stream_id!r}: expected {config.n_channels} "
-            f"channels, got {values.shape[1]}"
-        )
-    sizes = config.breakpoints.alphabet_sizes
-    committed = [
-        HysteresisFilter(ch, config.hysteresis_margin).run(values[:, c])
-        for c, ch in enumerate(config.breakpoints.channels)
-    ]
-    unified = committed[0]
-    for c in range(1, len(sizes)):
-        unified = unified * sizes[c] + committed[c]
-    return [SymbolicFrame(int(u), (i, i + 1)) for i, u in enumerate(unified)]
-
-
-def make_pipeline(handle: StreamHandle) -> PreprocessPipeline:
-    return PreprocessPipeline(handle)
-
+    def _close_runs(self, symbols: List[int], bounds: np.ndarray) -> List[ReducedSymbol]:
+        """Copies of each run symbols[i] over [bounds[i], bounds[i + 1])."""
+        copies = run_copies(np.diff(bounds), self._run_powers)
+        edges = bounds.tolist()
+        runs = [
+            ReducedSymbol(symbol, (start, end), end - start)
+            for symbol, start, end in zip(symbols, edges, edges[1:])
+        ]
+        return [run for run, k in zip(runs, copies.tolist()) for _ in range(k)]

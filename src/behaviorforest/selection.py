@@ -24,33 +24,21 @@ RECORD_UNDER_THRESHOLD = "under_threshold"
 
 
 @dataclass(frozen=True)
-class RelevancePolicy:
-    """Occurrence-based relevance: record until a path has been seen enough."""
-
-    threshold: int = 5
-    always_record_novel: bool = True
-
-    def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
-
-
-@dataclass(frozen=True)
 class Decision:
     record: bool
     reason: Optional[str] = None
 
 
-def decide(receipt: InsertionReceipt, policy: RelevancePolicy) -> Decision:
-    """Judge one insertion receipt against the policy.
+def decide(receipt: InsertionReceipt, threshold: int) -> Decision:
+    """Judge one insertion receipt against the relevance threshold.
 
-    Novelty wins outright; otherwise the pre-insertion occurrence count must
-    still be under the threshold.  A path exactly at the threshold is no
-    longer recorded.
+    A path is recorded while its pre-insertion occurrence count is under the
+    threshold, so a path exactly at the threshold is no longer recorded.  A
+    new path (count 0) is recorded under the reason `novel`.
     """
-    if receipt.created_new_node and policy.always_record_novel:
+    if receipt.created_new_node:
         return Decision(record=True, reason=RECORD_NOVEL)
-    if receipt.prior_terminal_count < policy.threshold:
+    if receipt.prior_terminal_count < threshold:
         return Decision(record=True, reason=RECORD_UNDER_THRESHOLD)
     return Decision(record=False)
 
@@ -91,9 +79,6 @@ class SampleBuffer:
         if self.capacity is None:
             return 0
         return max(0, self._next - self.capacity)
-
-    def append(self, t: float, values: Sequence[float]) -> None:
-        self.extend([t], [values])
 
     def extend(self, t: np.ndarray, values: np.ndarray) -> None:
         t = np.array(t, dtype=np.float64)

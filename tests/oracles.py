@@ -1,10 +1,17 @@
 """Scalar reference implementations that the library's stages are checked against."""
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from behaviorforest.core import BufferOverflowError
+from behaviorforest.core import (
+    BufferOverflowError,
+    DimensionMismatchError,
+    InvalidSampleError,
+    ReducedSymbol,
+    StreamHandle,
+)
 from behaviorforest.preprocess import HysteresisFilter, discretize_batch
 
 
@@ -34,11 +41,6 @@ class ListSampleBuffer:
     @property
     def oldest_index(self) -> int:
         return self._base
-
-    def append(self, t: float, values: Sequence[float]) -> None:
-        self._t.append(float(t))
-        self._values.append(tuple(values))
-        self._evict()
 
     def extend(self, t: np.ndarray, values: np.ndarray) -> None:
         self._t.extend(float(x) for x in t)
@@ -119,3 +121,143 @@ class SegmentHysteresisFilter(HysteresisFilter):
                 committed = candidate
         self.committed = committed
         return out
+
+
+def discretize(value: float, breakpoints: Sequence[float]) -> int:
+    """Bin index of one value under half-open bins [b_j, b_{j+1}).
+
+    The reference for `preprocess.discretize_batch`.
+    """
+    if math.isnan(value):
+        raise InvalidSampleError("NaN sample cannot be discretized")
+    return int(np.searchsorted(breakpoints, value, side="right"))
+
+
+class StepHysteresisFilter(HysteresisFilter):
+    """Hysteresis filter stepped one sample at a time.
+
+    The reference for `preprocess.HysteresisFilter.run`: it applies the
+    penetration rule of the class docstring literally, sample by sample.
+    """
+
+    def step(self, value: float) -> int:
+        candidate = discretize(value, self.breakpoints)
+        committed = self.committed
+        if committed is None or candidate == committed:
+            self.committed = candidate
+            return candidate
+        if self._passes(value, candidate, committed):
+            self.committed = candidate
+            return candidate
+        return committed
+
+    def _passes(self, value: float, candidate: int, committed: int) -> bool:
+        delta = self._deltas[committed]
+        if candidate > committed:
+            return value >= self.breakpoints[candidate - 1] + delta
+        return value <= self.breakpoints[candidate] - delta
+
+
+def unify_symbols(symbols: Sequence[int], alphabet_sizes: Sequence[int]) -> int:
+    """Fuse one sample's per-channel symbols into one mixed-radix code.
+
+    The reference for `preprocess.fuse_symbols`: the first channel is the
+    most significant digit, and out-of-range symbols are rejected.
+    """
+    if len(symbols) != len(alphabet_sizes):
+        raise ValueError(
+            f"got {len(symbols)} symbols for {len(alphabet_sizes)} channels"
+        )
+    unified = 0
+    for s, a in zip(symbols, alphabet_sizes):
+        if not 0 <= s < a:
+            raise ValueError(f"symbol {s} outside alphabet of size {a}")
+        unified = unified * a + s
+    return unified
+
+
+def split_unified(unified: int, alphabet_sizes: Sequence[int]) -> Tuple[int, ...]:
+    """Invert `unify_symbols` back to per-channel symbols."""
+    out = []
+    for a in reversed(alphabet_sizes):
+        out.append(unified % a)
+        unified //= a
+    if unified:
+        raise ValueError("unified symbol outside the fused alphabet")
+    return tuple(reversed(out))
+
+
+def copies_for_run_length(length: int, log_base: int) -> int:
+    """Number of copies a run of `length` identical symbols survives as.
+
+    The reference for `preprocess.run_copies`: ceil(log_base(length)) by
+    repeated multiplication, clamped to at least one copy.
+    """
+    if length < 1:
+        raise ValueError(f"run length must be >= 1, got {length}")
+    copies, reach = 0, 1
+    while reach < length:
+        reach *= log_base
+        copies += 1
+    return max(1, copies)
+
+
+class StepPipeline:
+    """Sample-to-reduced-symbol pipeline stepped one frame at a time.
+
+    The reference for `preprocess.PreprocessPipeline`: `step` takes one
+    frame's channel values and returns the copies of the run it closed
+    (usually none); `flush` closes the final run at end of stream.
+    """
+
+    def __init__(self, handle: StreamHandle):
+        self.handle = handle
+        config = handle.config
+        self._alphabet_sizes = config.breakpoints.alphabet_sizes
+        self._filters = [
+            StepHysteresisFilter(ch, config.hysteresis_margin)
+            for ch in config.breakpoints.channels
+        ]
+        self._log_base = config.log_base
+        self.raw_index = 0
+        self._run_symbol: Optional[int] = None
+        self._run_start = 0
+
+    def step(self, values: Sequence[float]) -> List[ReducedSymbol]:
+        if len(values) != self.handle.config.n_channels:
+            raise DimensionMismatchError(
+                f"stream {self.handle.stream_id!r}: expected "
+                f"{self.handle.config.n_channels} channels, got {len(values)}"
+            )
+        # Reject before touching filter state so a bad frame has no effect.
+        if any(math.isnan(v) for v in values):
+            raise InvalidSampleError(f"NaN sample at index {self.raw_index}")
+        symbols = [f.step(float(v)) for f, v in zip(self._filters, values)]
+        unified = unify_symbols(symbols, self._alphabet_sizes)
+        out: List[ReducedSymbol] = []
+        if self._run_symbol is None:
+            self._run_symbol = unified
+            self._run_start = self.raw_index
+        elif unified != self._run_symbol:
+            out = self._close_run(end=self.raw_index)
+            self._run_symbol = unified
+            self._run_start = self.raw_index
+        self.raw_index += 1
+        return out
+
+    def flush(self) -> List[ReducedSymbol]:
+        if self._run_symbol is None:
+            return []
+        out = self._close_run(end=self.raw_index)
+        self._run_symbol = None
+        return out
+
+    def _close_run(self, end: int) -> List[ReducedSymbol]:
+        length = end - self._run_start
+        copies = copies_for_run_length(length, self._log_base)
+        reduced = ReducedSymbol(
+            symbol=self._run_symbol,
+            raw_span=(self._run_start, end),
+            run_length_raw=length,
+        )
+        return [reduced] * copies

@@ -29,12 +29,8 @@ from behaviorforest.forest import (
     forest_to_dot,
 )
 from behaviorforest.io import load_config, read_series
-from behaviorforest.preprocess import (
-    copies_for_run_length,
-    discretize_batch,
-    split_unified,
-    unify_symbols,
-)
+from behaviorforest.preprocess import discretize_batch, fuse_symbols, run_copies, run_powers
+from oracles import split_unified
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -110,10 +106,12 @@ def test_criterion_2_preprocessing_oracles():
     ok = ok and np.array_equal(got, oracle)
 
     # Run-compression copy counts vs the digit-count oracle, L in 1..1e4.
+    lengths = np.arange(1, 10_001)
     for base in (2, 10):
-        for length in range(1, 10_001):
+        got = run_copies(lengths, run_powers(base)).tolist()
+        for length, copies in zip(lengths.tolist(), got):
             expected = 1 if length == 1 else len(np.base_repr(length - 1, base))
-            if copies_for_run_length(length, base) != expected:
+            if copies != expected:
                 ok = False
                 break
 
@@ -121,13 +119,10 @@ def test_criterion_2_preprocessing_oracles():
     for dims in (1, 2, 3):
         for sizes in itertools.product(range(2, 6), repeat=dims):
             space = math.prod(sizes)
-            seen = set()
-            for u in range(space):
-                symbols = split_unified(u, sizes)
-                if unify_symbols(symbols, sizes) != u:
-                    ok = False
-                seen.add(symbols)
-            ok = ok and len(seen) == space
+            symbols = [split_unified(u, sizes) for u in range(space)]
+            fused = fuse_symbols(np.array(symbols).T, sizes)
+            ok = ok and fused.tolist() == list(range(space))
+            ok = ok and len(set(symbols)) == space
 
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0

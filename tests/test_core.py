@@ -11,11 +11,11 @@ from behaviorforest.core import (
     DimensionMismatchError,
     EngineConfig,
     ReducedSymbol,
-    SampleFrame,
-    SymbolicFrame,
     gaussian_breakpoints,
     validate_stream_header,
 )
+from behaviorforest.io import config_from_dict
+from behaviorforest.preprocess import PreprocessPipeline
 
 
 def normal_cdf(x: float) -> float:
@@ -138,6 +138,16 @@ class TestEngineConfig:
         with pytest.raises(ConfigError):
             self.make(**kw)
 
+    @pytest.mark.parametrize(
+        "field", ["log_base", "relevance_threshold", "termination_run", "initiation_context"]
+    )
+    def test_rejects_bool_counts(self, field):
+        # True passes an int check and equals 1, but hashes differently from 1.
+        with pytest.raises(ConfigError):
+            self.make(**{field: True})
+        with pytest.raises(ConfigError):
+            config_from_dict({"breakpoints": [0.0], field: True})
+
     def test_boundary_values_accepted(self):
         self.make(hysteresis_margin=0.0)
         self.make(hysteresis_margin=0.499)
@@ -161,17 +171,6 @@ class TestEngineConfig:
 
 
 class TestFrameTypes:
-    def test_sample_frame_coerces_to_float(self):
-        f = SampleFrame(0.5, (1, 2))
-        assert f.values == (1.0, 2.0)
-        assert isinstance(f.values[0], float)
-
-    def test_symbolic_frame_rejects_empty_span(self):
-        with pytest.raises(ValueError):
-            SymbolicFrame(1, (3, 3))
-        with pytest.raises(ValueError):
-            SymbolicFrame(-1, (0, 1))
-
     def test_reduced_symbol_validation(self):
         rs = ReducedSymbol(2, (0, 5), 5)
         assert rs.run_length_raw == 5
@@ -186,7 +185,7 @@ class TestStreamAdmission:
         cfg = EngineConfig(BreakpointSpec(((0.0,), (0.0,))))
         handle = validate_stream_header(2, cfg, stream_id="s1")
         assert handle.stream_id == "s1"
-        handle.check_values([0.1, 0.2])
+        assert PreprocessPipeline(handle).process_batch(np.array([[0.1, 0.2]])) == []
 
     def test_rejects_wrong_channel_count(self):
         cfg = EngineConfig(BreakpointSpec(((0.0,), (0.0,))))
@@ -194,4 +193,4 @@ class TestStreamAdmission:
             validate_stream_header(3, cfg)
         handle = validate_stream_header(2, cfg)
         with pytest.raises(DimensionMismatchError):
-            handle.check_values([0.1])
+            PreprocessPipeline(handle).process_batch(np.array([[0.1]]))

@@ -1,5 +1,6 @@
 """End-to-end engine behavior, file I/O, and the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from behaviorforest.io import (
     write_segments,
     write_series,
 )
-from behaviorforest.selection import RelevancePolicy, RunStatsAccumulator
+from behaviorforest.selection import RunStatsAccumulator
 
 # Raw single-channel fixture whose runs (under log base 2) reduce to the
 # symbol sequence 1,1,1,2,3,2,1,1,1,1,1,2,3,4 and therefore to exactly the
@@ -108,9 +109,8 @@ class TestEngineOnFixture:
         forest = engine.forest
         forest.insert((1, 2, 3, 2, 1))
         small = DiscoveryEngine(
-            fixture_config(),
+            dataclasses.replace(fixture_config(), relevance_threshold=2),
             forest=forest,
-            policy=RelevancePolicy(threshold=2),
             buffer_capacity=20,
         )
         stats = RunStatsAccumulator()
@@ -449,6 +449,27 @@ class TestCli:
         rc = cli.main(["discover", str(data), "--config", str(bad), "--out", str(workdir / "x")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_exit_code_2_for_boolean_count_in_config(self, workdir, capsys):
+        data = self.gen(workdir)
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps({"breakpoints": [0.0, 0.5], "relevance_threshold": True}))
+        rc = cli.main(["discover", str(data), "--config", str(bad), "--out", str(workdir / "x")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("discover", "--buffer-capacity"), ("replay", "--buffer-capacity"), ("replay", "--runs")],
+    )
+    def test_exit_code_2_for_bad_count(self, workdir, capsys, command, flag):
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        out = workdir / "x"
+        rc = cli.main([command, str(data), "--config", cfg, "--out", str(out), flag, "0"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_code_2_for_snapshot_config_mismatch(self, workdir):
         data = self.gen(workdir)

@@ -14,21 +14,26 @@ from behaviorforest.core import (
     DimensionMismatchError,
     EngineConfig,
     InvalidSampleError,
-    SampleFrame,
     validate_stream_header,
 )
 from behaviorforest import preprocess
 from behaviorforest.preprocess import (
     HysteresisFilter,
     PreprocessPipeline,
+    discretize_batch,
+    fuse_symbols,
+    run_copies,
+    run_powers,
+)
+from oracles import (
+    SegmentHysteresisFilter,
+    StepHysteresisFilter,
+    StepPipeline,
     copies_for_run_length,
     discretize,
-    discretize_batch,
     split_unified,
-    symbolic_frames,
     unify_symbols,
 )
-from oracles import SegmentHysteresisFilter
 
 
 def make_handle(channels, **kw):
@@ -37,29 +42,51 @@ def make_handle(channels, **kw):
 
 
 def run_streaming(handle, values):
-    pipe = PreprocessPipeline(handle)
+    pipe = StepPipeline(handle)
     out = []
-    for i, row in enumerate(np.atleast_2d(np.asarray(values, dtype=float))):
-        out.extend(pipe.step(SampleFrame(float(i), tuple(row))))
+    for row in np.atleast_2d(np.asarray(values, dtype=float)):
+        out.extend(pipe.step(tuple(row)))
     out.extend(pipe.flush())
     return out
+
+
+def debouncer(breakpoints, margin):
+    """Feeds values to the library filter and to the per-sample oracle.
+
+    Each call is one chunk; the outputs must agree and are returned.
+    """
+    lib = HysteresisFilter(breakpoints, margin)
+    ref = StepHysteresisFilter(breakpoints, margin)
+
+    def feed(*values):
+        got = lib.run(np.array(values, dtype=float)).tolist()
+        assert got == [ref.step(v) for v in values]
+        return got
+
+    return feed
+
+
+def fuse(symbols, sizes):
+    return int(fuse_symbols(np.array([symbols]).T, sizes)[0])
+
+
+def copies(lengths, base):
+    return run_copies(np.asarray(lengths), run_powers(base)).tolist()
 
 
 class TestDiscretize:
     def test_half_open_bins(self):
         bp = (1.0, 2.0, 3.0)
-        assert discretize(0.5, bp) == 0
-        assert discretize(1.0, bp) == 1  # boundary value enters the upper bin
-        assert discretize(1.999, bp) == 1
-        assert discretize(2.0, bp) == 2
-        assert discretize(3.0, bp) == 3
-        assert discretize(100.0, bp) == 3
-        assert discretize(-math.inf, bp) == 0
-        assert discretize(math.inf, bp) == 3
+        values = [0.5, 1.0, 1.999, 2.0, 3.0, 100.0, -math.inf, math.inf]
+        # A boundary value enters the upper bin.
+        assert discretize_batch(np.array(values), bp).tolist() == [0, 1, 1, 2, 3, 3, 0, 3]
+        assert [discretize(v, bp) for v in values] == [0, 1, 1, 2, 3, 3, 0, 3]
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidSampleError):
             discretize(math.nan, (0.0,))
+        with pytest.raises(InvalidSampleError):
+            discretize_batch(np.array([math.nan]), (0.0,))
         with pytest.raises(InvalidSampleError):
             discretize_batch(np.array([0.0, math.nan]), (0.0,))
 
@@ -82,41 +109,41 @@ class TestDiscretize:
 
 class TestHysteresisFilter:
     def test_shallow_crossing_suppressed(self):
-        f = HysteresisFilter((0.5,), margin=0.05)
-        assert [f.step(v) for v in (0.49, 0.51, 0.49)] == [0, 0, 0]
+        f = debouncer((0.5,), margin=0.05)
+        assert f(0.49, 0.51, 0.49) == [0, 0, 0]
 
     def test_deep_crossing_commits(self):
-        f = HysteresisFilter((0.5,), margin=0.05)
+        f = debouncer((0.5,), margin=0.05)
         # Single breakpoint: no finite bin exists, so the margin is absolute.
-        assert [f.step(v) for v in (0.49, 0.56, 0.49)] == [0, 1, 1]
-        assert f.step(0.44) == 0
+        assert f(0.49, 0.56, 0.49) == [0, 1, 1]
+        assert f(0.44) == [0]
 
     def test_first_sample_commits_unconditionally(self):
-        f = HysteresisFilter((0.5,), margin=0.05)
-        assert f.step(0.51) == 1
+        f = debouncer((0.5,), margin=0.05)
+        assert f(0.51) == [1]
 
     def test_margin_scales_with_bin_width(self):
-        f = HysteresisFilter((0.0, 1.0, 2.0), margin=0.1)
-        assert f.step(0.5) == 1
-        assert f.step(1.05) == 1  # within 0.1 of the crossed breakpoint
-        assert f.step(1.15) == 2  # penetrated past 1.0 + 0.1
-        assert f.step(0.95) == 2  # needs to reach 1.0 - 0.1 going down
-        assert f.step(0.85) == 1
+        f = debouncer((0.0, 1.0, 2.0), margin=0.1)
+        assert f(0.5) == [1]
+        assert f(1.05) == [1]  # within 0.1 of the crossed breakpoint
+        assert f(1.15) == [2]  # penetrated past 1.0 + 0.1
+        assert f(0.95) == [2]  # needs to reach 1.0 - 0.1 going down
+        assert f(0.85) == [1]
 
     def test_edge_bins_borrow_nearest_width(self):
-        f = HysteresisFilter((0.0, 10.0), margin=0.1)
+        f = debouncer((0.0, 10.0), margin=0.1)
         # Inner bin width is 10, so both edge bins use margin 1.0.
-        assert f.step(-5.0) == 0
-        assert f.step(0.5) == 0
-        assert f.step(1.5) == 1
-        assert f.step(10.5) == 1
-        assert f.step(11.5) == 2
+        assert f(-5.0) == [0]
+        assert f(0.5) == [0]
+        assert f(1.5) == [1]
+        assert f(10.5) == [1]
+        assert f(11.5) == [2]
 
     def test_multi_bin_jump(self):
-        f = HysteresisFilter((0.0, 1.0, 2.0), margin=0.1)
-        assert f.step(-0.5) == 0
-        assert f.step(2.05) == 0  # crossed 3 bins but only 0.05 past 2.0
-        assert f.step(2.5) == 3
+        f = debouncer((0.0, 1.0, 2.0), margin=0.1)
+        assert f(-0.5) == [0]
+        assert f(2.05) == [0]  # crossed 3 bins but only 0.05 past 2.0
+        assert f(2.5) == [3]
 
     def test_zero_margin_is_plain_discretization(self):
         rng = np.random.default_rng(3)
@@ -130,7 +157,7 @@ class TestHysteresisFilter:
         bp = (-0.5, 0.0, 0.5)
         # Cluster values near the breakpoints to exercise the margin logic.
         values = rng.choice(bp, size=2_000) + rng.normal(scale=0.08, size=2_000)
-        ref = HysteresisFilter(bp, margin=0.2)
+        ref = StepHysteresisFilter(bp, margin=0.2)
         expected = [ref.step(float(v)) for v in values]
         f = HysteresisFilter(bp, margin=0.2)
         assert f.run(values).tolist() == expected
@@ -155,7 +182,7 @@ class TestHysteresisFilter:
         rng = np.random.default_rng(seed)
         bp = tuple(np.sort(rng.choice(np.arange(-3.0, 3.5, 0.5), n_breaks, replace=False)))
         values = rng.choice(bp, size=300) + rng.normal(scale=0.2, size=300)
-        ref = HysteresisFilter(bp, margin)
+        ref = StepHysteresisFilter(bp, margin)
         expected = [ref.step(float(v)) for v in values]
         f = HysteresisFilter(bp, margin)
         assert f.run(values).tolist() == expected
@@ -181,7 +208,7 @@ class TestHysteresisFilter:
         preset = data.draw(st.none() | st.integers(0, len(bp)))
         # Small scan blocks force the state to be carried between blocks.
         scan_entries = data.draw(st.sampled_from([1, 7, 1 << 18]))
-        new, ref = HysteresisFilter(bp, margin), HysteresisFilter(bp, margin)
+        new, ref = HysteresisFilter(bp, margin), StepHysteresisFilter(bp, margin)
         segment = SegmentHysteresisFilter(bp, margin)
         new.committed = segment.committed = ref.committed = preset
         with mock.patch.object(preprocess, "_SCAN_ENTRIES", scan_entries):
@@ -212,16 +239,22 @@ class TestHysteresisFilter:
 
 
 class TestUnification:
+    """The per-sample oracle `unify_symbols` and the library `fuse_symbols`."""
+
     def test_reference_value(self):
         assert unify_symbols([1, 2], [3, 3]) == 5
+        assert fuse([1, 2], [3, 3]) == 5
 
     def test_single_channel_identity(self):
         for s in range(7):
             assert unify_symbols([s], [7]) == s
+        assert fuse_symbols(np.arange(7)[None, :], (7,)).tolist() == list(range(7))
 
     def test_first_channel_most_significant(self):
         assert unify_symbols([1, 0], [2, 10]) == 10
         assert unify_symbols([0, 9], [2, 10]) == 9
+        assert fuse([1, 0], [2, 10]) == 10
+        assert fuse([0, 9], [2, 10]) == 9
 
     def test_bijection_exhaustive(self):
         sizes = (3, 2, 4)
@@ -231,6 +264,7 @@ class TestUnification:
                 for c in range(4):
                     u = unify_symbols([a, b, c], sizes)
                     assert split_unified(u, sizes) == (a, b, c)
+                    assert fuse([a, b, c], sizes) == u
                     seen.add(u)
         assert seen == set(range(24))
 
@@ -254,9 +288,12 @@ class TestUnification:
         u = unify_symbols(symbols, sizes)
         assert 0 <= u < math.prod(sizes)
         assert split_unified(u, sizes) == tuple(symbols)
+        assert fuse(symbols, sizes) == u
 
 
 class TestRunCompression:
+    """The scalar oracle `copies_for_run_length` and the library `run_copies`."""
+
     def test_reference_values(self):
         assert copies_for_run_length(1, 10) == 1
         assert copies_for_run_length(2, 10) == 1
@@ -265,26 +302,33 @@ class TestRunCompression:
         assert copies_for_run_length(100, 10) == 2
         assert copies_for_run_length(101, 10) == 3
         assert copies_for_run_length(500, 10) == 3
+        assert copies([1, 2, 10, 11, 100, 101, 500], 10) == [1, 1, 1, 2, 2, 3, 3]
 
     @pytest.mark.parametrize("base", [2, 3, 10])
     def test_matches_digit_count_oracle(self, base):
         # ceil(log_base(L)) equals the digit count of L-1 in that base (L >= 2).
-        for length in range(2, 4_000):
+        lengths = range(2, 4_000)
+        got = copies(lengths, base)
+        for length, g in zip(lengths, got):
             digits = len(np.base_repr(length - 1, base))
             assert copies_for_run_length(length, base) == digits
+            assert g == digits
 
     def test_exact_powers(self):
         for k in range(1, 7):
             assert copies_for_run_length(10**k, 10) == k
             assert copies_for_run_length(10**k + 1, 10) == k + 1
+            assert copies([10**k, 10**k + 1], 10) == [k, k + 1]
 
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             copies_for_run_length(0, 10)
 
     def test_never_expands(self):
-        for length in range(1, 200):
-            for base in (2, 3, 10):
+        lengths = np.arange(1, 200)
+        for base in (2, 3, 10):
+            assert (np.array(copies(lengths, base)) <= lengths).all()
+            for length in lengths.tolist():
                 assert copies_for_run_length(length, base) <= length
 
 
@@ -411,20 +455,28 @@ class TestPipeline:
 
     def test_nan_rejected_without_state_change(self):
         handle = make_handle([(0.5,)])
-        pipe = PreprocessPipeline(handle)
-        pipe.step(SampleFrame(0.0, (0.0,)))
+        ref = StepPipeline(handle)
+        ref.step((0.0,))
         with pytest.raises(InvalidSampleError):
-            pipe.step(SampleFrame(1.0, (math.nan,)))
+            ref.step((math.nan,))
+        assert ref.raw_index == 1
+        pipe = PreprocessPipeline(handle)
+        pipe.process_batch(np.array([[0.0]]))
+        with pytest.raises(InvalidSampleError):
+            pipe.process_batch(np.array([[math.nan]]))
         assert pipe.raw_index == 1
         with pytest.raises(InvalidSampleError):
             pipe.process_batch(np.array([[0.0], [math.nan]]))
         assert pipe.raw_index == 1
+        assert pipe.flush() == ref.flush()
 
     def test_dimension_mismatch(self):
         handle = make_handle([(0.5,), (0.5,)])
+        with pytest.raises(DimensionMismatchError):
+            StepPipeline(handle).step((0.0,))
         pipe = PreprocessPipeline(handle)
         with pytest.raises(DimensionMismatchError):
-            pipe.step(SampleFrame(0.0, (0.0,)))
+            pipe.process_batch(np.zeros((3, 1)))
         with pytest.raises(DimensionMismatchError):
             pipe.process_batch(np.zeros((3, 3)))
 
@@ -445,16 +497,3 @@ class TestPipeline:
         # Raw indices keep counting; only the open run is closed.
         assert [rs.raw_span for rs in second] == [(3, 5)]
 
-
-class TestSymbolicFrames:
-    def test_per_frame_symbols_and_spans(self):
-        handle = make_handle([(0.5,), (0.5,)], hysteresis_margin=0.0)
-        values = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        frames = symbolic_frames(handle, values)
-        assert [f.symbol for f in frames] == [0, 1, 3]
-        assert [f.raw_span for f in frames] == [(0, 1), (1, 2), (2, 3)]
-
-    def test_applies_hysteresis(self):
-        handle = make_handle([(0.5,)], hysteresis_margin=0.05)
-        frames = symbolic_frames(handle, np.array([[0.49], [0.51], [0.49]]))
-        assert [f.symbol for f in frames] == [0, 0, 0]

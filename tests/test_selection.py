@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ListSampleBuffer
 
-from behaviorforest.core import BufferOverflowError
+from behaviorforest.core import BreakpointSpec, BufferOverflowError, ConfigError, EngineConfig
 from behaviorforest.forest import (
     TERMINATED_BY_PLATEAU,
     BehaviorForest,
@@ -16,7 +16,6 @@ from behaviorforest.forest import (
 from behaviorforest.selection import (
     RECORD_NOVEL,
     RECORD_UNDER_THRESHOLD,
-    RelevancePolicy,
     RunStatsAccumulator,
     SampleBuffer,
     decide,
@@ -32,33 +31,27 @@ def receipt(created=False, prior=0):
 
 class TestDecide:
     def test_novel_always_recorded(self):
-        d = decide(receipt(created=True, prior=0), RelevancePolicy(threshold=5))
+        d = decide(receipt(created=True, prior=0), 5)
         assert d.record and d.reason == RECORD_NOVEL
 
     def test_under_threshold_recorded(self):
         for prior in range(5):
-            d = decide(receipt(prior=prior), RelevancePolicy(threshold=5))
+            d = decide(receipt(prior=prior), 5)
             assert d.record and d.reason == RECORD_UNDER_THRESHOLD
 
     def test_at_threshold_discarded(self):
-        d = decide(receipt(prior=5), RelevancePolicy(threshold=5))
+        d = decide(receipt(prior=5), 5)
         assert not d.record and d.reason is None
-        assert not decide(receipt(prior=6), RelevancePolicy(threshold=5)).record
-
-    def test_novelty_disabled_falls_through(self):
-        policy = RelevancePolicy(threshold=5, always_record_novel=False)
-        d = decide(receipt(created=True, prior=0), policy)
-        assert d.record and d.reason == RECORD_UNDER_THRESHOLD
+        assert not decide(receipt(prior=6), 5).record
 
     def test_occurrence_sequence_against_live_forest(self):
         # Ten repeats of one path: recorded five times (1 novel + 4 under),
         # discarded from the fifth repeat on.
         forest = BehaviorForest()
-        policy = RelevancePolicy(threshold=5)
         reasons = []
         for _ in range(10):
             r = forest.insert((4, 6, 4))
-            reasons.append(decide(r, policy).reason)
+            reasons.append(decide(r, 5).reason)
         assert reasons == [
             RECORD_NOVEL,
             RECORD_UNDER_THRESHOLD,
@@ -73,8 +66,9 @@ class TestDecide:
         ]
 
     def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            RelevancePolicy(threshold=0)
+        # The threshold comes from the config, which admits only integers >= 1.
+        with pytest.raises(ConfigError):
+            EngineConfig(BreakpointSpec(((0.0,),)), relevance_threshold=0)
 
 
 class TestSampleBuffer:
@@ -124,18 +118,6 @@ class TestSampleBuffer:
             buf.extract((0, 6))
         with pytest.raises(ValueError):
             buf.extract((3, 3))
-
-    def test_append_matches_extend(self):
-        a, b = SampleBuffer(capacity=7), SampleBuffer(capacity=7)
-        t = np.arange(20, dtype=float)
-        values = np.stack([t * 2, t * 3], axis=1)
-        b.extend(t, values)
-        for i in range(20):
-            a.append(float(t[i]), values[i])
-        ta, va = a.extract((13, 20))
-        tb, vb = b.extract((13, 20))
-        assert ta.tolist() == tb.tolist()
-        assert va.tolist() == vb.tolist()
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -217,7 +199,7 @@ class TestMaterialize:
         forest = BehaviorForest()
         r = forest.insert((1, 2, 1))
         seg = materialize(
-            self.behavior(), decide(r, RelevancePolicy()), r, buf, "s1", segment_id=7
+            self.behavior(), decide(r, 5), r, buf, "s1", segment_id=7
         )
         assert seg.segment_id == 7
         assert seg.stream_id == "s1"
@@ -236,7 +218,7 @@ class TestMaterialize:
         forest = BehaviorForest()
         for _ in range(6):
             r = forest.insert((1, 2, 1))
-        decision = decide(r, RelevancePolicy(threshold=5))
+        decision = decide(r, 5)
         assert materialize(self.behavior(), decision, r, buf, "s1", 0) is None
 
     def test_occurrence_index_counts_from_one(self):
@@ -247,7 +229,7 @@ class TestMaterialize:
         for i in range(5):
             r = forest.insert((1, 2, 1))
             seg = materialize(
-                self.behavior(), decide(r, RelevancePolicy()), r, buf, "s1", i
+                self.behavior(), decide(r, 5), r, buf, "s1", i
             )
             indices.append(seg.occurrence_index)
         assert indices == [1, 2, 3, 4, 5]
