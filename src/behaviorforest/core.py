@@ -125,7 +125,7 @@ class EngineConfig:
         if not _is_int(self.relevance_threshold) or self.relevance_threshold < 1:
             raise ConfigError("relevance_threshold must be an integer >= 1")
         h = self.hysteresis_margin
-        if not (isinstance(h, (int, float)) and math.isfinite(h) and 0.0 <= h < 0.5):
+        if not ((_is_int(h) or isinstance(h, float)) and math.isfinite(h) and 0.0 <= h < 0.5):
             raise ConfigError(f"hysteresis_margin must satisfy 0 <= h < 0.5, got {h!r}")
         if not _is_int(self.termination_run) or self.termination_run < 2:
             raise ConfigError("termination_run must be an integer >= 2")
@@ -142,7 +142,8 @@ class EngineConfig:
             "breakpoints": [list(ch) for ch in self.breakpoints.channels],
             "log_base": self.log_base,
             "relevance_threshold": self.relevance_threshold,
-            "hysteresis_margin": self.hysteresis_margin,
+            # 0 and 0.0 are one filter, so they must share one hash.
+            "hysteresis_margin": float(self.hysteresis_margin),
             "termination_run": self.termination_run,
             "initiation_context": self.initiation_context,
         }

@@ -1,10 +1,13 @@
 """File formats: delimited series, JSON configs, and result exports.
 
 Series files are comma-delimited text with a mandatory header row; the
-first column is the timestamp, every further column one channel.  Configs
-are JSON with either explicit per-channel breakpoints or alphabet sizes to
-derive equiprobable-Gaussian ones.  All exports are plain CSV/JSON so the
-results stay inspectable without this package.
+first column is the timestamp, every further column one channel.  The
+bytes `write_series` produces are fixed: a header row quoted by the csv
+module, then one row per sample whose values are the shortest round-trip
+`repr` of each float64, every line ending in "\r\n".  Configs are JSON
+with either explicit per-channel breakpoints or alphabet sizes to derive
+equiprobable-Gaussian ones.  All exports are plain CSV/JSON so the results
+stay inspectable without this package.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ _CONFIG_KEYS = {
     "termination_run",
     "initiation_context",
 }
+
+# Rows formatted per write_series block; bounds its memory for any length.
+_ROW_BLOCK = 1 << 14
 
 
 def load_config(path: str) -> EngineConfig:
@@ -78,8 +84,6 @@ def config_from_dict(doc: dict, source: str = "config") -> EngineConfig:
         )
         if key in doc
     }
-    if "hysteresis_margin" in kwargs:
-        kwargs["hysteresis_margin"] = float(kwargs["hysteresis_margin"])
     return EngineConfig(breakpoints=spec, **kwargs)
 
 
@@ -132,18 +136,26 @@ def write_series(
     values: np.ndarray,
     channel_names: Optional[Sequence[str]] = None,
 ) -> None:
+    t = np.asarray(t, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values[:, None]
+    if len(t) != len(values):
+        raise ValueError(f"{len(t)} timestamps for {len(values)} samples")
     d = values.shape[1]
     names = list(channel_names) if channel_names else [f"ch{i + 1}" for i in range(d)]
     if len(names) != d:
         raise ValueError(f"{len(names)} channel names for {d} channels")
+    # "%r" % x is repr(x) and "\r\n" is csv's line terminator, so each block
+    # of rows is formatted by one %-operation with the bytes csv.writer gives.
+    row = ",".join(["%r"] * (d + 1)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *names])
-        for ti, row in zip(np.asarray(t, dtype=np.float64), values):
-            writer.writerow([repr(float(ti)), *(repr(float(v)) for v in row)])
+        csv.writer(fh).writerow(["t", *names])
+        for start in range(0, len(t), _ROW_BLOCK):
+            block = np.column_stack(
+                [t[start : start + _ROW_BLOCK], values[start : start + _ROW_BLOCK]]
+            )
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 MANIFEST_COLUMNS = (

@@ -1,5 +1,6 @@
 """Scalar reference implementations that the library's stages are checked against."""
 
+import csv
 import math
 from typing import List, Optional, Sequence, Tuple
 
@@ -261,3 +262,28 @@ class StepPipeline:
             run_length_raw=length,
         )
         return [reduced] * copies
+
+
+def csv_write_series(
+    path: str,
+    t: np.ndarray,
+    values: np.ndarray,
+    channel_names: Optional[Sequence[str]] = None,
+) -> None:
+    """Series file written one `csv.writer` row per sample.
+
+    The reference for `io.write_series`, whose block-formatted output must
+    match these bytes exactly.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        values = values[:, None]
+    d = values.shape[1]
+    names = list(channel_names) if channel_names else [f"ch{i + 1}" for i in range(d)]
+    if len(names) != d:
+        raise ValueError(f"{len(names)} channel names for {d} channels")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", *names])
+        for ti, row in zip(np.asarray(t, dtype=np.float64), values):
+            writer.writerow([repr(float(ti)), *(repr(float(v)) for v in row)])

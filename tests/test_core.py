@@ -148,6 +148,20 @@ class TestEngineConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"breakpoints": [0.0], field: True})
 
+    def test_rejects_bool_margin(self):
+        # False == 0.0, but a bool is not a margin; JSON false must not pass as 0.0.
+        with pytest.raises(ConfigError):
+            self.make(hysteresis_margin=False)
+        with pytest.raises(ConfigError):
+            config_from_dict({"breakpoints": [0.0], "hysteresis_margin": False})
+
+    def test_config_hash_normalizes_margin(self):
+        assert self.make(hysteresis_margin=0).config_hash() == "0bc7b8228b29"
+        assert self.make(hysteresis_margin=0.0).config_hash() == "0bc7b8228b29"
+        assert self.make(hysteresis_margin=0.05).config_hash() == "8a7f2449c9ad"
+        doc = {"breakpoints": [0.0], "hysteresis_margin": 0}
+        assert config_from_dict(doc).config_hash() == "0bc7b8228b29"
+
     def test_boundary_values_accepted(self):
         self.make(hysteresis_margin=0.0)
         self.make(hysteresis_margin=0.499)

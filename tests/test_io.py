@@ -1,0 +1,157 @@
+"""Series writer: byte identity with the csv oracle, bounded memory, golden CLI output."""
+
+import hashlib
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from behaviorforest import cli
+from behaviorforest import io as bfio
+from behaviorforest.analysis import generate_synthetic
+from oracles import csv_write_series
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+SPECIAL_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    2.225073858507201e-308,
+    1e-310,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    float("inf"),
+    float("-inf"),
+    1.0,
+    -3.0,
+    1e16,
+    123456789.0,
+    0.1 + 0.2,
+    1e-05,
+    1e-17,
+]
+
+floats = st.one_of(st.floats(width=64), st.sampled_from(SPECIAL_FLOATS))
+names_alphabet = st.sampled_from(['a', 'Z', '1', ' ', '"', ',', "'", '_'])
+
+
+@st.composite
+def series(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=4))
+    one_d = d == 1 and draw(st.booleans())
+    shape = (n,) if one_d else (n, d)
+    t = draw(hnp.arrays(np.float64, (n,), elements=floats))
+    values = draw(hnp.arrays(np.float64, shape, elements=floats))
+    names = draw(
+        st.none()
+        | st.lists(st.text(names_alphabet, min_size=1, max_size=6), min_size=d, max_size=d)
+    )
+    return t, values, names
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+class TestWriteSeries:
+    @pytest.mark.parametrize("block", [1, 7, bfio._ROW_BLOCK])
+    @given(case=series())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_bytes_match_csv_oracle(self, tmp_path, monkeypatch, block, case):
+        monkeypatch.setattr(bfio, "_ROW_BLOCK", block)
+        t, values, names = case
+        got, want = str(tmp_path / "got.csv"), str(tmp_path / "want.csv")
+        bfio.write_series(got, t, values, names)
+        csv_write_series(want, t, values, names)
+        assert read_bytes(got) == read_bytes(want)
+
+    @pytest.mark.parametrize("block", [1, 7, bfio._ROW_BLOCK])
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 15, 40])
+    def test_special_values_across_block_edges(self, tmp_path, monkeypatch, block, n):
+        monkeypatch.setattr(bfio, "_ROW_BLOCK", block)
+        pool = np.array(SPECIAL_FLOATS)
+        t = np.resize(pool, n)
+        values = np.resize(pool[::-1], (n, 2))
+        names = ['say "hi"', "a,b"]
+        got, want = str(tmp_path / "got.csv"), str(tmp_path / "want.csv")
+        bfio.write_series(got, t, values, names)
+        csv_write_series(want, t, values, names)
+        assert read_bytes(got) == read_bytes(want)
+        assert read_bytes(got).count(b"\r\n") == n + 1
+
+    def test_length_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match="5 timestamps for 3 samples"):
+            bfio.write_series(str(path), np.arange(5.0), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="2 timestamps for 4 samples"):
+            bfio.write_series(str(path), np.arange(2.0), np.zeros(4))
+
+    def test_memory_bounded_by_block(self):
+        n = 1_000_000
+        t = np.arange(n, dtype=np.float64)
+        values = np.zeros((n, 2))
+        tracemalloc.start()
+        try:
+            bfio.write_series(os.devnull, t, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One row-stacked copy of the whole input alone would be 24 MB.
+        assert peak < 16 * 2**20
+
+
+# sha256 of every file `discover` writes for generate_synthetic(0,
+# bursts_per_pattern=3) under configs/synthetic.json, as written by the
+# per-row csv writer before series files were block-formatted.
+GOLDEN_INPUT = "e9bd936f0ee91151d7d2fe154260fb064622d198ea2e0b5096c38c1f998e6919"
+GOLDEN_OUTPUT = {
+    "forest.dot": "799368c01eb83c0f4898ac53d8c52abb3daf45eccda43f57bdb8fc1efe6e1a2b",
+    "forest.json": "2f8fca0d5e0f3768758343db1c28a5247d9d9064723d092934af72153747bbdd",
+    "segments.csv": "4ec534e62ffb961b5216bf75bc63290b38ee34dd2a1885b26731864a5eb03962",
+    "stats.json": "7750a94f3d6f9ca2a177e989f23584de366f4e0d39bcfac58264ab83226fdbad",
+    "segments/segment_00000.csv": "1793e3033c46c24f372e0b99ae78cb4ae5fb27eff3a3bf7c3dacfe0a15021c71",
+    "segments/segment_00001.csv": "6734ac740c62934e135924b70c55c11e063b78200536c154cedb2887b0e73336",
+    "segments/segment_00002.csv": "f79be9617a12a60cf358b1ad49056425fd5229d250ffc70a1b9b1bf6e117b6f5",
+    "segments/segment_00003.csv": "e5ddb20d8fb6619226d337c8362f017bbb34dae8be4e1d3b698bea110c010d48",
+    "segments/segment_00004.csv": "1bbdd6e2320a0f0cd2ac52f9cbc17cae85023d8c185a8354cce6626446aacaef",
+    "segments/segment_00005.csv": "f179abf3feaf29cd17f51e06b41669112742b5cf39ef6b5efbed000b0aeb4e67",
+    "segments/segment_00006.csv": "8ac492c23b671d039aeaedb2a2cebfb196a991aa12ca4517706b410945345a57",
+    "segments/segment_00007.csv": "ff83b1e0976fe0b84e1c6995bdeaf8bd527f6c4afe40e49439872b68050f0559",
+    "segments/segment_00008.csv": "3e0021187c4916e54fdc9651665bf8b7398190a980d7100d24de747d424f8482",
+    "segments/segment_00009.csv": "163f6b90a8ec2b9700f156dda7df22f1634ae8675fa0e630d39d2df2d8b54a59",
+    "segments/segment_00010.csv": "346e1994d2eb1a340f2992c2938a38c1393165c413e2e45d0a9dc2378527d392",
+    "segments/segment_00011.csv": "1532155425ac115066e8699abab5dd9951827436e2a74ff7f0f197ca9d7c2c15",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(read_bytes(path)).hexdigest()
+
+
+def test_discover_output_matches_golden_digests(tmp_path):
+    t, values = generate_synthetic(0, bursts_per_pattern=3)
+    src = str(tmp_path / "s.csv")
+    bfio.write_series(src, t, values)
+    assert sha256(src) == GOLDEN_INPUT
+    out = tmp_path / "o"
+    rc = cli.main(
+        ["discover", src, "--config", os.path.join(CONFIG_DIR, "synthetic.json"), "--out", str(out)]
+    )
+    assert rc == cli.EXIT_OK
+    written = {
+        p.relative_to(out).as_posix(): sha256(p) for p in out.rglob("*") if p.is_file()
+    }
+    assert written == GOLDEN_OUTPUT
