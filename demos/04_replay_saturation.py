@@ -13,6 +13,7 @@ from behaviorforest import (
     generate_synthetic,
     replay,
 )
+from behaviorforest.selection import cumulative_fractions
 
 
 def main() -> None:
@@ -29,11 +30,12 @@ def main() -> None:
         relevance_threshold=args.threshold,
     )
 
-    engine, stats, _ = replay(config, [("synthetic", t, values)], runs=args.runs)
+    engine, results = replay(config, [("synthetic", t, values)], runs=args.runs)
+    runs = [result.stats for result in results]
 
     print(f"{args.runs} replays of the same {len(t)}-sample stream, threshold {args.threshold}:")
     print(f"{'run':>4} {'detected':>9} {'recorded':>9} {'kept %':>8} {'cumulative %':>13}")
-    for run, frac in zip(stats.runs, stats.cumulative_fractions):
+    for run, frac in zip(runs, cumulative_fractions(runs)):
         print(
             f"{run.run_index:>4} {run.detected_db_count:>9} {run.recorded_db_count:>9} "
             f"{100 * run.recording_fraction:>8.2f} {100 * frac:>13.2f}"

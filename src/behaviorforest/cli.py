@@ -26,6 +26,7 @@ from .core import (
 )
 from .engine import DiscoveryEngine, discover, replay
 from .forest import forest_restore, forest_to_dot, snapshot_dumps
+from .selection import cumulative_fractions
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,12 +78,20 @@ def _load_prior_forest(path: Optional[str], config: EngineConfig):
     return forest_restore(doc, expected_config_hash=config.config_hash())
 
 
+def _write_text(path: str, *parts: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(parts)
+
+
 def _write_forest_outputs(out_dir: str, engine: DiscoveryEngine) -> None:
-    with open(os.path.join(out_dir, "forest.json"), "w", encoding="utf-8") as fh:
-        fh.write(snapshot_dumps(engine.forest, engine.config.config_hash()))
-        fh.write("\n")
-    with open(os.path.join(out_dir, "forest.dot"), "w", encoding="utf-8") as fh:
-        fh.write(forest_to_dot(engine.forest))
+    # Each text is built before its file is opened, so a failed render
+    # leaves no empty file behind.
+    _write_text(
+        os.path.join(out_dir, "forest.json"),
+        snapshot_dumps(engine.forest, engine.config.config_hash()),
+        "\n",
+    )
+    _write_text(os.path.join(out_dir, "forest.dot"), forest_to_dot(engine.forest))
 
 
 def cmd_discover(args) -> int:
@@ -113,14 +122,15 @@ def cmd_replay(args) -> int:
     config = _apply_overrides(bfio.load_config(args.config), args)
     loaded = _load_streams(args.inputs)
     streams = [(sid, t, v) for sid, t, v, _ in loaded]
-    engine, stats, _segments = replay(
+    engine, results = replay(
         config, streams, runs=args.runs, buffer_capacity=args.buffer_capacity
     )
+    runs = [result.stats for result in results]
     os.makedirs(args.out, exist_ok=True)
-    bfio.write_replay_table(os.path.join(args.out, "replay.csv"), stats)
-    bfio.write_stats(os.path.join(args.out, "stats.json"), stats.runs[-1])
+    bfio.write_replay_table(os.path.join(args.out, "replay.csv"), runs)
+    bfio.write_stats(os.path.join(args.out, "stats.json"), runs[-1])
     _write_forest_outputs(args.out, engine)
-    for run, cum in zip(stats.runs, stats.cumulative_fractions):
+    for run, cum in zip(runs, cumulative_fractions(runs)):
         print(
             f"run {run.run_index}: {run.recorded_db_count} recorded, "
             f"{100.0 * run.recording_fraction:.2f}% of samples "

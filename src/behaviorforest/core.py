@@ -87,10 +87,6 @@ class BreakpointSpec:
     def alphabet_sizes(self) -> tuple[int, ...]:
         return tuple(len(ch) + 1 for ch in self.channels)
 
-    @property
-    def unified_alphabet_size(self) -> int:
-        return math.prod(self.alphabet_sizes)
-
     @classmethod
     def from_alphabet_sizes(cls, sizes: Sequence[int]) -> "BreakpointSpec":
         """Build equiprobable-Gaussian breakpoints for each channel."""

@@ -23,21 +23,15 @@ from .forest import (
     forest_snapshot,
 )
 from .preprocess import PreprocessPipeline
-from .selection import (
-    RecordedSegment,
-    ReplayStats,
-    RunStats,
-    RunStatsAccumulator,
-    SampleBuffer,
-    decide,
-    materialize,
-)
+from .selection import RecordedSegment, RunStats, SampleBuffer, decide, materialize
 
 Stream = Tuple[str, np.ndarray, np.ndarray]  # (stream_id, t, values[n, d])
 
 
 @dataclass(frozen=True)
 class RunResult:
+    """One pass's recorded segments and the stats derived from them."""
+
     stats: RunStats
     segments: Tuple[RecordedSegment, ...]
 
@@ -65,7 +59,6 @@ class DiscoveryEngine:
         stream_id: str,
         t: np.ndarray,
         values: np.ndarray,
-        stats: Optional[RunStatsAccumulator] = None,
     ) -> List[RecordedSegment]:
         """Run one stream start to finish, returning its recorded segments."""
         t = np.asarray(t, dtype=np.float64)
@@ -89,8 +82,8 @@ class DiscoveryEngine:
             if behavior is None:
                 return
             # A behavior that would be recorded from evicted samples fails
-            # here, before the forest or the stats count it.  The lookup is
-            # only paid once a span has already fallen behind the buffer.
+            # here, before the forest counts it.  The lookup is only paid
+            # once a span has already fallen behind the buffer.
             start, end = behavior.raw_span
             if (
                 start < buffer.oldest_index
@@ -102,11 +95,9 @@ class DiscoveryEngine:
                     f"buffer (capacity {buffer.capacity})"
                 )
             receipt = self.forest.insert(behavior.path)
-            decision = decide(receipt, threshold)
-            if stats is not None:
-                stats.add_decision(behavior, decision, stream_id)
+            reason = decide(receipt, threshold)
             segment = materialize(
-                behavior, decision, receipt, buffer, stream_id, self._next_segment_id
+                behavior, reason, receipt, buffer, stream_id, self._next_segment_id
             )
             if segment is not None:
                 segments.append(segment)
@@ -121,18 +112,25 @@ class DiscoveryEngine:
         for reduced in pipeline.flush():
             settle(detector.step(reduced))
         settle(detector.flush())
-
-        if stats is not None:
-            stats.add_stream_length(n)
         return segments
 
     def run(self, streams: Sequence[Stream], run_index: int = 0) -> RunResult:
-        """One pass over the dataset: all streams in order against the forest."""
-        stats = RunStatsAccumulator(run_index)
+        """One pass over the dataset: all streams in order against the forest.
+
+        Every settled behavior is inserted exactly once, so the forest's
+        insertion count grows by the number of behaviors detected.
+        """
+        inserted = self.forest.total_insertions
         segments: List[RecordedSegment] = []
+        total = 0
         for stream_id, t, values in streams:
-            segments.extend(self.process_stream(stream_id, t, values, stats))
-        return RunResult(stats=stats.finalize(), segments=tuple(segments))
+            segments.extend(self.process_stream(stream_id, t, values))
+            total += len(t)
+        detected = self.forest.total_insertions - inserted
+        return RunResult(
+            stats=RunStats.of(run_index, segments, detected, total),
+            segments=tuple(segments),
+        )
 
     def snapshot(self) -> dict:
         return forest_snapshot(self.forest, self.config.config_hash())
@@ -155,15 +153,13 @@ def replay(
     streams: Sequence[Stream],
     runs: int,
     buffer_capacity: Optional[int] = None,
-) -> Tuple[DiscoveryEngine, ReplayStats, List[Tuple[RecordedSegment, ...]]]:
+) -> Tuple[DiscoveryEngine, List[RunResult]]:
     """Pass the same dataset through `runs` times against one growing forest.
 
-    Returns the engine, per-run statistics, and each run's segments; run
-    indices are 1-based in the stats to match how the results read.
+    Returns the engine and one RunResult per run; run indices are 1-based
+    in the stats to match how the results read.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     engine = DiscoveryEngine(config, buffer_capacity=buffer_capacity)
-    results = [engine.run(streams, run_index) for run_index in range(1, runs + 1)]
-    stats = ReplayStats(runs=tuple(result.stats for result in results))
-    return engine, stats, [result.segments for result in results]
+    return engine, [engine.run(streams, run_index) for run_index in range(1, runs + 1)]

@@ -45,10 +45,6 @@ class DiscoveredBehavior:
         if self.termination not in (TERMINATED_BY_PLATEAU, TERMINATED_BY_STREAM_END):
             raise ValueError(f"unknown termination {self.termination!r}")
 
-    @property
-    def path_id(self) -> str:
-        return "-".join(str(s) for s in self.path)
-
 
 _STATIONARY = "stationary"
 _IN_BEHAVIOR = "in_behavior"
@@ -158,7 +154,6 @@ class InsertionReceipt:
 
     created_new_node: bool
     prior_terminal_count: int
-    path_id: str
 
 
 class BehaviorNode:
@@ -205,11 +200,7 @@ class BehaviorForest:
         prior = node.terminal_count
         node.terminal_count += 1
         self.total_insertions += 1
-        return InsertionReceipt(
-            created_new_node=created,
-            prior_terminal_count=prior,
-            path_id="-".join(str(s) for s in path),
-        )
+        return InsertionReceipt(created_new_node=created, prior_terminal_count=prior)
 
     def find(self, path: Sequence[int]) -> Optional[BehaviorNode]:
         node = self.roots.get(path[0]) if path else None
@@ -274,7 +265,18 @@ def forest_snapshot(forest: BehaviorForest, config_hash: str) -> dict:
 
 
 def snapshot_dumps(forest: BehaviorForest, config_hash: str) -> str:
-    return json.dumps(forest_snapshot(forest, config_hash), indent=2, sort_keys=True)
+    """The snapshot as JSON text; raises SnapshotError if the forest is too deep.
+
+    The v1 document nests one level per path symbol, and building or
+    encoding it recurses once per level.
+    """
+    try:
+        return json.dumps(forest_snapshot(forest, config_hash), indent=2, sort_keys=True)
+    except RecursionError:
+        raise SnapshotError(
+            "forest is too deep for the v1 snapshot format (paths nest one "
+            "JSON level per symbol)"
+        ) from None
 
 
 def _require(doc: dict, key: str, kind) -> object:

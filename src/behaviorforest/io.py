@@ -13,6 +13,7 @@ stay inspectable without this package.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import warnings
@@ -23,7 +24,7 @@ import numpy as np
 from .analysis import FEATURE_NAMES, VarianceComparison, extract_features
 from .core import BreakpointSpec, ConfigError, EngineConfig
 from .forest import BehaviorForest
-from .selection import RecordedSegment, ReplayStats, RunStats
+from .selection import RecordedSegment, RunStats, cumulative_fractions
 
 _CONFIG_KEYS = {
     "breakpoints",
@@ -107,7 +108,7 @@ def read_series(path: str) -> Tuple[np.ndarray, np.ndarray, List[str]]:
         header = fh.readline()
         if not header.strip():
             raise ValueError(f"{path}: missing header row")
-        names = [c.strip() for c in header.strip().split(",")]
+        names = [c.strip() for c in next(csv.reader([header]))]
         if len(names) < 2:
             raise ValueError(f"{path}: need a timestamp column plus channels")
         try:
@@ -238,23 +239,14 @@ def read_segments(out_dir: str) -> List[RecordedSegment]:
 
 
 def write_stats(path: str, stats: RunStats) -> None:
-    doc = {
-        "run_index": stats.run_index,
-        "detected_db_count": stats.detected_db_count,
-        "recorded_db_count": stats.recorded_db_count,
-        "distinct_recorded_paths": stats.distinct_recorded_paths,
-        "recorded_sample_count": stats.recorded_sample_count,
-        "total_sample_count": stats.total_sample_count,
-        "recording_fraction": stats.recording_fraction,
-    }
+    doc = {**dataclasses.asdict(stats), "recording_fraction": stats.recording_fraction}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
-def write_replay_table(path: str, replay_stats: ReplayStats) -> None:
+def write_replay_table(path: str, runs: Sequence[RunStats]) -> None:
     """Per-run recording table: counts, per-run %, cumulative %."""
-    cumulative = replay_stats.cumulative_fractions
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -268,7 +260,7 @@ def write_replay_table(path: str, replay_stats: ReplayStats) -> None:
                 "cumulative_recording_pct",
             ]
         )
-        for run, cum in zip(replay_stats.runs, cumulative):
+        for run, cum in zip(runs, cumulative_fractions(runs)):
             writer.writerow(
                 [
                     run.run_index,

@@ -105,9 +105,6 @@ class HysteresisFilter:
         n = len(out)
         if n == 0:
             return out
-        if self.margin == 0.0:
-            self.committed = int(out[-1])
-            return out
         ambiguous = (values < self._lo[out]) | (values > self._hi[out])
         if self.committed is None:
             ambiguous[0] = False  # the first sample commits unconditionally

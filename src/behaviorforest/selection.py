@@ -3,9 +3,10 @@
 A behavior is recorded when its path is new to the forest or still below
 the occurrence threshold; everything else is discarded and survives only
 as forest counts.  Raw samples come out of a look-back buffer that raises
-rather than silently truncate when asked for evicted history, and run
-statistics deduplicate overlapping recorded spans before computing the
-recorded fraction.
+rather than silently truncate when asked for evicted history.  A run's
+statistics are derived from the segments it recorded, deduplicating
+overlapping spans per stream before computing the recorded fraction, so
+they cannot disagree with what was written.
 """
 
 from __future__ import annotations
@@ -23,24 +24,18 @@ RECORD_NOVEL = "novel"
 RECORD_UNDER_THRESHOLD = "under_threshold"
 
 
-@dataclass(frozen=True)
-class Decision:
-    record: bool
-    reason: Optional[str] = None
-
-
-def decide(receipt: InsertionReceipt, threshold: int) -> Decision:
-    """Judge one insertion receipt against the relevance threshold.
+def decide(receipt: InsertionReceipt, threshold: int) -> Optional[str]:
+    """Judge one insertion receipt: the reason to record it, or None to discard.
 
     A path is recorded while its pre-insertion occurrence count is under the
     threshold, so a path exactly at the threshold is no longer recorded.  A
     new path (count 0) is recorded under the reason `novel`.
     """
     if receipt.created_new_node:
-        return Decision(record=True, reason=RECORD_NOVEL)
+        return RECORD_NOVEL
     if receipt.prior_terminal_count < threshold:
-        return Decision(record=True, reason=RECORD_UNDER_THRESHOLD)
-    return Decision(record=False)
+        return RECORD_UNDER_THRESHOLD
+    return None
 
 
 class SampleBuffer:
@@ -146,17 +141,16 @@ class RecordedSegment:
 
 def materialize(
     behavior: DiscoveredBehavior,
-    decision: Decision,
+    reason: Optional[str],
     receipt: InsertionReceipt,
     buffer: SampleBuffer,
     stream_id: str,
     segment_id: int,
 ) -> Optional[RecordedSegment]:
     """Pull the behavior's raw samples out of the buffer if it is recorded."""
-    if not decision.record:
+    if reason is None:
         return None
     t, values = buffer.extract(behavior.raw_span)
-    assert decision.reason is not None
     return RecordedSegment(
         segment_id=segment_id,
         stream_id=stream_id,
@@ -164,7 +158,7 @@ def materialize(
         start_t=float(t[0]),
         end_t=float(t[-1]),
         path=behavior.path,
-        reason=decision.reason,
+        reason=reason,
         occurrence_index=receipt.prior_terminal_count + 1,
         t=t,
         values=values,
@@ -197,6 +191,31 @@ class RunStats:
     recorded_sample_count: int
     total_sample_count: int
 
+    @classmethod
+    def of(
+        cls,
+        run_index: int,
+        segments: Sequence[RecordedSegment],
+        detected: int,
+        total_samples: int,
+    ) -> "RunStats":
+        """Stats of a run that detected `detected` behaviors and recorded `segments`.
+
+        Recorded samples are the union of the segments' spans per stream, so
+        overlapping behaviors count their shared samples once.
+        """
+        spans: Dict[str, List[Tuple[int, int]]] = {}
+        for seg in segments:
+            spans.setdefault(seg.stream_id, []).append(seg.raw_span)
+        return cls(
+            run_index=run_index,
+            detected_db_count=detected,
+            recorded_db_count=len(segments),
+            distinct_recorded_paths=len({seg.path for seg in segments}),
+            recorded_sample_count=sum(union_length(s) for s in spans.values()),
+            total_sample_count=total_samples,
+        )
+
     @property
     def recording_fraction(self) -> float:
         if self.total_sample_count == 0:
@@ -204,53 +223,12 @@ class RunStats:
         return self.recorded_sample_count / self.total_sample_count
 
 
-class RunStatsAccumulator:
-    """Counts decisions within one run; spans are deduplicated per stream."""
-
-    def __init__(self, run_index: int = 0):
-        self.run_index = run_index
-        self.detected_db_count = 0
-        self.recorded_db_count = 0
-        self._recorded_paths: set = set()
-        self._spans: Dict[str, List[Tuple[int, int]]] = {}
-        self.total_sample_count = 0
-
-    def add_decision(
-        self, behavior: DiscoveredBehavior, decision: Decision, stream_id: str
-    ) -> None:
-        self.detected_db_count += 1
-        if decision.record:
-            self.recorded_db_count += 1
-            self._recorded_paths.add(behavior.path)
-            self._spans.setdefault(stream_id, []).append(behavior.raw_span)
-
-    def add_stream_length(self, n_samples: int) -> None:
-        self.total_sample_count += n_samples
-
-    def finalize(self) -> RunStats:
-        recorded = sum(union_length(spans) for spans in self._spans.values())
-        return RunStats(
-            run_index=self.run_index,
-            detected_db_count=self.detected_db_count,
-            recorded_db_count=self.recorded_db_count,
-            distinct_recorded_paths=len(self._recorded_paths),
-            recorded_sample_count=recorded,
-            total_sample_count=self.total_sample_count,
-        )
-
-
-@dataclass(frozen=True)
-class ReplayStats:
-    """Per-run stats plus the cumulative recorded fraction across runs."""
-
-    runs: Tuple[RunStats, ...]
-
-    @property
-    def cumulative_fractions(self) -> Tuple[float, ...]:
-        out: List[float] = []
-        rec = tot = 0
-        for run in self.runs:
-            rec += run.recorded_sample_count
-            tot += run.total_sample_count
-            out.append(rec / tot if tot else 0.0)
-        return tuple(out)
+def cumulative_fractions(runs: Sequence[RunStats]) -> List[float]:
+    """Recorded fraction of all samples seen up to and including each run."""
+    out: List[float] = []
+    rec = tot = 0
+    for run in runs:
+        rec += run.recorded_sample_count
+        tot += run.total_sample_count
+        out.append(rec / tot if tot else 0.0)
+    return out

@@ -30,6 +30,7 @@ from behaviorforest.forest import (
 )
 from behaviorforest.io import load_config, read_series
 from behaviorforest.preprocess import discretize_batch, fuse_symbols, run_copies, run_powers
+from behaviorforest.selection import cumulative_fractions
 from oracles import split_unified
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -165,9 +166,10 @@ def test_criterion_4_replay_saturation():
     # Per-run occurrences per path: 1, 2, 3, 7.  The rarest path crosses
     # the threshold of 5 after run 5, so run 6 must record nothing.
     t, values = generate_synthetic(11, bursts_per_pattern=(1, 2, 3, 7))
-    _, stats, _ = replay(config, [("syn", t, values)], runs=8)
-    recorded = [r.recorded_db_count for r in stats.runs]
-    cumulative = stats.cumulative_fractions
+    _, results = replay(config, [("syn", t, values)], runs=8)
+    runs = [r.stats for r in results]
+    recorded = [r.recorded_db_count for r in runs]
+    cumulative = cumulative_fractions(runs)
 
     ok = all(a >= b for a, b in zip(recorded, recorded[1:]))
     ok = ok and all(c == 0 for c in recorded[5:])
@@ -190,9 +192,10 @@ def test_criterion_5_vehicle_replay_conditional():
             t, values, _ = read_series(os.path.join(data_dir, name))
             streams.append((name, t, values))
     assert streams, f"no CSV files found in {data_dir}"
-    _, stats, _ = replay(config, streams, runs=5)
-    recorded = [r.recorded_db_count for r in stats.runs]
-    total_pct = 100.0 * stats.cumulative_fractions[-1]
+    _, results = replay(config, streams, runs=5)
+    runs = [r.stats for r in results]
+    recorded = [r.recorded_db_count for r in runs]
+    total_pct = 100.0 * cumulative_fractions(runs)[-1]
     ok = abs(total_pct - 3.99) <= 1.5
     ok = ok and recorded[4] <= 0.05 * recorded[0]
     report(

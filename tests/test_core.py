@@ -82,7 +82,6 @@ class TestBreakpointSpec:
         spec = BreakpointSpec(((0.0, 1.0), (-1.0,)))
         assert spec.n_channels == 2
         assert spec.alphabet_sizes == (3, 2)
-        assert spec.unified_alphabet_size == 6
 
     def test_from_alphabet_sizes(self):
         spec = BreakpointSpec.from_alphabet_sizes([3, 3])

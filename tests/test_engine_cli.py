@@ -7,11 +7,25 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import StepPipeline
 
 from behaviorforest import cli
-from behaviorforest.core import BreakpointSpec, BufferOverflowError, ConfigError, EngineConfig
+from behaviorforest.core import (
+    BreakpointSpec,
+    BufferOverflowError,
+    ConfigError,
+    EngineConfig,
+    validate_stream_header,
+)
 from behaviorforest.engine import DiscoveryEngine, discover, replay
-from behaviorforest.forest import forest_restore, forest_snapshot
+from behaviorforest.forest import (
+    BehaviorDetector,
+    BehaviorForest,
+    forest_restore,
+    forest_snapshot,
+)
 from behaviorforest.io import (
     config_from_dict,
     load_config,
@@ -21,7 +35,7 @@ from behaviorforest.io import (
     write_segments,
     write_series,
 )
-from behaviorforest.selection import RunStatsAccumulator
+from behaviorforest.selection import decide
 
 # Raw single-channel fixture whose runs (under log base 2) reduce to the
 # symbol sequence 1,1,1,2,3,2,1,1,1,1,1,2,3,4 and therefore to exactly the
@@ -91,17 +105,16 @@ class TestEngineOnFixture:
         engine, _ = discover(fixture_config(), [("fix", t, values)])
         forest = engine.forest
         before = forest_snapshot(forest, "h")
-        stats = RunStatsAccumulator()
         # Capacity 20 keeps samples [8, 28); the first behavior spans [0, 25)
         # and is still under the threshold, so it cannot be recorded.
         small = DiscoveryEngine(fixture_config(), forest=forest, buffer_capacity=20)
         with pytest.raises(BufferOverflowError):
-            small.process_stream("fix", t, values, stats)
+            small.run([("fix", t, values)])
         assert forest.total_insertions == 2
         assert forest.terminal_paths() == {(1, 2, 3, 2, 1): 1, (1, 2, 3, 4): 1}
         assert forest_snapshot(forest, "h") == before
-        assert (stats.detected_db_count, stats.recorded_db_count) == (0, 0)
-        assert stats.finalize() == RunStatsAccumulator().finalize()
+        # The failed run handed out no segment ids.
+        assert small._next_segment_id == 0
 
     def test_discarded_behavior_may_lie_behind_the_buffer(self):
         t, values = fixture_stream()
@@ -113,10 +126,10 @@ class TestEngineOnFixture:
             forest=forest,
             buffer_capacity=20,
         )
-        stats = RunStatsAccumulator()
-        segments = small.process_stream("fix", t, values, stats)
-        assert [s.raw_span for s in segments] == [(8, 28)]
+        result = small.run([("fix", t, values)])
+        assert [s.raw_span for s in result.segments] == [(8, 28)]
         assert forest.terminal_paths() == {(1, 2, 3, 2, 1): 3, (1, 2, 3, 4): 2}
+        stats = result.stats
         assert (stats.detected_db_count, stats.recorded_db_count) == (2, 1)
 
     def test_timestamp_length_mismatch(self):
@@ -141,31 +154,31 @@ class TestEngineOnFixture:
         t, values = fixture_stream()
         streams = [("fix", t, values)]
         cfg = fixture_config()
-        engine, stats, segs = replay(cfg, streams, runs=2)
+        engine, results = replay(cfg, streams, runs=2)
 
         first_engine, first = discover(cfg, streams, run_index=1)
         restored = forest_restore(first_engine.snapshot(), cfg.config_hash())
         second_engine, second = discover(cfg, streams, forest=restored, run_index=2)
         assert engine.snapshot() == second_engine.snapshot()
-        assert stats.runs == (first.stats, second.stats)
-        assert [(s.path, s.raw_span) for s in segs[1]] == [
+        assert [r.stats for r in results] == [first.stats, second.stats]
+        assert [(s.path, s.raw_span) for s in results[1].segments] == [
             (s.path, s.raw_span) for s in second.segments
         ]
 
     def test_replay_saturates_at_threshold(self):
         t, values = fixture_stream()
-        engine, stats, segs = replay(fixture_config(), [("fix", t, values)], runs=8)
-        assert [r.recorded_db_count for r in stats.runs] == [2, 2, 2, 2, 2, 0, 0, 0]
-        assert [r.detected_db_count for r in stats.runs] == [2] * 8
+        engine, results = replay(fixture_config(), [("fix", t, values)], runs=8)
+        assert [r.stats.recorded_db_count for r in results] == [2, 2, 2, 2, 2, 0, 0, 0]
+        assert [r.stats.detected_db_count for r in results] == [2] * 8
         # Segment ids keep counting across runs of one engine.
-        flat = [s for run in segs for s in run]
+        flat = [s for run in results for s in run.segments]
         assert [s.segment_id for s in flat] == list(range(10))
         assert [s.occurrence_index for s in flat] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
 
     def test_saturated_forest_records_nothing_new(self):
         t, values = fixture_stream()
         cfg = fixture_config()
-        engine, _, _ = replay(cfg, [("fix", t, values)], runs=6)
+        engine, _ = replay(cfg, [("fix", t, values)], runs=6)
         saturated = forest_restore(engine.snapshot(), cfg.config_hash())
         _, result = discover(cfg, [("fix", t, values)], forest=saturated)
         assert result.stats.detected_db_count == 2
@@ -173,14 +186,90 @@ class TestEngineOnFixture:
         assert result.segments == ()
         assert result.stats.recording_fraction == 0.0
 
-    def test_stats_accumulator_threads_through(self):
+    def test_run_index_threads_through(self):
         t, values = fixture_stream()
         engine = DiscoveryEngine(fixture_config())
-        acc = RunStatsAccumulator(run_index=3)
-        engine.process_stream("fix", t, values, stats=acc)
-        stats = acc.finalize()
+        stats = engine.run([("fix", t, values)], run_index=3).stats
         assert stats.run_index == 3
         assert stats.detected_db_count == 2
+
+
+LEVELS = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.sampled_from([-1.0, 0.0, 1.0]))
+
+
+@st.composite
+def piecewise_stream(draw):
+    """A repeated motif of 2-channel constant pieces, optionally with noise near the breakpoints."""
+    motif = draw(st.lists(st.tuples(LEVELS, st.integers(1, 30)), min_size=1, max_size=8))
+    pieces = motif * draw(st.integers(1, 4))
+    values = np.repeat([lv for lv, _ in pieces], [n for _, n in pieces], axis=0)
+    sigma = draw(st.sampled_from([0.0, 0.3]))
+    values = values + sigma * np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(
+        values.shape
+    )
+    return np.arange(len(values), dtype=float), values
+
+
+def recount(config, streams, forest):
+    """Run stats rebuilt one sample and one behavior at a time from the oracles."""
+    detected, recorded, paths, covered = 0, 0, set(), {}
+    for sid, _, values in streams:
+        pipe = StepPipeline(validate_stream_header(values.shape[1], config, sid))
+        detector = BehaviorDetector(config.termination_run, config.initiation_context)
+        reduced = [r for frame in values for r in pipe.step(tuple(frame))] + pipe.flush()
+        for behavior in [detector.step(r) for r in reduced] + [detector.flush()]:
+            if behavior is None:
+                continue
+            detected += 1
+            if decide(forest.insert(behavior.path), config.relevance_threshold) is None:
+                continue
+            recorded += 1
+            paths.add(behavior.path)
+            covered.setdefault(sid, set()).update(range(*behavior.raw_span))
+    total = sum(len(values) for _, _, values in streams)
+    return detected, recorded, len(paths), covered, total
+
+
+@given(
+    streams=st.lists(piecewise_stream(), min_size=1, max_size=3),
+    chunk_size=st.integers(1, 64),
+    prior_run=st.booleans(),
+    threshold=st.integers(1, 3),
+    log_base=st.sampled_from([2, 3]),
+    margin=st.sampled_from([0.0, 0.1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_run_stats_match_independent_recount(
+    streams, chunk_size, prior_run, threshold, log_base, margin
+):
+    config = EngineConfig(
+        BreakpointSpec(((-0.5, 0.5), (-0.5, 0.5))),
+        log_base=log_base,
+        relevance_threshold=threshold,
+        hysteresis_margin=margin,
+    )
+    streams = [(f"s{i}", t, values) for i, (t, values) in enumerate(streams)]
+    prior = BehaviorForest()
+    if prior_run:
+        DiscoveryEngine(config, forest=prior).run(streams)
+    oracle_forest = forest_restore(forest_snapshot(prior, "h"))
+
+    engine = DiscoveryEngine(config, forest=prior, chunk_size=chunk_size)
+    result = engine.run(streams, run_index=2)
+    detected, recorded, n_paths, covered, total = recount(config, streams, oracle_forest)
+
+    stats = result.stats
+    assert stats.run_index == 2
+    assert stats.detected_db_count == detected
+    assert stats.recorded_db_count == recorded
+    assert stats.distinct_recorded_paths == n_paths
+    assert stats.recorded_sample_count == sum(len(c) for c in covered.values())
+    assert stats.total_sample_count == total
+    segment_cover = {}
+    for s in result.segments:
+        segment_cover.setdefault(s.stream_id, set()).update(range(*s.raw_span))
+    assert segment_cover == covered
+    assert forest_snapshot(engine.forest, "h") == forest_snapshot(oracle_forest, "h")
 
 
 class TestSeriesIO:
@@ -470,6 +559,21 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_exit_code_2_for_forest_too_deep_for_snapshot(self, workdir, capsys):
+        # Noise straddling a breakpoint never reaches a plateau, so the whole
+        # tail becomes one behavior whose path is too deep for snapshot v1.
+        rng = np.random.default_rng(0)
+        values = np.concatenate([np.zeros((1000, 2)), rng.normal(0.5, 0.3, (2000, 2))])
+        data = workdir / "deep.csv"
+        write_series(str(data), np.arange(len(values), dtype=float), values)
+        cfg = workdir / "deep.json"
+        cfg.write_text(json.dumps({"breakpoints": [[-0.5, 0.5], [-0.5, 0.5]]}))
+        out = workdir / "x"
+        rc = cli.main(["discover", str(data), "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "too deep for the v1 snapshot format" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["segments", "segments.csv", "stats.json"]
 
     def test_exit_code_2_for_snapshot_config_mismatch(self, workdir):
         data = self.gen(workdir)

@@ -130,10 +130,6 @@ class TestDetector:
         with pytest.raises(ValueError):
             DiscoveredBehavior((1, 2), (0, 2), "whatever")
 
-    def test_path_id(self):
-        db = DiscoveredBehavior((1, 2, 3), (0, 3), TERMINATED_BY_PLATEAU)
-        assert db.path_id == "1-2-3"
-
 
 class TestForest:
     def test_canonical_forest_shape(self):
@@ -155,7 +151,6 @@ class TestForest:
         forest = BehaviorForest()
         r1 = forest.insert((5, 7))
         assert r1.created_new_node and r1.prior_terminal_count == 0
-        assert r1.path_id == "5-7"
         r2 = forest.insert((5, 7))
         assert not r2.created_new_node and r2.prior_terminal_count == 1
         r3 = forest.insert((5, 7, 9))

@@ -1,4 +1,4 @@
-"""Series writer: byte identity with the csv oracle, bounded memory, golden CLI output."""
+"""Series files: csv-oracle byte identity, bounded memory, header round trip, golden CLI output."""
 
 import hashlib
 import os
@@ -111,6 +111,35 @@ class TestWriteSeries:
             tracemalloc.stop()
         # One row-stacked copy of the whole input alone would be 24 MB.
         assert peak < 16 * 2**20
+
+
+# Printable names without line breaks or edge whitespace, csv's specials often.
+name_chars = st.sampled_from(',"\' ') | st.characters().filter(str.isprintable)
+channel_names = st.text(name_chars, min_size=1, max_size=8).filter(
+    lambda name: name == name.strip()
+)
+
+
+class TestReadSeries:
+    @given(names=st.lists(channel_names, min_size=1, max_size=4))
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_channel_names_round_trip(self, tmp_path, names):
+        path = str(tmp_path / "s.csv")
+        values = np.arange(2.0 * len(names)).reshape(2, len(names))
+        bfio.write_series(path, np.arange(2.0), values, names)
+        _, got_values, got_names = bfio.read_series(path)
+        assert got_names == names
+        assert got_values.tolist() == values.tolist()
+
+    @pytest.mark.parametrize("names", [["a,b", 'say "hi"'], ['say "hi"']])
+    def test_quoted_names_round_trip(self, tmp_path, names):
+        path = str(tmp_path / "s.csv")
+        bfio.write_series(path, np.arange(3.0), np.zeros((3, len(names))), names)
+        assert bfio.read_series(path)[2] == names
 
 
 # sha256 of every file `discover` writes for generate_synthetic(0,

@@ -16,8 +16,10 @@ from behaviorforest.forest import (
 from behaviorforest.selection import (
     RECORD_NOVEL,
     RECORD_UNDER_THRESHOLD,
-    RunStatsAccumulator,
+    RecordedSegment,
+    RunStats,
     SampleBuffer,
+    cumulative_fractions,
     decide,
     materialize,
     merge_spans,
@@ -26,23 +28,20 @@ from behaviorforest.selection import (
 
 
 def receipt(created=False, prior=0):
-    return InsertionReceipt(created_new_node=created, prior_terminal_count=prior, path_id="1-2")
+    return InsertionReceipt(created_new_node=created, prior_terminal_count=prior)
 
 
 class TestDecide:
     def test_novel_always_recorded(self):
-        d = decide(receipt(created=True, prior=0), 5)
-        assert d.record and d.reason == RECORD_NOVEL
+        assert decide(receipt(created=True, prior=0), 5) == RECORD_NOVEL
 
     def test_under_threshold_recorded(self):
         for prior in range(5):
-            d = decide(receipt(prior=prior), 5)
-            assert d.record and d.reason == RECORD_UNDER_THRESHOLD
+            assert decide(receipt(prior=prior), 5) == RECORD_UNDER_THRESHOLD
 
     def test_at_threshold_discarded(self):
-        d = decide(receipt(prior=5), 5)
-        assert not d.record and d.reason is None
-        assert not decide(receipt(prior=6), 5).record
+        assert decide(receipt(prior=5), 5) is None
+        assert decide(receipt(prior=6), 5) is None
 
     def test_occurrence_sequence_against_live_forest(self):
         # Ten repeats of one path: recorded five times (1 novel + 4 under),
@@ -51,7 +50,7 @@ class TestDecide:
         reasons = []
         for _ in range(10):
             r = forest.insert((4, 6, 4))
-            reasons.append(decide(r, 5).reason)
+            reasons.append(decide(r, 5))
         assert reasons == [
             RECORD_NOVEL,
             RECORD_UNDER_THRESHOLD,
@@ -218,8 +217,7 @@ class TestMaterialize:
         forest = BehaviorForest()
         for _ in range(6):
             r = forest.insert((1, 2, 1))
-        decision = decide(r, 5)
-        assert materialize(self.behavior(), decision, r, buf, "s1", 0) is None
+        assert materialize(self.behavior(), decide(r, 5), r, buf, "s1", 0) is None
 
     def test_occurrence_index_counts_from_one(self):
         buf = SampleBuffer()
@@ -274,23 +272,28 @@ class TestSpanUnion:
 
 
 class TestRunStats:
-    def db(self, path, span):
-        return DiscoveredBehavior(tuple(path), span, TERMINATED_BY_PLATEAU)
-
-    def decision(self, record):
-        from behaviorforest.selection import Decision
-
-        return Decision(record=record, reason=RECORD_NOVEL if record else None)
+    def segment(self, path, span, stream_id="a"):
+        return RecordedSegment(
+            segment_id=0,
+            stream_id=stream_id,
+            raw_span=span,
+            start_t=0.0,
+            end_t=0.0,
+            path=tuple(path),
+            reason=RECORD_NOVEL,
+            occurrence_index=1,
+            t=np.empty(0),
+            values=np.empty((0, 1)),
+        )
 
     def test_counts_and_dedup(self):
-        acc = RunStatsAccumulator(run_index=1)
-        acc.add_decision(self.db((1, 2), (0, 500)), self.decision(True), "a")
-        acc.add_decision(self.db((2, 1), (400, 600)), self.decision(True), "a")
-        acc.add_decision(self.db((1, 2), (700, 800)), self.decision(False), "a")
-        acc.add_decision(self.db((1, 2), (0, 97)), self.decision(True), "b")
-        acc.add_stream_length(5000)
-        acc.add_stream_length(2841)
-        stats = acc.finalize()
+        segments = [
+            self.segment((1, 2), (0, 500)),
+            self.segment((2, 1), (400, 600)),
+            self.segment((1, 2), (0, 97), stream_id="b"),
+        ]
+        # A fourth behavior, (1, 2) at [700, 800) on stream a, was discarded.
+        stats = RunStats.of(1, segments, detected=4, total_samples=5000 + 2841)
         assert stats.run_index == 1
         assert stats.detected_db_count == 3 + 1
         assert stats.recorded_db_count == 3
@@ -302,20 +305,16 @@ class TestRunStats:
         assert f"{100 * stats.recording_fraction:.2f}" == "8.89"
 
     def test_same_span_different_streams_not_merged(self):
-        acc = RunStatsAccumulator()
-        acc.add_decision(self.db((1, 2), (0, 100)), self.decision(True), "a")
-        acc.add_decision(self.db((1, 2), (0, 100)), self.decision(True), "b")
-        assert acc.finalize().recorded_sample_count == 200
+        segments = [self.segment((1, 2), (0, 100), s) for s in ("a", "b")]
+        assert RunStats.of(0, segments, detected=2, total_samples=200).recorded_sample_count == 200
 
     def test_zero_total_gives_zero_fraction(self):
-        stats = RunStatsAccumulator().finalize()
+        stats = RunStats.of(0, [], detected=0, total_samples=0)
         assert stats.recording_fraction == 0.0
 
     def test_cumulative_fractions(self):
-        from behaviorforest.selection import ReplayStats, RunStats
-
         def run(i, rec, tot):
             return RunStats(i, 0, 0, 0, rec, tot)
 
-        stats = ReplayStats((run(1, 500, 1000), run(2, 0, 1000), run(3, 100, 1000)))
-        assert stats.cumulative_fractions == (0.5, 0.25, 0.2)
+        runs = [run(1, 500, 1000), run(2, 0, 1000), run(3, 100, 1000)]
+        assert cumulative_fractions(runs) == [0.5, 0.25, 0.2]
