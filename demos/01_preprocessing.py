@@ -15,13 +15,16 @@ from behaviorforest import (
     PreprocessPipeline,
     discretize_batch,
     gaussian_breakpoints,
-    validate_stream_header,
 )
 
 
 def pipeline_for(channels, **config) -> PreprocessPipeline:
-    engine_config = EngineConfig(BreakpointSpec(channels), **config)
-    return PreprocessPipeline(validate_stream_header(len(channels), engine_config, "demo"))
+    return PreprocessPipeline(EngineConfig(BreakpointSpec(channels), **config), "demo")
+
+
+def all_runs(pipeline: PreprocessPipeline, values) -> np.ndarray:
+    """Run rows of a whole recording: the chunk's closed runs plus the flush."""
+    return np.concatenate([pipeline.process_batch(values), pipeline.flush()])
 
 
 def main() -> None:
@@ -56,32 +59,30 @@ def main() -> None:
     pipeline = pipeline_for(((-0.5, 0.5), (-0.5, 0.5)), hysteresis_margin=0.0)
     pairs = [(0, 0), (1, 2), (2, 2)]
     frames = np.array([-1.0, 0.0, 1.0])[np.array(pairs)]  # bin j -> a value inside it
-    for pair, r in zip(pairs, pipeline.process_batch(frames) + pipeline.flush()):
-        print(f"channel bins {pair} -> unified symbol {r.symbol}")
+    for pair, (symbol, *_) in zip(pairs, all_runs(pipeline, frames).tolist()):
+        print(f"channel bins {pair} -> unified symbol {symbol}")
 
     # A run of L identical symbols is kept as ceil(log10 L) copies, so a
     # ten-minute idle stretch costs about as much as a one-minute one.
     print("\nrun length -> copies kept (base 10):")
     for length in (1, 5, 10, 99, 100, 5000):
         pipeline = pipeline_for(((0.5,),), log_base=10)
-        copies = pipeline.process_batch(np.zeros(length)) + pipeline.flush()
-        print(f"  {length:5d} -> {len(copies)}")
+        copies = all_runs(pipeline, np.zeros(length))[0, 3]
+        print(f"  {length:5d} -> {copies}")
 
     # --- All together ------------------------------------------------------
-    # The pipeline chains the stages and reports, per reduced symbol, the
-    # raw index span it covers and the original run length.
+    # The pipeline chains the stages and reports one row per run: the fused
+    # symbol, the half-open raw index span it covers and its copy count.
     pipeline = pipeline_for(((-0.5, 0.5), (-0.5, 0.5)))
     values = np.zeros((300, 2))
     values[100:120, 0] = 1.0  # channel 1 steps high for 20 samples
     values[100:120, 1] = -1.0  # channel 2 mirrors it
 
-    reduced = pipeline.process_batch(values)
-    reduced += pipeline.flush()
-    print("\nreduced stream for a 300-sample recording with one 20-sample event:")
-    for r in reduced:
+    print("\nruns of a 300-sample recording with one 20-sample event:")
+    for symbol, start, end, copies in all_runs(pipeline, values).tolist():
         print(
-            f"  symbol {r.symbol}  raw span {r.raw_span}  "
-            f"covers a run of {r.run_length_raw}"
+            f"  symbol {symbol}  raw span ({start}, {end})  "
+            f"covers a run of {end - start}, kept as {copies} copies"
         )
 
 

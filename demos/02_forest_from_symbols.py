@@ -1,14 +1,17 @@
 """Detecting behaviors in a symbol stream and growing the forest.
 
-Feeds a hand-written symbol sequence through the behavior detector,
-inserts each discovered path into the prefix forest, and prints the
-resulting tree, both as text and as Graphviz DOT.
+Groups a hand-written symbol sequence into runs, feeds them through the
+behavior detector, inserts each discovered path into the prefix forest,
+and prints the resulting tree, both as text and as Graphviz DOT.
 """
+
+import itertools
+
+import numpy as np
 
 from behaviorforest import (
     BehaviorDetector,
     BehaviorForest,
-    ReducedSymbol,
     forest_to_dot,
 )
 
@@ -17,17 +20,33 @@ from behaviorforest import (
 SYMBOLS = [1, 1, 1, 2, 3, 2, 1, 1, 1, 1, 1, 2, 3, 4]
 
 
+def symbol_runs(symbols) -> np.ndarray:
+    """One row (symbol, start, end, copies) per run of equal symbols.
+
+    Each symbol stands for one kept copy covering one raw sample; this is
+    the shape `PreprocessPipeline` hands the detector.
+    """
+    rows, start = [], 0
+    for symbol, group in itertools.groupby(symbols):
+        copies = len(list(group))
+        rows.append((symbol, start, start + copies, copies))
+        start += copies
+    return np.array(rows, dtype=np.int64)
+
+
 def main() -> None:
-    detector = BehaviorDetector()  # defaults: 3 repeats end a behavior, 2 arm one
+    detector = BehaviorDetector()  # defaults: 3 copies end a behavior, 2 arm one
     forest = BehaviorForest()
 
+    runs = symbol_runs(SYMBOLS)
     print("stream:", SYMBOLS)
-    for i, s in enumerate(SYMBOLS):
-        db = detector.step(ReducedSymbol(s, (i, i + 1), 1))
-        if db is not None:
+    print("runs (symbol, start, end, copies):", runs.tolist())
+    # One run per call, so each behavior prints where it closes.
+    for row in runs:
+        for db in detector.step(row[None, :]):
             receipt = forest.insert(db.path)
             print(
-                f"  at sample {i}: behavior {db.path} raw span {db.raw_span} "
+                f"  at sample {row[2]}: behavior {db.path} raw span {db.raw_span} "
                 f"({db.termination}), new path: {receipt.created_new_node}"
             )
     db = detector.flush()  # end of stream closes any open behavior

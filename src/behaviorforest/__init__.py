@@ -18,7 +18,6 @@ from .core import (
     EngineConfig,
     EngineError,
     InvalidSampleError,
-    ReducedSymbol,
     SnapshotError,
     gaussian_breakpoints,
     validate_stream_header,
@@ -44,7 +43,6 @@ __all__ = [
     "HysteresisFilter",
     "InvalidSampleError",
     "PreprocessPipeline",
-    "ReducedSymbol",
     "SnapshotError",
     "compare_variances",
     "discover",

@@ -25,7 +25,7 @@ from .core import (
     SnapshotError,
 )
 from .engine import DiscoveryEngine, discover, replay
-from .forest import forest_restore, forest_to_dot, snapshot_dumps
+from .forest import BehaviorForest, forest_restore, forest_to_dot, snapshot_dumps
 from .selection import cumulative_fractions
 
 EXIT_OK = 0
@@ -67,15 +67,15 @@ def _load_streams(paths: List[str]):
     return streams
 
 
-def _load_prior_forest(path: Optional[str], config: EngineConfig):
-    if path is None:
-        return None
+def _read_snapshot(path: str, expected_hash: Optional[str] = None) -> BehaviorForest:
+    """The forest in a snapshot file; a malformed or too deep one is a SnapshotError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return forest_restore(json.load(fh), expected_config_hash=expected_hash)
         except json.JSONDecodeError as exc:
             raise SnapshotError(f"{path}: not valid JSON ({exc})") from exc
-    return forest_restore(doc, expected_config_hash=config.config_hash())
+        except RecursionError:
+            raise SnapshotError(f"{path}: snapshot nests too deeply to read") from None
 
 
 def _write_text(path: str, *parts: str) -> None:
@@ -97,7 +97,9 @@ def _write_forest_outputs(out_dir: str, engine: DiscoveryEngine) -> None:
 def cmd_discover(args) -> int:
     _check_counts(args)
     config = _apply_overrides(bfio.load_config(args.config), args)
-    prior = _load_prior_forest(args.snapshot, config)
+    prior = None
+    if args.snapshot is not None:
+        prior = _read_snapshot(args.snapshot, config.config_hash())
     loaded = _load_streams(args.inputs)
     streams = [(sid, t, v) for sid, t, v, _ in loaded]
     channel_names = loaded[0][3] if loaded else None
@@ -157,9 +159,7 @@ def cmd_gen(args) -> int:
 
 def cmd_features(args) -> int:
     segments = bfio.read_segments(args.segments)
-    snapshot_path = args.snapshot or os.path.join(args.segments, "forest.json")
-    with open(snapshot_path, "r", encoding="utf-8") as fh:
-        forest = forest_restore(json.load(fh))
+    forest = _read_snapshot(args.snapshot or os.path.join(args.segments, "forest.json"))
     out = args.out or os.path.join(args.segments, "features.csv")
     bfio.write_features(out, segments, forest)
     print(f"{len(set(s.path for s in segments))} patterns -> {out}")
@@ -188,12 +188,7 @@ def cmd_variance(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    with open(args.snapshot, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"{args.snapshot}: not valid JSON ({exc})") from exc
-    text = forest_to_dot(forest_restore(doc))
+    text = forest_to_dot(_read_snapshot(args.snapshot))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

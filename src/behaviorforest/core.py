@@ -105,7 +105,8 @@ class EngineConfig:
     hysteresis_margin is the fraction of the committed bin's width a value
     must penetrate into a new bin before the channel symbol may change;
     0 disables the filter.  termination_run and initiation_context are the
-    run lengths (in reduced symbols) that close and arm the detector.
+    run lengths (in copies after log compression) that close and arm the
+    detector.
     """
 
     breakpoints: BreakpointSpec
@@ -147,43 +148,12 @@ class EngineConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class ReducedSymbol:
-    """One copy emitted for a compressed run of identical unified symbols.
-
-    All copies of a run share the run's full raw span; run_length_raw is the
-    number of raw samples the run covered.
-    """
-
-    symbol: int
-    raw_span: tuple[int, int]
-    run_length_raw: int
-
-    def __post_init__(self) -> None:
-        s, e = self.raw_span
-        if self.symbol < 0:
-            raise ValueError(f"symbol must be non-negative, got {self.symbol}")
-        if e <= s:
-            raise ValueError(f"raw_span must be non-empty, got [{s}, {e})")
-        if self.run_length_raw < 1:
-            raise ValueError(f"run_length_raw must be >= 1, got {self.run_length_raw}")
-
-
-@dataclass(frozen=True)
-class StreamHandle:
-    """Admission ticket for one stream: validated dimension + frozen config."""
-
-    stream_id: str
-    config: EngineConfig
-
-
 def validate_stream_header(
     n_channels: int, config: EngineConfig, stream_id: str = "stream"
-) -> StreamHandle:
-    """Admit a stream iff its channel count matches the configuration."""
+) -> None:
+    """Raise DimensionMismatchError unless the channel count matches the config."""
     if n_channels != config.n_channels:
         raise DimensionMismatchError(
             f"stream {stream_id!r} declares {n_channels} channels but the "
             f"configuration defines {config.n_channels}"
         )
-    return StreamHandle(stream_id=stream_id, config=config)

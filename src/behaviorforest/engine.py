@@ -4,8 +4,10 @@ One engine owns a forest and records against its config's relevance
 threshold; each stream gets a fresh pipeline and detector so patterns never
 straddle stream boundaries, while the forest keeps accumulating across
 streams and runs.  Streams are processed in chunks so the look-back buffer
-behaves like it would online.  `DiscoveryEngine.run` is the one loop over a
-dataset: `discover` calls it once and `replay` once per run.
+behaves like it would online: each chunk is buffered, reduced to the runs
+it closed, and the behaviors those runs close are settled against the
+forest.  `DiscoveryEngine.run` is the one loop over a dataset: `discover`
+calls it once and `replay` once per run.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ class DiscoveryEngine:
             raise ValueError(
                 f"stream {stream_id!r}: {len(t)} timestamps for {len(values)} samples"
             )
-        handle = validate_stream_header(values.shape[1], self.config, stream_id)
-        pipeline = PreprocessPipeline(handle)
+        validate_stream_header(values.shape[1], self.config, stream_id)
+        pipeline = PreprocessPipeline(self.config, stream_id)
         detector = BehaviorDetector(
             self.config.termination_run, self.config.initiation_context
         )
@@ -107,10 +109,10 @@ class DiscoveryEngine:
         for lo in range(0, n, self.chunk_size):
             hi = min(lo + self.chunk_size, n)
             buffer.extend(t[lo:hi], values[lo:hi])
-            for reduced in pipeline.process_batch(values[lo:hi]):
-                settle(detector.step(reduced))
-        for reduced in pipeline.flush():
-            settle(detector.step(reduced))
+            for behavior in detector.step(pipeline.process_batch(values[lo:hi])):
+                settle(behavior)
+        for behavior in detector.step(pipeline.flush()):
+            settle(behavior)
         settle(detector.flush())
         return segments
 

@@ -1,11 +1,12 @@
 """Variable-length pattern detection and the incremental behavior forest.
 
-The detector watches the reduced symbol stream and cuts it into dynamic
-behaviors: a pattern opens when a fresh symbol breaks a stationary run and
-closes when any symbol settles into a plateau, which then seeds the next
-pattern's context.  Closed patterns are inserted into a forest of prefix
-trees whose edge weights and terminal counts accumulate across streams,
-giving O(path length) occurrence lookups without storing raw data.
+The detector rides the compressed runs of the symbol stream and cuts it
+into dynamic behaviors: a pattern opens when a fresh run breaks a
+stationary one and closes when a run settles into a plateau, which then
+seeds the next pattern's context.  Closed patterns are inserted into a
+forest of prefix trees whose edge weights and terminal counts accumulate
+across streams, giving O(path length) occurrence lookups without storing
+raw data.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import ReducedSymbol, SnapshotError
+import numpy as np
+
+from .core import SnapshotError
 
 TERMINATED_BY_PLATEAU = "plateau"
 TERMINATED_BY_STREAM_END = "end_of_stream"
@@ -27,9 +30,9 @@ class DiscoveredBehavior:
     """One closed dynamic behavior: its symbol path and raw extent.
 
     The path starts at the stationary symbol that preceded the behavior and
-    ends with the first symbol of the plateau that closed it (absent for
-    end-of-stream cuts).  raw_span covers the root run through that first
-    terminating symbol, so consecutive behaviors overlap exactly in the
+    ends with one copy of the plateau that closed it (absent for
+    end-of-stream cuts).  raw_span covers the root run through the
+    terminating run, so consecutive behaviors overlap exactly in the
     shared boundary run.
     """
 
@@ -46,20 +49,17 @@ class DiscoveredBehavior:
             raise ValueError(f"unknown termination {self.termination!r}")
 
 
-_STATIONARY = "stationary"
-_IN_BEHAVIOR = "in_behavior"
-
-
 class BehaviorDetector:
-    """Streaming state machine over reduced symbols.
+    """Cuts a stream of maximal runs into behaviors.
 
-    Stationary phase: track the current run; once it reaches
-    `initiation_context` copies, any differing symbol opens a behavior
-    rooted at the stationary symbol.  In-behavior: every symbol joins the
-    path (repeats below the plateau length stay as separate path nodes);
-    when a run reaches `termination_run` copies the behavior closes with
-    that symbol kept exactly once, and the plateau becomes the stationary
-    context for the next behavior.
+    `step` takes `PreprocessPipeline` rows `(symbol, start, end, copies)`
+    and returns the behaviors they closed, in order.  A run of at least
+    `initiation_context` copies is a stationary context, and the run after
+    it opens a behavior rooted at the context's symbol.  Inside a behavior a
+    run of fewer than `termination_run` copies adds its symbol once per
+    copy; the first run with at least `termination_run` copies adds its
+    symbol once, closes the behavior over (context start, run end), and
+    becomes the next context with its full copy count.
     """
 
     def __init__(self, termination_run: int = 3, initiation_context: int = 2):
@@ -72,77 +72,39 @@ class BehaviorDetector:
         self._reset()
 
     def _reset(self) -> None:
-        self._phase = _STATIONARY
-        self._last_symbol: Optional[int] = None
-        self._run_count = 0
-        self._run_start = 0
-        self._path: List[int] = []
-        self._db_start = 0
-        self._run_first_end = 0
-        self._last_end = 0
+        self._context: Optional[Tuple[int, int, int]] = None  # symbol, start, copies
+        self._path: Optional[List[int]] = None  # the open behavior, if any
+        self._end = 0  # end of the open behavior's last run
 
-    def step(self, rs: ReducedSymbol) -> Optional[DiscoveredBehavior]:
-        if self._phase == _STATIONARY:
-            self._step_stationary(rs)
-            return None
-        return self._step_in_behavior(rs)
-
-    def _step_stationary(self, rs: ReducedSymbol) -> None:
-        if self._last_symbol is None or (
-            rs.symbol != self._last_symbol and self._run_count < self.initiation_context
-        ):
-            # No usable context yet; (re)start stationary tracking here.
-            self._last_symbol = rs.symbol
-            self._run_count = 1
-            self._run_start = rs.raw_span[0]
-            return
-        if rs.symbol == self._last_symbol:
-            self._run_count += 1
-            return
-        # Context established and the symbol broke it: open a behavior.
-        self._phase = _IN_BEHAVIOR
-        self._path = [self._last_symbol, rs.symbol]
-        self._db_start = self._run_start
-        self._last_symbol = rs.symbol
-        self._run_count = 1
-        self._run_start = rs.raw_span[0]
-        self._run_first_end = rs.raw_span[1]
-        self._last_end = rs.raw_span[1]
-
-    def _step_in_behavior(self, rs: ReducedSymbol) -> Optional[DiscoveredBehavior]:
-        self._last_end = rs.raw_span[1]
-        if rs.symbol != self._last_symbol:
-            self._path.append(rs.symbol)
-            self._last_symbol = rs.symbol
-            self._run_count = 1
-            self._run_start = rs.raw_span[0]
-            self._run_first_end = rs.raw_span[1]
-            return None
-        self._run_count += 1
-        if self._run_count < self.termination_run:
-            self._path.append(rs.symbol)
-            return None
-        # Plateau reached: the path keeps this symbol exactly once.
-        del self._path[len(self._path) - (self.termination_run - 2) :]
-        behavior = DiscoveredBehavior(
-            path=tuple(self._path),
-            raw_span=(self._db_start, self._run_first_end),
-            termination=TERMINATED_BY_PLATEAU,
-        )
-        # The plateau is the next stationary context; its run keeps counting.
-        self._phase = _STATIONARY
-        self._path = []
-        return behavior
+    def step(self, runs: np.ndarray) -> List[DiscoveredBehavior]:
+        closed: List[DiscoveredBehavior] = []
+        for symbol, start, end, copies in runs.tolist():
+            if self._path is None:
+                if self._context is None or self._context[2] < self.initiation_context:
+                    self._context = (symbol, start, copies)
+                    continue
+                self._path = [self._context[0]]
+            if copies < self.termination_run:
+                self._path.extend([symbol] * copies)
+                self._end = end
+                continue
+            # Plateau reached: the path keeps this symbol exactly once.
+            self._path.append(symbol)
+            closed.append(
+                DiscoveredBehavior(
+                    tuple(self._path), (self._context[1], end), TERMINATED_BY_PLATEAU
+                )
+            )
+            self._context = (symbol, start, copies)
+            self._path = None
+        return closed
 
     def flush(self) -> Optional[DiscoveredBehavior]:
         """Close an open behavior at end of stream and reset the detector."""
         behavior = None
-        if self._phase == _IN_BEHAVIOR:
-            assert len(self._path) >= 2
+        if self._path is not None:
             behavior = DiscoveredBehavior(
-                path=tuple(self._path),
-                raw_span=(self._db_start, self._last_end),
-                termination=TERMINATED_BY_STREAM_END,
+                tuple(self._path), (self._context[1], self._end), TERMINATED_BY_STREAM_END
             )
         self._reset()
         return behavior

@@ -5,9 +5,10 @@ hysteresis filter suppresses chatter at bin boundaries, the channel symbols
 are fused into a single mixed-radix alphabet, and maximal runs of identical
 fused symbols are compressed to a logarithmic number of copies.  Each stage
 is one array function; `PreprocessPipeline.process_batch` chains them over a
-chunk and carries the filter state and the open run to the next chunk, so
-the output does not depend on how a stream is cut.  `DiscoveryEngine.run`
-feeds every stream through it chunk by chunk.
+chunk and returns the runs it closed as rows `(symbol, start, end, copies)`,
+carrying the filter state and the open run to the next chunk, so the output
+does not depend on how a stream is cut.  `DiscoveryEngine.run` feeds every
+stream through it chunk by chunk.
 
 The vectorized hysteresis treats each channel as a K-state machine.  A
 sample deep enough inside its bin commits that bin from every state, so it
@@ -22,7 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, InvalidSampleError, ReducedSymbol, StreamHandle
+from .core import DimensionMismatchError, EngineConfig, InvalidSampleError
 
 # Map entries (samples x states) per block of the hysteresis scan.
 _SCAN_ENTRIES = 1 << 18
@@ -169,17 +170,19 @@ def run_copies(lengths: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
 
 class PreprocessPipeline:
-    """Sample-to-reduced-symbol pipeline for one stream.
+    """Sample-to-run pipeline for one stream.
 
-    `process_batch` takes the next chunk of frames and returns the copies of
-    every run the chunk closed; the last run stays open for the next chunk,
-    and `flush` closes it at end of stream.  Raw indices count frames in
-    arrival order and tile the stream exactly.
+    `process_batch` takes the next chunk of frames and returns one int64 row
+    `(symbol, start, end, copies)` per run the chunk closed: the fused symbol,
+    the half-open raw index span of the maximal run, and the number of copies
+    it survives as after log compression.  The last run stays open for the
+    next chunk, and `flush` closes it at end of stream.  Raw indices count
+    frames in arrival order, so the spans tile the stream exactly.
     """
 
-    def __init__(self, handle: StreamHandle):
-        self.handle = handle
-        config = handle.config
+    def __init__(self, config: EngineConfig, stream_id: str = "stream"):
+        self.config = config
+        self.stream_id = stream_id
         self._alphabet_sizes = config.breakpoints.alphabet_sizes
         self._filters = [
             HysteresisFilter(ch, config.hysteresis_margin)
@@ -195,21 +198,21 @@ class PreprocessPipeline:
         """Number of frames consumed so far."""
         return self._raw_index
 
-    def process_batch(self, values: np.ndarray) -> List[ReducedSymbol]:
-        """Reduced symbols of the runs closed by the next (samples, channels) chunk."""
+    def process_batch(self, values: np.ndarray) -> np.ndarray:
+        """Rows of the runs closed by the next (samples, channels) chunk."""
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == 1:
             values = values[:, None]
         if values.ndim != 2:
             raise ValueError(f"expected a (samples, channels) array, got {values.shape}")
         n, d = values.shape
-        if d != self.handle.config.n_channels:
+        if d != self.config.n_channels:
             raise DimensionMismatchError(
-                f"stream {self.handle.stream_id!r}: expected "
-                f"{self.handle.config.n_channels} channels, got {d}"
+                f"stream {self.stream_id!r}: expected "
+                f"{self.config.n_channels} channels, got {d}"
             )
         if n == 0:
-            return []
+            return np.empty((0, 4), dtype=np.int64)
         if np.isnan(values).any():
             idx = int(np.flatnonzero(np.isnan(values).any(axis=1))[0])
             raise InvalidSampleError(f"NaN sample at index {self._raw_index + idx}")
@@ -229,23 +232,18 @@ class PreprocessPipeline:
             starts = np.concatenate(([self._run_start], starts))
         self._run_symbol, self._run_start = int(symbols[-1]), int(starts[-1])
         self._raw_index = base + n
-        return self._close_runs(symbols.tolist(), starts)
+        return self._close_runs(symbols[:-1], starts)
 
-    def flush(self) -> List[ReducedSymbol]:
+    def flush(self) -> np.ndarray:
         """Close the trailing run; the pipeline is ready for reuse after."""
         if self._run_symbol is None:
-            return []
-        bounds = np.array([self._run_start, self._raw_index])
-        out = self._close_runs([self._run_symbol], bounds)
+            return np.empty((0, 4), dtype=np.int64)
+        symbols = np.array([self._run_symbol], dtype=np.int64)
+        out = self._close_runs(symbols, np.array([self._run_start, self._raw_index]))
         self._run_symbol = None
         return out
 
-    def _close_runs(self, symbols: List[int], bounds: np.ndarray) -> List[ReducedSymbol]:
-        """Copies of each run symbols[i] over [bounds[i], bounds[i + 1])."""
+    def _close_runs(self, symbols: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """Rows of the runs symbols[i] over [bounds[i], bounds[i + 1])."""
         copies = run_copies(np.diff(bounds), self._run_powers)
-        edges = bounds.tolist()
-        runs = [
-            ReducedSymbol(symbol, (start, end), end - start)
-            for symbol, start, end in zip(symbols, edges, edges[1:])
-        ]
-        return [run for run, k in zip(runs, copies.tolist()) for _ in range(k)]
+        return np.column_stack((symbols, bounds[:-1], bounds[1:], copies))

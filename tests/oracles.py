@@ -1,7 +1,9 @@
 """Scalar reference implementations that the library's stages are checked against."""
 
 import csv
+import itertools
 import math
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -9,9 +11,13 @@ import numpy as np
 from behaviorforest.core import (
     BufferOverflowError,
     DimensionMismatchError,
+    EngineConfig,
     InvalidSampleError,
-    ReducedSymbol,
-    StreamHandle,
+)
+from behaviorforest.forest import (
+    TERMINATED_BY_PLATEAU,
+    TERMINATED_BY_STREAM_END,
+    DiscoveredBehavior,
 )
 from behaviorforest.preprocess import HysteresisFilter, discretize_batch
 
@@ -203,6 +209,50 @@ def copies_for_run_length(length: int, log_base: int) -> int:
     return max(1, copies)
 
 
+@dataclass(frozen=True)
+class ReducedSymbol:
+    """One copy emitted for a compressed run of identical unified symbols.
+
+    All copies of a run share the run's full raw span; run_length_raw is the
+    number of raw samples the run covered.
+    """
+
+    symbol: int
+    raw_span: Tuple[int, int]
+    run_length_raw: int
+
+    def __post_init__(self) -> None:
+        s, e = self.raw_span
+        if self.symbol < 0:
+            raise ValueError(f"symbol must be non-negative, got {self.symbol}")
+        if e <= s:
+            raise ValueError(f"raw_span must be non-empty, got [{s}, {e})")
+        if self.run_length_raw < 1:
+            raise ValueError(f"run_length_raw must be >= 1, got {self.run_length_raw}")
+
+
+def runs_of(copies: Sequence[ReducedSymbol]) -> List[List[int]]:
+    """Rows `[symbol, start, end, copies]` of a copy stream, one per run.
+
+    The copies of one run are equal and adjacent, and adjacent runs differ
+    in span, so grouping equal neighbours recovers the runs exactly.
+    """
+    return [
+        [rs.symbol, *rs.raw_span, len(list(group))]
+        for rs, group in itertools.groupby(copies)
+    ]
+
+
+def unit_runs(symbols: Sequence[int]) -> np.ndarray:
+    """Run rows of a symbol list in which every symbol is one unit-span copy."""
+    rows, start = [], 0
+    for symbol, group in itertools.groupby(symbols):
+        k = len(list(group))
+        rows.append((symbol, start, start + k, k))
+        start += k
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
 class StepPipeline:
     """Sample-to-reduced-symbol pipeline stepped one frame at a time.
 
@@ -211,9 +261,9 @@ class StepPipeline:
     (usually none); `flush` closes the final run at end of stream.
     """
 
-    def __init__(self, handle: StreamHandle):
-        self.handle = handle
-        config = handle.config
+    def __init__(self, config: EngineConfig, stream_id: str = "stream"):
+        self.config = config
+        self.stream_id = stream_id
         self._alphabet_sizes = config.breakpoints.alphabet_sizes
         self._filters = [
             StepHysteresisFilter(ch, config.hysteresis_margin)
@@ -225,10 +275,10 @@ class StepPipeline:
         self._run_start = 0
 
     def step(self, values: Sequence[float]) -> List[ReducedSymbol]:
-        if len(values) != self.handle.config.n_channels:
+        if len(values) != self.config.n_channels:
             raise DimensionMismatchError(
-                f"stream {self.handle.stream_id!r}: expected "
-                f"{self.handle.config.n_channels} channels, got {len(values)}"
+                f"stream {self.stream_id!r}: expected "
+                f"{self.config.n_channels} channels, got {len(values)}"
             )
         # Reject before touching filter state so a bad frame has no effect.
         if any(math.isnan(v) for v in values):
@@ -262,6 +312,109 @@ class StepPipeline:
             run_length_raw=length,
         )
         return [reduced] * copies
+
+
+_STATIONARY = "stationary"
+_IN_BEHAVIOR = "in_behavior"
+
+
+class StepBehaviorDetector:
+    """Behavior detector stepped one reduced-symbol copy at a time.
+
+    The reference for `forest.BehaviorDetector`.  Stationary phase: track
+    the current run; once it reaches `initiation_context` copies, any
+    differing symbol opens a behavior rooted at the stationary symbol.
+    In-behavior: every symbol joins the path (repeats below the plateau
+    length stay as separate path nodes); when a run reaches
+    `termination_run` copies the behavior closes with that symbol kept
+    exactly once, and the plateau becomes the stationary context for the
+    next behavior.
+    """
+
+    def __init__(self, termination_run: int = 3, initiation_context: int = 2):
+        if termination_run < 2:
+            raise ValueError("termination_run must be >= 2")
+        if initiation_context < 1:
+            raise ValueError("initiation_context must be >= 1")
+        self.termination_run = termination_run
+        self.initiation_context = initiation_context
+        self._reset()
+
+    def _reset(self) -> None:
+        self._phase = _STATIONARY
+        self._last_symbol: Optional[int] = None
+        self._run_count = 0
+        self._run_start = 0
+        self._path: List[int] = []
+        self._db_start = 0
+        self._run_first_end = 0
+        self._last_end = 0
+
+    def step(self, rs: ReducedSymbol) -> Optional[DiscoveredBehavior]:
+        if self._phase == _STATIONARY:
+            self._step_stationary(rs)
+            return None
+        return self._step_in_behavior(rs)
+
+    def _step_stationary(self, rs: ReducedSymbol) -> None:
+        if self._last_symbol is None or (
+            rs.symbol != self._last_symbol and self._run_count < self.initiation_context
+        ):
+            # No usable context yet; (re)start stationary tracking here.
+            self._last_symbol = rs.symbol
+            self._run_count = 1
+            self._run_start = rs.raw_span[0]
+            return
+        if rs.symbol == self._last_symbol:
+            self._run_count += 1
+            return
+        # Context established and the symbol broke it: open a behavior.
+        self._phase = _IN_BEHAVIOR
+        self._path = [self._last_symbol, rs.symbol]
+        self._db_start = self._run_start
+        self._last_symbol = rs.symbol
+        self._run_count = 1
+        self._run_start = rs.raw_span[0]
+        self._run_first_end = rs.raw_span[1]
+        self._last_end = rs.raw_span[1]
+
+    def _step_in_behavior(self, rs: ReducedSymbol) -> Optional[DiscoveredBehavior]:
+        self._last_end = rs.raw_span[1]
+        if rs.symbol != self._last_symbol:
+            self._path.append(rs.symbol)
+            self._last_symbol = rs.symbol
+            self._run_count = 1
+            self._run_start = rs.raw_span[0]
+            self._run_first_end = rs.raw_span[1]
+            return None
+        self._run_count += 1
+        if self._run_count < self.termination_run:
+            self._path.append(rs.symbol)
+            return None
+        # Plateau reached: the path keeps this symbol exactly once.
+        del self._path[len(self._path) - (self.termination_run - 2) :]
+        behavior = DiscoveredBehavior(
+            path=tuple(self._path),
+            raw_span=(self._db_start, self._run_first_end),
+            termination=TERMINATED_BY_PLATEAU,
+        )
+        # The plateau is the next stationary context; its run keeps counting.
+        self._phase = _STATIONARY
+        self._path = []
+        return behavior
+
+    def flush(self) -> Optional[DiscoveredBehavior]:
+        """Close an open behavior at end of stream and reset the detector."""
+        behavior = None
+        if self._phase == _IN_BEHAVIOR:
+            assert len(self._path) >= 2
+            behavior = DiscoveredBehavior(
+                path=tuple(self._path),
+                raw_span=(self._db_start, self._last_end),
+                termination=TERMINATED_BY_STREAM_END,
+            )
+        self._reset()
+        return behavior
 
 
 def csv_write_series(

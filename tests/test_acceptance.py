@@ -19,7 +19,7 @@ import pytest
 
 from behaviorforest import cli
 from behaviorforest.analysis import compare_variances, generate_synthetic
-from behaviorforest.core import BreakpointSpec, EngineConfig, ReducedSymbol
+from behaviorforest.core import BreakpointSpec, EngineConfig
 from behaviorforest.engine import discover, replay
 from behaviorforest.forest import (
     BehaviorDetector,
@@ -31,7 +31,7 @@ from behaviorforest.forest import (
 from behaviorforest.io import load_config, read_series
 from behaviorforest.preprocess import discretize_batch, fuse_symbols, run_copies, run_powers
 from behaviorforest.selection import cumulative_fractions
-from oracles import split_unified
+from oracles import split_unified, unit_runs
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -48,19 +48,17 @@ def two_channel_config() -> EngineConfig:
 
 def test_criterion_1_reference_sequence_exact():
     """Symbol fixture -> two behaviors and the exact forest, in under 1 ms."""
-    symbols = [1, 1, 1, 2, 3, 2, 1, 1, 1, 1, 1, 2, 3, 4]
+    runs = unit_runs([1, 1, 1, 2, 3, 2, 1, 1, 1, 1, 1, 2, 3, 4])
 
     def run_once():
         det = BehaviorDetector()
         forest = BehaviorForest()
         paths = []
-        for i, s in enumerate(symbols):
-            db = det.step(ReducedSymbol(s, (i, i + 1), 1))
-            if db is not None:
-                paths.append(db.path)
-                forest.insert(db.path)
+        behaviors = det.step(runs)
         db = det.flush()
         if db is not None:
+            behaviors.append(db)
+        for db in behaviors:
             paths.append(db.path)
             forest.insert(db.path)
         return paths, forest

@@ -232,20 +232,16 @@ class TestGenerateSynthetic:
         assert levels == [-1.4, -0.84, 0.0, 0.84, 1.4]
 
     def test_noiseless_stream_reduces_to_expected_paths(self):
-        from behaviorforest.core import BreakpointSpec, EngineConfig, validate_stream_header
+        from behaviorforest.core import BreakpointSpec, EngineConfig
         from behaviorforest.forest import BehaviorDetector
         from behaviorforest.preprocess import PreprocessPipeline
 
         _, values = generate_synthetic(9, noise_sigma=0.0, bursts_per_pattern=1)
         cfg = EngineConfig(BreakpointSpec(((-0.5, 0.5), (-0.5, 0.5))))
-        pipe = PreprocessPipeline(validate_stream_header(2, cfg))
+        pipe = PreprocessPipeline(cfg)
         det = BehaviorDetector()
-        paths = []
-        for rs in pipe.process_batch(values) + pipe.flush():
-            db = det.step(rs)
-            if db is not None:
-                paths.append(db.path)
+        behaviors = det.step(np.concatenate([pipe.process_batch(values), pipe.flush()]))
         db = det.flush()
         if db is not None:
-            paths.append(db.path)
-        assert set(paths) == EXPECTED_SYNTHETIC_PATHS
+            behaviors.append(db)
+        assert {db.path for db in behaviors} == EXPECTED_SYNTHETIC_PATHS

@@ -22,7 +22,6 @@ PUBLIC_API = {
     # preprocessing
     "HysteresisFilter",
     "PreprocessPipeline",
-    "ReducedSymbol",
     "discretize_batch",
     # detection and the forest
     "BehaviorDetector",

@@ -10,12 +10,12 @@ from behaviorforest.core import (
     ConfigError,
     DimensionMismatchError,
     EngineConfig,
-    ReducedSymbol,
     gaussian_breakpoints,
     validate_stream_header,
 )
 from behaviorforest.io import config_from_dict
 from behaviorforest.preprocess import PreprocessPipeline
+from oracles import ReducedSymbol
 
 
 def normal_cdf(x: float) -> float:
@@ -196,14 +196,13 @@ class TestFrameTypes:
 class TestStreamAdmission:
     def test_accepts_matching_header(self):
         cfg = EngineConfig(BreakpointSpec(((0.0,), (0.0,))))
-        handle = validate_stream_header(2, cfg, stream_id="s1")
-        assert handle.stream_id == "s1"
-        assert PreprocessPipeline(handle).process_batch(np.array([[0.1, 0.2]])) == []
+        assert validate_stream_header(2, cfg, stream_id="s1") is None
+        runs = PreprocessPipeline(cfg, "s1").process_batch(np.array([[0.1, 0.2]]))
+        assert runs.shape == (0, 4)
 
     def test_rejects_wrong_channel_count(self):
         cfg = EngineConfig(BreakpointSpec(((0.0,), (0.0,))))
         with pytest.raises(DimensionMismatchError):
             validate_stream_header(3, cfg)
-        handle = validate_stream_header(2, cfg)
-        with pytest.raises(DimensionMismatchError):
-            PreprocessPipeline(handle).process_batch(np.array([[0.1]]))
+        with pytest.raises(DimensionMismatchError, match="'s1'"):
+            PreprocessPipeline(cfg, "s1").process_batch(np.array([[0.1]]))

@@ -9,19 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import StepPipeline
+from oracles import StepBehaviorDetector, StepPipeline
 
 from behaviorforest import cli
 from behaviorforest.core import (
     BreakpointSpec,
     BufferOverflowError,
     ConfigError,
+    DimensionMismatchError,
     EngineConfig,
-    validate_stream_header,
 )
 from behaviorforest.engine import DiscoveryEngine, discover, replay
 from behaviorforest.forest import (
-    BehaviorDetector,
     BehaviorForest,
     forest_restore,
     forest_snapshot,
@@ -132,6 +131,10 @@ class TestEngineOnFixture:
         stats = result.stats
         assert (stats.detected_db_count, stats.recorded_db_count) == (2, 1)
 
+    def test_empty_stream_of_wrong_width(self):
+        with pytest.raises(DimensionMismatchError):
+            DiscoveryEngine(fixture_config()).process_stream("e", np.empty(0), np.empty((0, 3)))
+
     def test_timestamp_length_mismatch(self):
         t, values = fixture_stream()
         with pytest.raises(ValueError):
@@ -214,8 +217,8 @@ def recount(config, streams, forest):
     """Run stats rebuilt one sample and one behavior at a time from the oracles."""
     detected, recorded, paths, covered = 0, 0, set(), {}
     for sid, _, values in streams:
-        pipe = StepPipeline(validate_stream_header(values.shape[1], config, sid))
-        detector = BehaviorDetector(config.termination_run, config.initiation_context)
+        pipe = StepPipeline(config, sid)
+        detector = StepBehaviorDetector(config.termination_run, config.initiation_context)
         reduced = [r for frame in values for r in pipe.step(tuple(frame))] + pipe.flush()
         for behavior in [detector.step(r) for r in reduced] + [detector.flush()]:
             if behavior is None:
@@ -574,6 +577,35 @@ class TestCli:
         assert rc == 2
         assert "too deep for the v1 snapshot format" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["segments", "segments.csv", "stats.json"]
+
+    @pytest.mark.parametrize("kind", ["deep", "not_json"])
+    def test_exit_code_2_for_unreadable_snapshot(self, workdir, capsys, kind):
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        run = workdir / "run"
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(run)]) == 0
+        bad = workdir / "bad.json"
+        if kind == "deep":
+            # A 3,000-level chain in the v1 layout, written without recursing.
+            depth = 3000
+            node = '{"symbol": %d, "terminal_count": %d, "children": ['
+            text = "".join(node % (i % 2, 0) + '{"edge_weight": 1, "node": ' for i in range(depth))
+            text += node % (depth % 2, 1) + "]}" + "}]}" * depth
+            bad.write_text(
+                '{"version": 1, "config_hash": "x", "total_insertions": 1, '
+                '"roots": [{"symbol": 0, "node": %s}]}' % text
+            )
+        else:
+            bad.write_text("{not json")
+        capsys.readouterr()
+        for argv in (
+            ["discover", str(data), "--config", cfg, "--out", str(workdir / "x"),
+             "--snapshot", str(bad)],
+            ["dot", "--snapshot", str(bad)],
+            ["features", "--segments", str(run), "--snapshot", str(bad)],
+        ):
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_exit_code_2_for_snapshot_config_mismatch(self, workdir):
         data = self.gen(workdir)

@@ -1,12 +1,14 @@
-"""Behavior detection state machine and the weighted prefix forest."""
+"""Behavior detection over runs and the weighted prefix forest."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ReducedSymbol, StepBehaviorDetector, StepPipeline, unit_runs
 
-from behaviorforest.core import ReducedSymbol, SnapshotError
+from behaviorforest.core import BreakpointSpec, EngineConfig, SnapshotError
 from behaviorforest.forest import (
     TERMINATED_BY_PLATEAU,
     TERMINATED_BY_STREAM_END,
@@ -18,15 +20,22 @@ from behaviorforest.forest import (
     forest_to_dot,
     snapshot_dumps,
 )
+from behaviorforest.preprocess import PreprocessPipeline
 
 CANONICAL_SYMBOLS = [1, 1, 1, 2, 3, 2, 1, 1, 1, 1, 1, 2, 3, 4]
 
 
 def feed(detector, symbols, flush=True):
-    """Drive the detector with unit-span reduced symbols; collect behaviors."""
+    """Drive the per-copy oracle with unit-span reduced symbols; collect behaviors."""
+    copies = [ReducedSymbol(s, (i, i + 1), 1) for i, s in enumerate(symbols)]
+    return feed_copies(detector, copies, flush)
+
+
+def feed_copies(detector, copies, flush=True):
+    """Drive the per-copy oracle with reduced-symbol copies; collect behaviors."""
     out = []
-    for i, s in enumerate(symbols):
-        db = detector.step(ReducedSymbol(s, (i, i + 1), 1))
+    for rs in copies:
+        db = detector.step(rs)
         if db is not None:
             out.append(db)
     if flush:
@@ -37,14 +46,16 @@ def feed(detector, symbols, flush=True):
 
 
 class TestDetector:
+    """The per-copy oracle on unit-span copies."""
+
     def test_canonical_sequence(self):
-        dbs = feed(BehaviorDetector(), CANONICAL_SYMBOLS)
+        dbs = feed(StepBehaviorDetector(), CANONICAL_SYMBOLS)
         assert [db.path for db in dbs] == [(1, 2, 3, 2, 1), (1, 2, 3, 4)]
         assert dbs[0].termination == TERMINATED_BY_PLATEAU
         assert dbs[1].termination == TERMINATED_BY_STREAM_END
 
     def test_canonical_raw_spans(self):
-        dbs = feed(BehaviorDetector(), CANONICAL_SYMBOLS)
+        dbs = feed(StepBehaviorDetector(), CANONICAL_SYMBOLS)
         # First behavior: stationary run starts at 0, the terminating run's
         # first copy ends at 7.  Second: rooted at that plateau (index 6),
         # cut off by end of stream at 14.
@@ -52,23 +63,23 @@ class TestDetector:
         assert dbs[1].raw_span == (6, 14)
 
     def test_terminating_symbol_kept_exactly_once(self):
-        dbs = feed(BehaviorDetector(), [5, 5, 7, 7, 7])
+        dbs = feed(StepBehaviorDetector(), [5, 5, 7, 7, 7])
         assert [db.path for db in dbs] == [(5, 7)]
 
     def test_repeats_below_plateau_stay_in_path(self):
-        dbs = feed(BehaviorDetector(), [1, 1, 2, 2, 3, 3, 3])
+        dbs = feed(StepBehaviorDetector(), [1, 1, 2, 2, 3, 3, 3])
         assert [db.path for db in dbs] == [(1, 2, 2, 3)]
 
     def test_no_context_no_behavior(self):
         # The 5 never reaches the initiation context, so tracking restarts.
-        assert feed(BehaviorDetector(), [5, 7, 7, 7]) == []
-        assert feed(BehaviorDetector(), [5, 5, 5, 5]) == []
-        assert feed(BehaviorDetector(), [3]) == []
-        assert feed(BehaviorDetector(), []) == []
+        assert feed(StepBehaviorDetector(), [5, 7, 7, 7]) == []
+        assert feed(StepBehaviorDetector(), [5, 5, 5, 5]) == []
+        assert feed(StepBehaviorDetector(), [3]) == []
+        assert feed(StepBehaviorDetector(), []) == []
 
     def test_plateau_chains_to_next_behavior(self):
         symbols = [1, 1, 2, 2, 2, 3, 3, 3]
-        dbs = feed(BehaviorDetector(), symbols)
+        dbs = feed(StepBehaviorDetector(), symbols)
         assert [db.path for db in dbs] == [(1, 2), (2, 3)]
         # Second behavior is rooted where the plateau run began (index 2)
         # and ends with the first copy of its own terminating run.
@@ -76,7 +87,7 @@ class TestDetector:
         assert dbs[1].raw_span == (2, 6)
 
     def test_flush_closes_open_behavior(self):
-        det = BehaviorDetector()
+        det = StepBehaviorDetector()
         dbs = feed(det, [4, 4, 6, 2], flush=False)
         assert dbs == []
         db = det.flush()
@@ -85,23 +96,23 @@ class TestDetector:
         assert db.raw_span == (0, 4)
 
     def test_flush_resets_the_detector(self):
-        det = BehaviorDetector()
+        det = StepBehaviorDetector()
         feed(det, [1, 1, 2])
-        assert feed(det, CANONICAL_SYMBOLS) == feed(BehaviorDetector(), CANONICAL_SYMBOLS)
+        assert feed(det, CANONICAL_SYMBOLS) == feed(StepBehaviorDetector(), CANONICAL_SYMBOLS)
 
     def test_custom_termination_run(self):
-        dbs = feed(BehaviorDetector(termination_run=4), [1, 1, 2, 3, 3, 3, 3])
+        dbs = feed(StepBehaviorDetector(termination_run=4), [1, 1, 2, 3, 3, 3, 3])
         assert [db.path for db in dbs] == [(1, 2, 3)]
 
     def test_custom_initiation_context(self):
         # With a 1-copy context a single symbol is enough to arm.
-        dbs = feed(BehaviorDetector(initiation_context=1), [5, 7, 7, 7])
+        dbs = feed(StepBehaviorDetector(initiation_context=1), [5, 7, 7, 7])
         assert [db.path for db in dbs] == [(5, 7)]
 
     def test_spans_carry_run_lengths(self):
         # Copies of one compressed run share the run's full raw span, the
         # shape the reduction stage emits.
-        det = BehaviorDetector()
+        det = StepBehaviorDetector()
         reduced = [
             ReducedSymbol(1, (0, 40), 40),
             ReducedSymbol(1, (0, 40), 40),
@@ -129,6 +140,167 @@ class TestDetector:
             DiscoveredBehavior((1, 1), (0, 2), TERMINATED_BY_PLATEAU)
         with pytest.raises(ValueError):
             DiscoveredBehavior((1, 2), (0, 2), "whatever")
+
+
+def feed_runs(detector, runs, flush=True):
+    """Drive the run detector with run rows in one call; collect behaviors."""
+    out = detector.step(np.asarray(runs, dtype=np.int64).reshape(-1, 4))
+    if flush:
+        db = detector.flush()
+        if db is not None:
+            out.append(db)
+    return out
+
+
+def expand(runs):
+    """The per-copy stream of run rows: `copies` equal copies per run."""
+    return [
+        ReducedSymbol(symbol, (start, end), end - start)
+        for symbol, start, end, copies in np.asarray(runs).tolist()
+        for _ in range(copies)
+    ]
+
+
+class TestRunDetector:
+    """The library detector on run rows.
+
+    Equal neighbours of the oracle's unit-span copies merge into one run, so
+    a closing plateau's span reaches the end of its run.
+    """
+
+    def test_canonical_sequence(self):
+        dbs = feed_runs(BehaviorDetector(), unit_runs(CANONICAL_SYMBOLS))
+        assert [db.path for db in dbs] == [(1, 2, 3, 2, 1), (1, 2, 3, 4)]
+        # Paths and spans hold Python ints, as the JSON snapshot needs.
+        assert {type(x) for db in dbs for x in (*db.path, *db.raw_span)} == {int}
+        assert [db.termination for db in dbs] == [
+            TERMINATED_BY_PLATEAU,
+            TERMINATED_BY_STREAM_END,
+        ]
+
+    def test_canonical_raw_spans(self):
+        dbs = feed_runs(BehaviorDetector(), unit_runs(CANONICAL_SYMBOLS))
+        # The first behavior closes with the 1-run over [6, 11), which then
+        # roots the second one, cut off by end of stream at 14.
+        assert [db.raw_span for db in dbs] == [(0, 11), (6, 14)]
+
+    def test_terminating_symbol_kept_exactly_once(self):
+        dbs = feed_runs(BehaviorDetector(), unit_runs([5, 5, 7, 7, 7]))
+        assert [(db.path, db.raw_span) for db in dbs] == [((5, 7), (0, 5))]
+
+    def test_repeats_below_plateau_stay_in_path(self):
+        dbs = feed_runs(BehaviorDetector(), unit_runs([1, 1, 2, 2, 3, 3, 3]))
+        assert [(db.path, db.raw_span) for db in dbs] == [((1, 2, 2, 3), (0, 7))]
+
+    def test_no_context_no_behavior(self):
+        for symbols in ([5, 7, 7, 7], [5, 5, 5, 5], [3], []):
+            assert feed_runs(BehaviorDetector(), unit_runs(symbols)) == []
+
+    def test_plateau_chains_to_next_behavior(self):
+        dbs = feed_runs(BehaviorDetector(), unit_runs([1, 1, 2, 2, 2, 3, 3, 3]))
+        assert [db.path for db in dbs] == [(1, 2), (2, 3)]
+        assert [db.raw_span for db in dbs] == [(0, 5), (2, 8)]
+
+    def test_flush_closes_open_behavior(self):
+        det = BehaviorDetector()
+        assert feed_runs(det, unit_runs([4, 4, 6, 2]), flush=False) == []
+        db = det.flush()
+        assert (db.path, db.raw_span, db.termination) == (
+            (4, 6, 2),
+            (0, 4),
+            TERMINATED_BY_STREAM_END,
+        )
+
+    def test_flush_resets_the_detector(self):
+        det = BehaviorDetector()
+        feed_runs(det, unit_runs([1, 1, 2]))
+        runs = unit_runs(CANONICAL_SYMBOLS)
+        assert feed_runs(det, runs) == feed_runs(BehaviorDetector(), runs)
+
+    def test_custom_termination_run(self):
+        dbs = feed_runs(BehaviorDetector(termination_run=4), unit_runs([1, 1, 2, 3, 3, 3, 3]))
+        assert [(db.path, db.raw_span) for db in dbs] == [((1, 2, 3), (0, 7))]
+
+    def test_custom_initiation_context(self):
+        dbs = feed_runs(BehaviorDetector(initiation_context=1), unit_runs([5, 7, 7, 7]))
+        assert [(db.path, db.raw_span) for db in dbs] == [((5, 7), (0, 4))]
+
+    def test_spans_carry_run_lengths(self):
+        runs = [(1, 0, 40, 2), (2, 40, 41, 1), (1, 41, 130, 3)]
+        dbs = feed_runs(BehaviorDetector(), runs, flush=False)
+        assert [(db.path, db.raw_span) for db in dbs] == [((1, 2, 1), (0, 130))]
+
+    def test_short_closing_plateau_does_not_arm(self):
+        # With a 5-copy context, the 3-run closes a behavior but cannot arm
+        # the next one, so the 4 after it restarts the context; the 6-run
+        # closes one and arms the 8.
+        runs = [
+            (1, 0, 10, 5),
+            (2, 10, 11, 1),
+            (3, 11, 20, 3),
+            (4, 20, 21, 1),
+            (5, 21, 30, 5),
+            (6, 30, 31, 1),
+            (7, 31, 40, 6),
+            (8, 40, 41, 1),
+        ]
+        dbs = feed_runs(BehaviorDetector(3, initiation_context=5), runs)
+        assert [(db.path, db.raw_span, db.termination) for db in dbs] == [
+            ((1, 2, 3), (0, 20), TERMINATED_BY_PLATEAU),
+            ((5, 6, 7), (21, 40), TERMINATED_BY_PLATEAU),
+            ((7, 8), (31, 41), TERMINATED_BY_STREAM_END),
+        ]
+        assert dbs == feed_copies(StepBehaviorDetector(3, initiation_context=5), expand(runs))
+
+    def test_empty_step_and_split_steps(self):
+        det = BehaviorDetector()
+        assert det.step(np.empty((0, 4), dtype=np.int64)) == []
+        runs = unit_runs(CANONICAL_SYMBOLS)
+        split = [db for row in runs for db in det.step(row[None, :])]
+        split.append(det.flush())
+        assert split == feed_runs(BehaviorDetector(), runs)
+
+
+@st.composite
+def piece_stream(draw):
+    """One channel of constant pieces over four bins, optionally noisy."""
+    pieces = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 200)), max_size=20))
+    levels = np.array([-1.5, -0.5, 0.5, 1.5])
+    values = np.repeat(levels[[b for b, _ in pieces]], [n for _, n in pieces])
+    sigma = draw(st.sampled_from([0.0, 0.45]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return values + sigma * rng.standard_normal(len(values))
+
+
+@given(
+    values=piece_stream(),
+    termination_run=st.integers(2, 5),
+    initiation_context=st.integers(1, 6),
+    log_base=st.integers(2, 10),
+    chunk_size=st.integers(1, 100),
+)
+@settings(max_examples=300, deadline=None)
+def test_run_detector_matches_copy_oracle(
+    values, termination_run, initiation_context, log_base, chunk_size
+):
+    config = EngineConfig(
+        BreakpointSpec(((-1.0, 0.0, 1.0),)),
+        log_base=log_base,
+        termination_run=termination_run,
+        initiation_context=initiation_context,
+    )
+    ref = StepPipeline(config)
+    copies = [rs for v in values.tolist() for rs in ref.step((v,))] + ref.flush()
+    expected = feed_copies(StepBehaviorDetector(termination_run, initiation_context), copies)
+
+    pipeline = PreprocessPipeline(config)
+    detector = BehaviorDetector(termination_run, initiation_context)
+    got = []
+    for lo in range(0, len(values), chunk_size):
+        got += detector.step(pipeline.process_batch(values[lo : lo + chunk_size]))
+    got += detector.step(pipeline.flush())
+    got += [db for db in [detector.flush()] if db is not None]
+    assert got == expected
 
 
 class TestForest:

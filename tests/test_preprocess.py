@@ -14,7 +14,6 @@ from behaviorforest.core import (
     DimensionMismatchError,
     EngineConfig,
     InvalidSampleError,
-    validate_stream_header,
 )
 from behaviorforest import preprocess
 from behaviorforest.preprocess import (
@@ -31,23 +30,29 @@ from oracles import (
     StepPipeline,
     copies_for_run_length,
     discretize,
+    runs_of,
     split_unified,
     unify_symbols,
 )
 
 
-def make_handle(channels, **kw):
-    cfg = EngineConfig(BreakpointSpec(tuple(tuple(ch) for ch in channels)), **kw)
-    return validate_stream_header(len(channels), cfg, stream_id="test")
+def make_config(channels, **kw):
+    return EngineConfig(BreakpointSpec(tuple(tuple(ch) for ch in channels)), **kw)
 
 
-def run_streaming(handle, values):
-    pipe = StepPipeline(handle)
+def run_streaming(config, values):
+    """Run rows of the per-frame oracle pipeline over `values`."""
+    pipe = StepPipeline(config, stream_id="test")
     out = []
     for row in np.atleast_2d(np.asarray(values, dtype=float)):
         out.extend(pipe.step(tuple(row)))
     out.extend(pipe.flush())
-    return out
+    return runs_of(out)
+
+
+def run_chunks(pipe, chunks):
+    """Run rows the pipeline emits over `chunks` and the final flush."""
+    return np.concatenate([*map(pipe.process_batch, chunks), pipe.flush()]).tolist()
 
 
 def debouncer(breakpoints, margin):
@@ -334,89 +339,59 @@ class TestRunCompression:
 
 class TestPipeline:
     def test_runs_tile_the_stream(self):
-        handle = make_handle([(0.5, 1.5, 2.5)], hysteresis_margin=0.0)
+        config = make_config([(0.5, 1.5, 2.5)], hysteresis_margin=0.0)
         values = np.repeat([0.0, 1.0, 2.0, 1.0], [4, 2, 7, 1]).reshape(-1, 1)
-        pipe = PreprocessPipeline(handle)
-        reduced = pipe.process_batch(values) + pipe.flush()
-        spans = []
-        for rs in reduced:
-            if not spans or spans[-1] != rs.raw_span:
-                spans.append(rs.raw_span)
-        assert spans == [(0, 4), (4, 6), (6, 13), (13, 14)]
-        assert [rs.symbol for rs in reduced][:3] == [0, 1, 2]
+        runs = run_chunks(PreprocessPipeline(config), [values])
+        assert runs == [[0, 0, 4, 1], [1, 4, 6, 1], [2, 6, 13, 1], [1, 13, 14, 1]]
 
     def test_long_constant_run_reduces_to_three_copies(self):
-        handle = make_handle([(0.5,)], log_base=10, hysteresis_margin=0.0)
-        pipe = PreprocessPipeline(handle)
+        config = make_config([(0.5,)], log_base=10, hysteresis_margin=0.0)
+        pipe = PreprocessPipeline(config)
         out = pipe.process_batch(np.zeros((500, 1)))
-        assert out == []
+        assert out.shape == (0, 4)
         out = pipe.flush()
-        assert len(out) == 3
-        assert all(rs.symbol == 0 for rs in out)
-        assert all(rs.raw_span == (0, 500) for rs in out)
-        assert all(rs.run_length_raw == 500 for rs in out)
+        assert out.dtype == np.int64
+        assert out.tolist() == [[0, 0, 500, 3]]
 
     def test_copy_counts_match_oracle(self):
-        handle = make_handle([(0.5,)], log_base=2, hysteresis_margin=0.0)
+        config = make_config([(0.5,)], log_base=2, hysteresis_margin=0.0)
         lengths = [1, 2, 3, 4, 9, 17]
         values = np.concatenate(
             [np.full(n, i % 2, dtype=float) for i, n in enumerate(lengths)]
         ).reshape(-1, 1)
-        pipe = PreprocessPipeline(handle)
-        reduced = pipe.process_batch(values) + pipe.flush()
-        counts = {}
-        for rs in reduced:
-            counts[rs.raw_span] = counts.get(rs.raw_span, 0) + 1
-        start = 0
-        for n in lengths:
-            span = (start, start + n)
-            assert counts[span] == copies_for_run_length(n, 2)
-            start += n
+        runs = run_chunks(PreprocessPipeline(config), [values])
+        ends = np.cumsum(lengths).tolist()
+        assert [(start, end) for _, start, end, _ in runs] == list(zip([0, *ends], ends))
+        assert [k for *_, k in runs] == [copies_for_run_length(n, 2) for n in lengths]
 
     @pytest.mark.parametrize("base", [2, 3, 10, 2**31, 10**30])
     def test_copy_counts_around_powers_across_chunks(self, base):
-        handle = make_handle([(0.5,)], log_base=base, hysteresis_margin=0.0)
+        config = make_config([(0.5,)], log_base=base, hysteresis_margin=0.0)
         powers = [base**k for k in range(20) if base**k <= 70_000]
         around_powers = {p + o for p in powers for o in (-1, 0, 1)} - {0}
         lengths = [1, 2, 3, 4, 9, 17, *sorted(around_powers)]
         values = np.concatenate(
             [np.full(n, i % 2, dtype=float) for i, n in enumerate(lengths)]
         ).reshape(-1, 1)
-        pipe = PreprocessPipeline(handle)
-        reduced = []
-        for chunk in np.array_split(values, 37):
-            reduced += pipe.process_batch(chunk)
-        reduced += pipe.flush()
-        counts = {}
-        for rs in reduced:
-            counts[rs.raw_span] = counts.get(rs.raw_span, 0) + 1
-        start = 0
-        for n in lengths:
-            span = (start, start + n)
-            assert counts.pop(span) == copies_for_run_length(n, base)
-            start += n
-        assert counts == {}
+        runs = run_chunks(PreprocessPipeline(config), np.array_split(values, 37))
+        ends = np.cumsum(lengths).tolist()
+        assert [(start, end) for _, start, end, _ in runs] == list(zip([0, *ends], ends))
+        assert [k for *_, k in runs] == [copies_for_run_length(n, base) for n in lengths]
 
     def test_batch_equals_streaming(self):
         rng = np.random.default_rng(5)
         channels = [(-0.5, 0.5), (0.0,)]
         values = rng.normal(scale=0.6, size=(800, 2))
-        expected = run_streaming(make_handle(channels, hysteresis_margin=0.1), values)
-        pipe = PreprocessPipeline(make_handle(channels, hysteresis_margin=0.1))
-        got = pipe.process_batch(values) + pipe.flush()
-        assert got == expected
+        config = make_config(channels, hysteresis_margin=0.1)
+        assert run_chunks(PreprocessPipeline(config), [values]) == run_streaming(config, values)
 
     def test_batch_equals_streaming_across_chunk_splits(self):
         rng = np.random.default_rng(17)
         channels = [(-0.5, 0.5), (0.0,)]
         values = rng.normal(scale=0.6, size=(600, 2))
-        expected = run_streaming(make_handle(channels, hysteresis_margin=0.1), values)
-        pipe = PreprocessPipeline(make_handle(channels, hysteresis_margin=0.1))
-        got = []
-        for chunk in np.array_split(values, 11):
-            got.extend(pipe.process_batch(chunk))
-        got.extend(pipe.flush())
-        assert got == expected
+        config = make_config(channels, hysteresis_margin=0.1)
+        got = run_chunks(PreprocessPipeline(config), np.array_split(values, 11))
+        assert got == run_streaming(config, values)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -426,16 +401,11 @@ class TestPipeline:
         lengths = rng.integers(1, 60, size=40)
         levels = rng.choice([-1.0, -0.45, 0.02, 0.55, 1.0], size=(40, 2))
         values = np.repeat(levels, lengths, axis=0)
-        kw = dict(hysteresis_margin=0.1, log_base=10**30)
-        expected = run_streaming(make_handle(channels, **kw), values)
-        pipe = PreprocessPipeline(make_handle(channels, **kw))
-        got = []
+        config = make_config(channels, hysteresis_margin=0.1, log_base=10**30)
         # About ten samples per chunk, so most runs span several chunks.
         cuts = np.sort(rng.choice(np.arange(1, len(values)), len(values) // 10, replace=False))
-        for chunk in np.split(values, cuts):
-            got.extend(pipe.process_batch(chunk))
-        got.extend(pipe.flush())
-        assert got == expected
+        got = run_chunks(PreprocessPipeline(config), np.split(values, cuts))
+        assert got == run_streaming(config, values)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -444,23 +414,19 @@ class TestPipeline:
         channels = [(-0.5, 0.5)]
         values = rng.choice([-0.5, 0.5], size=200) + rng.normal(scale=0.15, size=200)
         values = values.reshape(-1, 1)
-        expected = run_streaming(make_handle(channels), values)
-        pipe = PreprocessPipeline(make_handle(channels))
-        got = []
+        config = make_config(channels)
         split = rng.integers(1, 199)
-        got.extend(pipe.process_batch(values[:split]))
-        got.extend(pipe.process_batch(values[split:]))
-        got.extend(pipe.flush())
-        assert got == expected
+        got = run_chunks(PreprocessPipeline(config), [values[:split], values[split:]])
+        assert got == run_streaming(config, values)
 
     def test_nan_rejected_without_state_change(self):
-        handle = make_handle([(0.5,)])
-        ref = StepPipeline(handle)
+        config = make_config([(0.5,)])
+        ref = StepPipeline(config)
         ref.step((0.0,))
         with pytest.raises(InvalidSampleError):
             ref.step((math.nan,))
         assert ref.raw_index == 1
-        pipe = PreprocessPipeline(handle)
+        pipe = PreprocessPipeline(config)
         pipe.process_batch(np.array([[0.0]]))
         with pytest.raises(InvalidSampleError):
             pipe.process_batch(np.array([[math.nan]]))
@@ -468,32 +434,28 @@ class TestPipeline:
         with pytest.raises(InvalidSampleError):
             pipe.process_batch(np.array([[0.0], [math.nan]]))
         assert pipe.raw_index == 1
-        assert pipe.flush() == ref.flush()
+        assert pipe.flush().tolist() == runs_of(ref.flush())
 
     def test_dimension_mismatch(self):
-        handle = make_handle([(0.5,), (0.5,)])
+        config = make_config([(0.5,), (0.5,)])
         with pytest.raises(DimensionMismatchError):
-            StepPipeline(handle).step((0.0,))
-        pipe = PreprocessPipeline(handle)
+            StepPipeline(config).step((0.0,))
+        pipe = PreprocessPipeline(config)
         with pytest.raises(DimensionMismatchError):
             pipe.process_batch(np.zeros((3, 1)))
         with pytest.raises(DimensionMismatchError):
             pipe.process_batch(np.zeros((3, 3)))
 
     def test_empty_batch_is_noop(self):
-        handle = make_handle([(0.5,)])
-        pipe = PreprocessPipeline(handle)
-        assert pipe.process_batch(np.empty((0, 1))) == []
-        assert pipe.flush() == []
+        pipe = PreprocessPipeline(make_config([(0.5,)]))
+        for runs in (pipe.process_batch(np.empty((0, 1))), pipe.flush()):
+            assert runs.shape == (0, 4)
+            assert runs.dtype == np.int64
 
     def test_flush_resets_for_reuse(self):
-        handle = make_handle([(0.5,)], hysteresis_margin=0.0)
-        pipe = PreprocessPipeline(handle)
+        pipe = PreprocessPipeline(make_config([(0.5,)], hysteresis_margin=0.0))
         pipe.process_batch(np.zeros((3, 1)))
-        first = pipe.flush()
-        assert [rs.raw_span for rs in first] == [(0, 3)]
+        assert pipe.flush().tolist() == [[0, 0, 3, 1]]
         pipe.process_batch(np.ones((2, 1)))
-        second = pipe.flush()
         # Raw indices keep counting; only the open run is closed.
-        assert [rs.raw_span for rs in second] == [(3, 5)]
-
+        assert pipe.flush().tolist() == [[1, 3, 5, 1]]
