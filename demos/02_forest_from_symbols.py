@@ -57,9 +57,9 @@ def main() -> None:
             f"({db.termination}), new path: {receipt.created_new_node}"
         )
 
-    print("\nforest nodes (path, traversals, completions):")
-    for path, node in forest.iter_nodes():
-        print(f"  {path}  weight={node.edge_weight}  terminal={node.terminal_count}")
+    print("\nforest (one line per node, indented by depth; traversals, completions):")
+    for depth, node in forest.iter_nodes():
+        print(f"{'  ' * depth}{node.symbol}  weight={node.edge_weight}  terminal={node.terminal_count}")
 
     print("\nterminal paths:", forest.terminal_paths())
 

@@ -158,8 +158,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_features(args) -> int:
-    segments = bfio.read_segments(args.segments)
+    # Read the snapshot first: a bad one fails before any segment file is parsed.
     forest = _read_snapshot(args.snapshot or os.path.join(args.segments, "forest.json"))
+    segments = bfio.read_segments(args.segments)
     out = args.out or os.path.join(args.segments, "features.csv")
     bfio.write_features(out, segments, forest)
     print(f"{len(set(s.path for s in segments))} patterns -> {out}")

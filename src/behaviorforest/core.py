@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from scipy.special import ndtri
@@ -90,7 +90,7 @@ class BreakpointSpec:
     @classmethod
     def from_alphabet_sizes(cls, sizes: Sequence[int]) -> "BreakpointSpec":
         """Build equiprobable-Gaussian breakpoints for each channel."""
-        return cls(tuple(gaussian_breakpoints(int(a)) for a in sizes))
+        return cls(tuple(gaussian_breakpoints(a) for a in sizes))
 
 
 def _is_int(value) -> bool:
@@ -135,17 +135,17 @@ class EngineConfig:
 
     def config_hash(self) -> str:
         """Stable short hash of all parameters, embedded in snapshots."""
-        doc = {
-            "breakpoints": [list(ch) for ch in self.breakpoints.channels],
-            "log_base": self.log_base,
-            "relevance_threshold": self.relevance_threshold,
-            # 0 and 0.0 are one filter, so they must share one hash.
-            "hysteresis_margin": float(self.hysteresis_margin),
-            "termination_run": self.termination_run,
-            "initiation_context": self.initiation_context,
-        }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        blob = json.dumps(_config_doc(self), sort_keys=True, separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _config_doc(config: EngineConfig) -> dict:
+    """Every field as JSON values: what `config_hash` hashes and `save_config` writes."""
+    doc = {f.name: getattr(config, f.name) for f in fields(config)}
+    doc["breakpoints"] = [list(ch) for ch in config.breakpoints.channels]
+    # 0 and 0.0 are one filter, so they must share one hash.
+    doc["hysteresis_margin"] = float(config.hysteresis_margin)
+    return doc
 
 
 def validate_stream_header(

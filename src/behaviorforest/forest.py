@@ -6,7 +6,8 @@ stationary one and closes when a run settles into a plateau, which then
 seeds the next pattern's context.  Closed patterns are inserted into a
 forest of prefix trees whose edge weights and terminal counts accumulate
 across streams, giving O(path length) occurrence lookups without storing
-raw data.
+raw data.  Every walk over a forest is `BehaviorForest.iter_nodes`, an
+explicit-stack pre-order traversal, so only the JSON encoder recurses.
 """
 
 from __future__ import annotations
@@ -176,22 +177,25 @@ class BehaviorForest:
         node = self.find(path)
         return node.terminal_count if node is not None else 0
 
-    def iter_nodes(self) -> Iterator[Tuple[Tuple[int, ...], BehaviorNode]]:
-        """Depth-first (symbol-sorted) traversal yielding (path, node)."""
-        stack = [((symbol,), node) for symbol, node in sorted(self.roots.items(), reverse=True)]
+    def iter_nodes(self) -> Iterator[Tuple[int, BehaviorNode]]:
+        """Pre-order walk yielding (depth, node): roots at depth 1, children by symbol."""
+        stack = [(1, node) for _, node in sorted(self.roots.items(), reverse=True)]
         while stack:
-            path, node = stack.pop()
-            yield path, node
-            for symbol, child in sorted(node.children.items(), reverse=True):
-                stack.append((path + (symbol,), child))
+            depth, node = stack.pop()
+            yield depth, node
+            for _, child in sorted(node.children.items(), reverse=True):
+                stack.append((depth + 1, child))
 
     def terminal_paths(self) -> Dict[Tuple[int, ...], int]:
         """All paths behaviors have ended on, with their occurrence counts."""
-        return {
-            path: node.terminal_count
-            for path, node in self.iter_nodes()
-            if node.terminal_count > 0
-        }
+        paths: Dict[Tuple[int, ...], int] = {}
+        path: List[int] = []
+        for depth, node in self.iter_nodes():
+            del path[depth - 1 :]
+            path.append(node.symbol)
+            if node.terminal_count > 0:
+                paths[tuple(path)] = node.terminal_count
+        return paths
 
     @property
     def n_nodes(self) -> int:
@@ -202,26 +206,22 @@ class BehaviorForest:
         return sum(node.terminal_count for _, node in self.iter_nodes())
 
 
-def _node_doc(node: BehaviorNode) -> dict:
-    return {
-        "symbol": node.symbol,
-        "terminal_count": node.terminal_count,
-        "children": [
-            {"edge_weight": child.edge_weight, "node": _node_doc(child)}
-            for _, child in sorted(node.children.items())
-        ],
-    }
-
-
 def forest_snapshot(forest: BehaviorForest, config_hash: str) -> dict:
     """JSON-ready document capturing the full forest state."""
+    # links[d - 1] is the list a depth-d node's link goes into: the root
+    # entries {"symbol", "node"} or its parent's {"edge_weight", "node"} links.
+    links: List[List[dict]] = [[]]
+    for depth, node in forest.iter_nodes():
+        doc = {"symbol": node.symbol, "terminal_count": node.terminal_count, "children": []}
+        link = {"symbol": node.symbol} if depth == 1 else {"edge_weight": node.edge_weight}
+        link["node"] = doc
+        del links[depth:]
+        links[-1].append(link)
+        links.append(doc["children"])
     return {
         "version": SNAPSHOT_VERSION,
         "config_hash": config_hash,
-        "roots": [
-            {"symbol": symbol, "node": _node_doc(node)}
-            for symbol, node in sorted(forest.roots.items())
-        ],
+        "roots": links[0],
         "total_insertions": forest.total_insertions,
     }
 
@@ -229,8 +229,8 @@ def forest_snapshot(forest: BehaviorForest, config_hash: str) -> dict:
 def snapshot_dumps(forest: BehaviorForest, config_hash: str) -> str:
     """The snapshot as JSON text; raises SnapshotError if the forest is too deep.
 
-    The v1 document nests one level per path symbol, and building or
-    encoding it recurses once per level.
+    The v1 document nests one level per path symbol.  Building it does not
+    recurse, but the indenting JSON encoder recurses once per nesting level.
     """
     try:
         return json.dumps(forest_snapshot(forest, config_hash), indent=2, sort_keys=True)
@@ -250,26 +250,6 @@ def _require(doc: dict, key: str, kind) -> object:
     return value
 
 
-def _restore_node(doc: dict, edge_weight: int) -> BehaviorNode:
-    symbol = _require(doc, "symbol", int)
-    terminal = _require(doc, "terminal_count", int)
-    if symbol < 0 or terminal < 0:
-        raise SnapshotError("snapshot symbols and counts must be non-negative")
-    node = BehaviorNode(symbol)
-    node.edge_weight = edge_weight
-    node.terminal_count = terminal
-    children = _require(doc, "children", list)
-    for link in children:
-        weight = _require(link, "edge_weight", int)
-        if weight < 1:
-            raise SnapshotError("snapshot edge weights must be >= 1")
-        child = _restore_node(_require(link, "node", dict), weight)
-        if child.symbol in node.children:
-            raise SnapshotError(f"duplicate child symbol {child.symbol}")
-        node.children[child.symbol] = child
-    return node
-
-
 def forest_restore(doc: dict, expected_config_hash: Optional[str] = None) -> BehaviorForest:
     """Rebuild a forest from a snapshot document, validating as it goes."""
     version = _require(doc, "version", int)
@@ -282,37 +262,49 @@ def forest_restore(doc: dict, expected_config_hash: Optional[str] = None) -> Beh
             f"config hashes to {expected_config_hash}"
         )
     forest = BehaviorForest()
-    for entry in _require(doc, "roots", list):
-        symbol = _require(entry, "symbol", int)
-        node = _restore_node(_require(entry, "node", dict), edge_weight=0)
-        if symbol != node.symbol:
-            raise SnapshotError(f"root entry symbol {symbol} != node symbol {node.symbol}")
-        if symbol in forest.roots:
-            raise SnapshotError(f"duplicate root symbol {symbol}")
-        forest.roots[symbol] = node
-    total = _require(doc, "total_insertions", int)
-    forest.total_insertions = total
-    if forest.checked_total() != total:
-        raise SnapshotError(
-            f"total_insertions {total} does not match terminal counts "
-            f"({forest.checked_total()})"
-        )
+    terminals = 0
+    # One stack of (link, parent): root entries have no parent.
+    stack = [(entry, None) for entry in reversed(_require(doc, "roots", list))]
+    while stack:
+        link, parent = stack.pop()
+        key = _require(link, "symbol" if parent is None else "edge_weight", int)
+        if parent is not None and key < 1:
+            raise SnapshotError("snapshot edge weights must be >= 1")
+        node_doc = _require(link, "node", dict)
+        node = BehaviorNode(_require(node_doc, "symbol", int))
+        node.terminal_count = _require(node_doc, "terminal_count", int)
+        if node.symbol < 0 or node.terminal_count < 0:
+            raise SnapshotError("snapshot symbols and counts must be non-negative")
+        terminals += node.terminal_count
+        if parent is None and key != node.symbol:
+            raise SnapshotError(f"root entry symbol {key} != node symbol {node.symbol}")
+        node.edge_weight = 0 if parent is None else key
+        siblings, kind = (forest.roots, "root") if parent is None else (parent.children, "child")
+        if node.symbol in siblings:
+            raise SnapshotError(f"duplicate {kind} symbol {node.symbol}")
+        siblings[node.symbol] = node
+        stack.extend((child, node) for child in reversed(_require(node_doc, "children", list)))
+    forest.total_insertions = total = _require(doc, "total_insertions", int)
+    if terminals != total:
+        raise SnapshotError(f"total_insertions {total} does not match terminal counts ({terminals})")
     return forest
 
 
 def forest_to_dot(forest: BehaviorForest) -> str:
     """Render the forest as a deterministic Graphviz digraph.
 
-    One node statement per tree node labeled "symbol [terminal_count]", one
-    edge statement per child link labeled with its weight; everything is
-    sorted by symbol so equal forests serialize identically.
+    Nodes are numbered n0, n1, ... in pre-order.  One node statement per
+    tree node labeled "symbol [terminal_count]", one edge statement per
+    child link labeled with its weight; everything is sorted by symbol so
+    equal forests serialize identically.
     """
     nodes: List[str] = []
     edges: List[str] = []
-    for path, node in forest.iter_nodes():
-        nid = "n" + "_".join(str(s) for s in path)
-        nodes.append(f'  {nid} [label="{node.symbol} [{node.terminal_count}]"];')
-        if len(path) > 1:
-            pid = "n" + "_".join(str(s) for s in path[:-1])
-            edges.append(f'  {pid} -> {nid} [label="{node.edge_weight}"];')
+    ids: List[int] = []  # ids[d - 1]: number of the last node seen at depth d
+    for i, (depth, node) in enumerate(forest.iter_nodes()):
+        nodes.append(f'  n{i} [label="{node.symbol} [{node.terminal_count}]"];')
+        del ids[depth - 1 :]
+        if ids:
+            edges.append(f'  n{ids[-1]} -> n{i} [label="{node.edge_weight}"];')
+        ids.append(i)
     return "\n".join(["digraph behavior_forest {", *nodes, *edges, "}"]) + "\n"

@@ -22,19 +22,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import FEATURE_NAMES, VarianceComparison, extract_features
-from .core import BreakpointSpec, ConfigError, EngineConfig
+from .core import BreakpointSpec, ConfigError, EngineConfig, _config_doc
 from .forest import BehaviorForest
 from .selection import RecordedSegment, RunStats, cumulative_fractions
 
-_CONFIG_KEYS = {
-    "breakpoints",
-    "alphabet_sizes",
-    "log_base",
-    "relevance_threshold",
-    "hysteresis_margin",
-    "termination_run",
-    "initiation_context",
-}
+# The EngineConfig fields a config document sets as they are.
+_SCALAR_KEYS = tuple(f.name for f in dataclasses.fields(EngineConfig) if f.name != "breakpoints")
+_CONFIG_KEYS = {"breakpoints", "alphabet_sizes", *_SCALAR_KEYS}
 
 # Rows formatted per write_series block; bounds its memory for any length.
 _ROW_BLOCK = 1 << 14
@@ -74,31 +68,13 @@ def config_from_dict(doc: dict, source: str = "config") -> EngineConfig:
         spec = BreakpointSpec.from_alphabet_sizes(sizes)
     else:
         raise ConfigError(f"{source}: provide breakpoints or alphabet_sizes")
-    kwargs = {
-        key: doc[key]
-        for key in (
-            "log_base",
-            "relevance_threshold",
-            "hysteresis_margin",
-            "termination_run",
-            "initiation_context",
-        )
-        if key in doc
-    }
+    kwargs = {key: doc[key] for key in _SCALAR_KEYS if key in doc}
     return EngineConfig(breakpoints=spec, **kwargs)
 
 
 def save_config(path: str, config: EngineConfig) -> None:
-    doc = {
-        "breakpoints": [list(ch) for ch in config.breakpoints.channels],
-        "log_base": config.log_base,
-        "relevance_threshold": config.relevance_threshold,
-        "hysteresis_margin": config.hysteresis_margin,
-        "termination_run": config.termination_run,
-        "initiation_context": config.initiation_context,
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(_config_doc(config), fh, indent=2)
         fh.write("\n")
 
 

@@ -440,3 +440,25 @@ def csv_write_series(
         writer.writerow(["t", *names])
         for ti, row in zip(np.asarray(t, dtype=np.float64), values):
             writer.writerow([repr(float(ti)), *(repr(float(v)) for v in row)])
+
+
+def path_id_dot(forest) -> str:
+    """Graphviz text of a forest whose node ids spell their full path, `n1_2_3`.
+
+    The reference for `forest.forest_to_dot`, which numbers nodes in
+    pre-order instead: renaming its `n<i>` to the path id of the i-th
+    pre-order node must give these bytes.  The ids make it quadratic in depth.
+    """
+    nodes: List[str] = []
+    edges: List[str] = []
+    stack = [((symbol,), node) for symbol, node in sorted(forest.roots.items(), reverse=True)]
+    while stack:
+        path, node = stack.pop()
+        nid = "n" + "_".join(str(s) for s in path)
+        nodes.append(f'  {nid} [label="{node.symbol} [{node.terminal_count}]"];')
+        if len(path) > 1:
+            pid = "n" + "_".join(str(s) for s in path[:-1])
+            edges.append(f'  {pid} -> {nid} [label="{node.edge_weight}"];')
+        for symbol, child in sorted(node.children.items(), reverse=True):
+            stack.append((path + (symbol,), child))
+    return "\n".join(["digraph behavior_forest {", *nodes, *edges, "}"]) + "\n"

@@ -4,11 +4,13 @@ import dataclasses
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from oracles import StepBehaviorDetector, StepPipeline
 
 from behaviorforest import cli
@@ -367,6 +369,15 @@ class TestConfigIO:
         save_config(path, cfg)
         assert load_config(path) == cfg
         assert load_config(path).config_hash() == cfg.config_hash()
+        # Every field is written; an int margin as the float the hash uses.
+        cfg = dataclasses.replace(fixture_config(), hysteresis_margin=0, log_base=7)
+        save_config(path, cfg)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert list(doc) == [f.name for f in dataclasses.fields(EngineConfig)]
+        assert repr(doc["hysteresis_margin"]) == "0.0"
+        assert load_config(path) == cfg
+        assert load_config(path).config_hash() == cfg.config_hash()
 
     def test_flat_breakpoints_shorthand(self):
         cfg = config_from_dict({"breakpoints": [0.0, 1.0]})
@@ -390,6 +401,11 @@ class TestConfigIO:
             {"breakpoints": [[1.0, 0.5]]},
             {"alphabet_sizes": []},
             {"alphabet_sizes": [1]},
+            # Alphabet sizes are JSON integers: no truncation, no coercion.
+            {"alphabet_sizes": [4.9, 4]},
+            {"alphabet_sizes": ["4", 4]},
+            {"alphabet_sizes": [4.0]},
+            {"alphabet_sizes": [True, 4]},
             {"breakpoints": [0.0], "log_base": 1},
         ],
     )
@@ -542,6 +558,23 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes", [[4.9, 4], ["4", 4], [4.0, 4]])
+    def test_exit_code_2_for_non_integer_alphabet_size(self, workdir, capsys, sizes):
+        data = self.gen(workdir)
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps({"alphabet_sizes": sizes}))
+        rc = cli.main(["discover", str(data), "--config", str(bad), "--out", str(workdir / "x")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_features_reads_snapshot_before_segments(self, workdir, capsys):
+        # workdir holds no segments.csv: the bad snapshot is the error reported.
+        bad = workdir / "bad.json"
+        bad.write_text("{not json")
+        rc = cli.main(["features", "--segments", str(workdir), "--snapshot", str(bad)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_exit_code_2_for_boolean_count_in_config(self, workdir, capsys):
         data = self.gen(workdir)
         bad = workdir / "bad.json"
@@ -683,3 +716,60 @@ class TestCli:
         stats = json.loads((out / "stats.json").read_text())
         # Two recordings per path (novel + one under-threshold repeat).
         assert stats["recorded_db_count"] == 8
+
+
+# Any JSON value a config field might hold, of the right type or not.
+_ANY_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-1, 9), st.floats(-3, 3), st.text(max_size=1)), max_size=3),
+    st.lists(st.lists(st.floats(-3, 3), max_size=3), max_size=3),
+)
+
+
+@st.composite
+def _discover_case(draw):
+    """A finite series, a config document that may be wrong, and a buffer capacity."""
+    d = draw(st.integers(1, 3))
+    finite = st.one_of(st.floats(-3, 3), st.floats(allow_nan=False, allow_infinity=False))
+    values = draw(hnp.arrays(np.float64, (draw(st.integers(0, 60)), d), elements=finite))
+    if draw(st.booleans()):
+        channel = st.lists(st.floats(-3, 3), min_size=1, max_size=4).map(lambda b: sorted(set(b)))
+        config = {"breakpoints": draw(st.lists(channel, min_size=d, max_size=d))}
+    else:
+        config = {"alphabet_sizes": draw(st.lists(st.integers(2, 9), min_size=d, max_size=d))}
+    scalars = {
+        "log_base": st.integers(2, 12),
+        "relevance_threshold": st.integers(1, 6),
+        "hysteresis_margin": st.floats(0, 0.49),
+        "termination_run": st.integers(2, 5),
+        "initiation_context": st.integers(1, 4),
+    }
+    config.update(draw(st.fixed_dictionaries({}, optional=scalars)))
+    keys = ["breakpoints", "alphabet_sizes", *scalars]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        config[key] = draw(_ANY_JSON)
+    return values, config, draw(st.none() | st.integers(-1, 50))
+
+
+@given(case=_discover_case())
+@settings(max_examples=250, deadline=None)
+def test_discover_never_raises(case):
+    """Any finite CSV and any config document end in a documented exit code."""
+    values, config, capacity = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data, cfg, out = (os.path.join(tmp, name) for name in ("s.csv", "c.json", "out"))
+        write_series(data, np.arange(len(values), dtype=float), values)
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        argv = ["discover", data, "--config", cfg, "--out", out]
+        if capacity is not None:
+            argv += ["--buffer-capacity", str(capacity)]
+        rc = cli.main(argv)
+        event(f"exit {rc}")
+        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_OVERFLOW)
+        if rc == cli.EXIT_OK:
+            assert {"segments.csv", "stats.json", "forest.json", "forest.dot"} <= set(os.listdir(out))

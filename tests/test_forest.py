@@ -1,12 +1,13 @@
 """Behavior detection over runs and the weighted prefix forest."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ReducedSymbol, StepBehaviorDetector, StepPipeline, unit_runs
+from oracles import ReducedSymbol, StepBehaviorDetector, StepPipeline, path_id_dot, unit_runs
 
 from behaviorforest.core import BreakpointSpec, EngineConfig, SnapshotError
 from behaviorforest.forest import (
@@ -43,6 +44,15 @@ def feed_copies(detector, copies, flush=True):
         if db is not None:
             out.append(db)
     return out
+
+
+def with_paths(forest):
+    """(path, node) for every node of `forest.iter_nodes()`, in its order."""
+    path = []
+    for depth, node in forest.iter_nodes():
+        del path[depth - 1 :]
+        path.append(node.symbol)
+        yield tuple(path), node
 
 
 class TestDetector:
@@ -365,7 +375,7 @@ class TestForest:
         for p in set(paths):
             assert forest.occurrence_count(p) == paths.count(p)
         # Edge weights equal the number of inserted paths sharing the prefix.
-        for prefix, node in forest.iter_nodes():
+        for prefix, node in with_paths(forest):
             expected = sum(1 for p in paths if p[: len(prefix)] == prefix)
             if len(prefix) > 1:
                 assert node.edge_weight == expected
@@ -378,8 +388,9 @@ class TestForest:
         forest.insert((2, 1))
         forest.insert((1, 3))
         forest.insert((1, 2))
-        order = [path for path, _ in forest.iter_nodes()]
-        assert order == [(1,), (1, 2), (1, 3), (2,), (2, 1)]
+        order = [(depth, node.symbol) for depth, node in forest.iter_nodes()]
+        assert order == [(1, 1), (2, 2), (2, 3), (1, 2), (2, 1)]
+        assert [path for path, _ in with_paths(forest)] == [(1,), (1, 2), (1, 3), (2,), (2, 1)]
 
     def test_terminal_paths(self):
         forest = BehaviorForest()
@@ -505,10 +516,11 @@ class TestDot:
         edge_lines = [l for l in lines if "->" in l]
         assert len(node_lines) == 6
         assert len(edge_lines) == 5
-        assert '  n1_2_3_2_1 [label="1 [1]"];' in node_lines
-        assert '  n1_2_3_4 [label="4 [1]"];' in node_lines
-        assert '  n1 -> n1_2 [label="2"];' in edge_lines
-        assert '  n1_2_3 -> n1_2_3_4 [label="1"];' in edge_lines
+        # Pre-order ids: n0..n4 spell 1, 2, 3, 2, 1 and n5 is the final 4.
+        assert '  n4 [label="1 [1]"];' in node_lines
+        assert '  n5 [label="4 [1]"];' in node_lines
+        assert '  n0 -> n1 [label="2"];' in edge_lines
+        assert '  n2 -> n5 [label="1"];' in edge_lines
         assert dot.endswith("}\n")
 
     def test_empty_forest(self):
@@ -521,3 +533,59 @@ class TestDot:
         for p in [(1, 3), (3, 1), (1, 2)]:
             b.insert(p)
         assert forest_to_dot(a) == forest_to_dot(b)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_paths=st.integers(min_value=0, max_value=40),
+        alphabet=st.sampled_from([2, 4, 12]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_preorder_ids_rename_to_path_id_oracle(self, seed, n_paths, alphabet):
+        import random
+
+        rng = random.Random(seed)
+        forest = BehaviorForest()
+        for _ in range(n_paths):
+            forest.insert([rng.randrange(alphabet) for _ in range(rng.randint(2, 7))])
+        path_ids = ["n" + "_".join(map(str, path)) for path, _ in with_paths(forest)]
+        renamed = re.sub(
+            r"\bn(\d+)\b", lambda m: path_ids[int(m.group(1))], forest_to_dot(forest)
+        )
+        assert renamed == path_id_dot(forest)
+
+
+def same_document(a, b) -> bool:
+    """`a == b` for JSON-shaped values, compared without recursing."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, dict):
+            if x.keys() != y.keys():
+                return False
+            stack.extend((x[k], y[k]) for k in x)
+        elif isinstance(x, list):
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif x != y:
+            return False
+    return True
+
+
+def test_deep_chain_snapshot_restore_dot_and_paths():
+    # One 100,001-symbol behavior: every walk must be linear and iterative.
+    path = tuple(i % 5 for i in range(100_001))
+    forest = BehaviorForest()
+    forest.insert(path)
+    doc = forest_snapshot(forest, "h")
+    restored = forest_restore(doc, expected_config_hash="h")
+    assert same_document(forest_snapshot(restored, "h"), doc)
+    assert not same_document(forest_snapshot(restored, "g"), doc)
+    lines = forest_to_dot(restored).splitlines()
+    assert sum(1 for line in lines if " -> " in line) == 100_000
+    assert sum(1 for line in lines if "[label=" in line and " -> " not in line) == 100_001
+    assert restored.n_nodes == 100_001
+    assert restored.checked_total() == restored.total_insertions == 1
+    assert restored.terminal_paths() == {path: 1}

@@ -144,10 +144,11 @@ class TestReadSeries:
 
 # sha256 of every file `discover` writes for generate_synthetic(0,
 # bursts_per_pattern=3) under configs/synthetic.json, as written by the
-# per-row csv writer before series files were block-formatted.
+# per-row csv writer before series files were block-formatted.  forest.dot
+# numbers its nodes in pre-order (n0, n1, ...).
 GOLDEN_INPUT = "e9bd936f0ee91151d7d2fe154260fb064622d198ea2e0b5096c38c1f998e6919"
 GOLDEN_OUTPUT = {
-    "forest.dot": "799368c01eb83c0f4898ac53d8c52abb3daf45eccda43f57bdb8fc1efe6e1a2b",
+    "forest.dot": "48567587da2e6fdd8966baf0cd48271b09fb9df70e3e244c33770ad5b90fc22c",
     "forest.json": "2f8fca0d5e0f3768758343db1c28a5247d9d9064723d092934af72153747bbdd",
     "segments.csv": "4ec534e62ffb961b5216bf75bc63290b38ee34dd2a1885b26731864a5eb03962",
     "stats.json": "7750a94f3d6f9ca2a177e989f23584de366f4e0d39bcfac58264ab83226fdbad",
