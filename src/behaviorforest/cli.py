@@ -2,14 +2,15 @@
 
 Subcommands cover the full loop: generate a benchmark stream, discover and
 record patterns, replay a dataset to watch recording decay, export pattern
-features, compare variances, and render the forest as Graphviz.
+features, compare variances, and render the forest as Graphviz.  Every
+file is read and written through `behaviorforest.io`; this module only
+maps arguments to calls and failures to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from typing import List, Optional
@@ -25,7 +26,7 @@ from .core import (
     SnapshotError,
 )
 from .engine import DiscoveryEngine, discover, replay
-from .forest import BehaviorForest, forest_restore, forest_to_dot, snapshot_dumps
+from .forest import forest_to_dot, snapshot_dumps
 from .selection import cumulative_fractions
 
 EXIT_OK = 0
@@ -67,31 +68,12 @@ def _load_streams(paths: List[str]):
     return streams
 
 
-def _read_snapshot(path: str, expected_hash: Optional[str] = None) -> BehaviorForest:
-    """The forest in a snapshot file; a malformed or too deep one is a SnapshotError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return forest_restore(json.load(fh), expected_config_hash=expected_hash)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"{path}: not valid JSON ({exc})") from exc
-        except RecursionError:
-            raise SnapshotError(f"{path}: snapshot nests too deeply to read") from None
-
-
-def _write_text(path: str, *parts: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(parts)
-
-
 def _write_forest_outputs(out_dir: str, engine: DiscoveryEngine) -> None:
-    # Each text is built before its file is opened, so a failed render
-    # leaves no empty file behind.
-    _write_text(
+    bfio.write_text(
         os.path.join(out_dir, "forest.json"),
-        snapshot_dumps(engine.forest, engine.config.config_hash()),
-        "\n",
+        snapshot_dumps(engine.forest, engine.config.config_hash()) + "\n",
     )
-    _write_text(os.path.join(out_dir, "forest.dot"), forest_to_dot(engine.forest))
+    bfio.write_text(os.path.join(out_dir, "forest.dot"), forest_to_dot(engine.forest))
 
 
 def cmd_discover(args) -> int:
@@ -99,14 +81,13 @@ def cmd_discover(args) -> int:
     config = _apply_overrides(bfio.load_config(args.config), args)
     prior = None
     if args.snapshot is not None:
-        prior = _read_snapshot(args.snapshot, config.config_hash())
+        prior = bfio.read_snapshot(args.snapshot, config.config_hash())
     loaded = _load_streams(args.inputs)
     streams = [(sid, t, v) for sid, t, v, _ in loaded]
     channel_names = loaded[0][3] if loaded else None
     engine, result = discover(
         config, streams, forest=prior, buffer_capacity=args.buffer_capacity
     )
-    os.makedirs(args.out, exist_ok=True)
     bfio.write_segments(args.out, result.segments, channel_names)
     bfio.write_stats(os.path.join(args.out, "stats.json"), result.stats)
     _write_forest_outputs(args.out, engine)
@@ -159,7 +140,7 @@ def cmd_gen(args) -> int:
 
 def cmd_features(args) -> int:
     # Read the snapshot first: a bad one fails before any segment file is parsed.
-    forest = _read_snapshot(args.snapshot or os.path.join(args.segments, "forest.json"))
+    forest = bfio.read_snapshot(args.snapshot or os.path.join(args.segments, "forest.json"))
     segments = bfio.read_segments(args.segments)
     out = args.out or os.path.join(args.segments, "features.csv")
     bfio.write_features(out, segments, forest)
@@ -189,10 +170,9 @@ def cmd_variance(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    text = forest_to_dot(_read_snapshot(args.snapshot))
+    text = forest_to_dot(bfio.read_snapshot(args.snapshot))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        bfio.write_text(args.out, text)
         print(f"forest graph -> {args.out}")
     else:
         sys.stdout.write(text)

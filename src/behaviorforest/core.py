@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -48,8 +50,7 @@ def gaussian_breakpoints(alpha: int) -> tuple[float, ...]:
     The resulting bins are equiprobable under a standard normal, the usual
     default when no domain breakpoints are known.
     """
-    if not isinstance(alpha, int) or alpha < 2:
-        raise ConfigError(f"alphabet size must be an integer >= 2, got {alpha!r}")
+    _check_alphabet_size(alpha)
     qs = ndtri([j / alpha for j in range(1, alpha)])
     return tuple(float(q) for q in qs)
 
@@ -66,18 +67,18 @@ class BreakpointSpec:
     channels: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        channels = tuple(tuple(float(b) for b in ch) for ch in self.channels)
+        channels = tuple(
+            tuple(_breakpoint(c, b) for b in ch) for c, ch in enumerate(self.channels)
+        )
         if not channels:
             raise ConfigError("at least one channel is required")
         for c, ch in enumerate(channels):
             if not ch:
                 raise ConfigError(f"channel {c}: empty breakpoint list")
-            for b in ch:
-                if not math.isfinite(b):
-                    raise ConfigError(f"channel {c}: non-finite breakpoint {b!r}")
             if any(a >= b for a, b in zip(ch, ch[1:])):
                 raise ConfigError(f"channel {c}: breakpoints must be strictly ascending")
         object.__setattr__(self, "channels", channels)
+        _check_fused_size(self.alphabet_sizes)
 
     @property
     def n_channels(self) -> int:
@@ -90,12 +91,41 @@ class BreakpointSpec:
     @classmethod
     def from_alphabet_sizes(cls, sizes: Sequence[int]) -> "BreakpointSpec":
         """Build equiprobable-Gaussian breakpoints for each channel."""
+        # Refuse an oversized alphabet before computing any of its quantiles.
+        for alpha in sizes:
+            _check_alphabet_size(alpha)
+        _check_fused_size(sizes)
         return cls(tuple(gaussian_breakpoints(a) for a in sizes))
 
 
 def _is_int(value) -> bool:
     # bool is an int subclass, but True would hash differently from 1.
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_alphabet_size(alpha) -> None:
+    if not isinstance(alpha, int) or alpha < 2:
+        raise ConfigError(f"alphabet size must be an integer >= 2, got {alpha!r}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _breakpoint(channel: int, value) -> float:
+    """A breakpoint as a float: a finite real number, never a string or bool."""
+    # Compared, not passed to isfinite: an int past the float range cannot convert.
+    if not (_is_real(value) and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"channel {channel}: breakpoint {value!r} is not a finite number")
+    return float(value)
+
+
+def _check_fused_size(alphabet_sizes: Sequence[int]) -> None:
+    """Refuse alphabets whose fused mixed-radix codes would not fit in an int64."""
+    if math.prod(alphabet_sizes) > 2**63:
+        raise ConfigError(
+            f"alphabet sizes {list(alphabet_sizes)} fuse to more than 2**63 symbols"
+        )
 
 
 @dataclass(frozen=True)
@@ -122,7 +152,8 @@ class EngineConfig:
         if not _is_int(self.relevance_threshold) or self.relevance_threshold < 1:
             raise ConfigError("relevance_threshold must be an integer >= 1")
         h = self.hysteresis_margin
-        if not ((_is_int(h) or isinstance(h, float)) and math.isfinite(h) and 0.0 <= h < 0.5):
+        # The range check also refuses nan and inf, and never converts a huge int.
+        if not ((_is_int(h) or isinstance(h, float)) and 0.0 <= h < 0.5):
             raise ConfigError(f"hysteresis_margin must satisfy 0 <= h < 0.5, got {h!r}")
         if not _is_int(self.termination_run) or self.termination_run < 2:
             raise ConfigError("termination_run must be an integer >= 2")

@@ -1,4 +1,4 @@
-"""File formats: delimited series, JSON configs, and result exports.
+"""File formats: series, configs, snapshots and exports; the only module that opens files.
 
 Series files are comma-delimited text with a mandatory header row; the
 first column is the timestamp, every further column one channel.  The
@@ -6,24 +6,28 @@ bytes `write_series` produces are fixed: a header row quoted by the csv
 module, then one row per sample whose values are the shortest round-trip
 `repr` of each float64, every line ending in "\r\n".  Configs are JSON
 with either explicit per-channel breakpoints or alphabet sizes to derive
-equiprobable-Gaussian ones.  All exports are plain CSV/JSON so the results
-stay inspectable without this package.
+equiprobable-Gaussian ones.  Config and snapshot JSON share one reader.
+Every file written, series, document or table, replaces its target whole
+by a rename from a temporary sibling, only once complete; `write_segments`
+removes any old manifest first and writes the new one after the segment
+files it lists.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import os
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .analysis import FEATURE_NAMES, VarianceComparison, extract_features
-from .core import BreakpointSpec, ConfigError, EngineConfig, _config_doc
-from .forest import BehaviorForest
+from .core import BreakpointSpec, ConfigError, EngineConfig, SnapshotError, _config_doc, _is_real
+from .forest import BehaviorForest, forest_restore
 from .selection import RecordedSegment, RunStats, cumulative_fractions
 
 # The EngineConfig fields a config document sets as they are.
@@ -34,28 +38,78 @@ _CONFIG_KEYS = {"breakpoints", "alphabet_sizes", *_SCALAR_KEYS}
 _ROW_BLOCK = 1 << 14
 
 
-def load_config(path: str) -> EngineConfig:
-    """Read an engine config from JSON; unknown keys are rejected loudly."""
+def _read_json(path: str, error: type) -> object:
+    """The document in a JSON file; undecodable or too deeply nested text is `error`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError:
+            raise error(f"{path}: JSON nests too deeply to read") from None
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A temporary sibling text file that replaces `path`, by one rename, only on success.
+
+    This guards against failures inside the process; the file is not synced
+    to disk, so a power loss may still lose it.  The new file takes its mode
+    from the umask, and the target's directory must be writable.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        # A device or pipe, such as /dev/null, is written to, never replaced.
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)  # replace a symlink's target, not the link
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    return config_from_dict(doc, source=path)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_text(path: str, text: str) -> None:
+    """Replace `path` with `text`; on failure the old file stays as it was."""
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
+def _write_json(path: str, doc: object) -> None:
+    write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def _write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Replace `path` with a CSV table; rows may be a generator."""
+    with _replacing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def load_config(path: str) -> EngineConfig:
+    """Read an engine config from JSON; see `config_from_dict`."""
+    return config_from_dict(_read_json(path, ConfigError), source=path)
 
 
 def config_from_dict(doc: dict, source: str = "config") -> EngineConfig:
+    """An engine config from a JSON object; unknown keys are rejected loudly."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source}: config must be a JSON object")
+    unknown = set(doc) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"{source}: unknown config keys {sorted(unknown)}")
     if "breakpoints" in doc:
         raw = doc["breakpoints"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError(f"{source}: breakpoints must be a non-empty list")
         # A flat number list is shorthand for a single channel.
-        if all(isinstance(b, (int, float)) for b in raw):
+        if all(_is_real(b) for b in raw):
             raw = [raw]
         try:
             spec = BreakpointSpec(tuple(tuple(ch) for ch in raw))
@@ -73,9 +127,12 @@ def config_from_dict(doc: dict, source: str = "config") -> EngineConfig:
 
 
 def save_config(path: str, config: EngineConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_config_doc(config), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, _config_doc(config))
+
+
+def read_snapshot(path: str, expected_hash: Optional[str] = None) -> BehaviorForest:
+    """The forest in a snapshot file; a malformed or too deep one is a SnapshotError."""
+    return forest_restore(_read_json(path, SnapshotError), expected_config_hash=expected_hash)
 
 
 def read_series(path: str) -> Tuple[np.ndarray, np.ndarray, List[str]]:
@@ -126,7 +183,7 @@ def write_series(
     # "%r" % x is repr(x) and "\r\n" is csv's line terminator, so each block
     # of rows is formatted by one %-operation with the bytes csv.writer gives.
     row = ",".join(["%r"] * (d + 1)) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         csv.writer(fh).writerow(["t", *names])
         for start in range(0, len(t), _ROW_BLOCK):
             block = np.column_stack(
@@ -149,38 +206,24 @@ MANIFEST_COLUMNS = (
 
 
 def write_segments(
-    out_dir: str,
-    segments: Sequence[RecordedSegment],
-    channel_names: Optional[Sequence[str]] = None,
+    out_dir: str, segments: Sequence[RecordedSegment], channel_names: Optional[Sequence[str]] = None
 ) -> str:
-    """Write the segment manifest plus one raw file per recorded segment."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write one raw file per recorded segment, then the manifest listing them."""
+    manifest_path = os.path.join(out_dir, "segments.csv")
+    # A previous run's manifest would list segment files this run overwrites.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest_path)
     seg_dir = os.path.join(out_dir, "segments")
     os.makedirs(seg_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, "segments.csv")
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for seg in segments:
-            writer.writerow(
-                [
-                    seg.segment_id,
-                    seg.stream_id,
-                    seg.raw_span[0],
-                    seg.raw_span[1],
-                    repr(seg.start_t),
-                    repr(seg.end_t),
-                    seg.path_id,
-                    seg.reason,
-                    seg.occurrence_index,
-                ]
-            )
-            write_series(
-                os.path.join(seg_dir, f"segment_{seg.segment_id:05d}.csv"),
-                seg.t,
-                seg.values,
-                channel_names,
-            )
+    for seg in segments:
+        path = os.path.join(seg_dir, f"segment_{seg.segment_id:05d}.csv")
+        write_series(path, seg.t, seg.values, channel_names)
+    rows = (
+        (seg.segment_id, seg.stream_id, *seg.raw_span, repr(seg.start_t), repr(seg.end_t),
+         seg.path_id, seg.reason, seg.occurrence_index)
+        for seg in segments
+    )
+    _write_table(manifest_path, MANIFEST_COLUMNS, rows)
     return manifest_path
 
 
@@ -215,39 +258,21 @@ def read_segments(out_dir: str) -> List[RecordedSegment]:
 
 
 def write_stats(path: str, stats: RunStats) -> None:
-    doc = {**dataclasses.asdict(stats), "recording_fraction": stats.recording_fraction}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, {**dataclasses.asdict(stats), "recording_fraction": stats.recording_fraction})
 
 
 def write_replay_table(path: str, runs: Sequence[RunStats]) -> None:
     """Per-run recording table: counts, per-run %, cumulative %."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "run",
-                "detected_db",
-                "recorded_db",
-                "recorded_samples",
-                "total_samples",
-                "recording_pct",
-                "cumulative_recording_pct",
-            ]
-        )
-        for run, cum in zip(runs, cumulative_fractions(runs)):
-            writer.writerow(
-                [
-                    run.run_index,
-                    run.detected_db_count,
-                    run.recorded_db_count,
-                    run.recorded_sample_count,
-                    run.total_sample_count,
-                    f"{100.0 * run.recording_fraction:.2f}",
-                    f"{100.0 * cum:.2f}",
-                ]
-            )
+    header = (
+        "run", "detected_db", "recorded_db", "recorded_samples", "total_samples",
+        "recording_pct", "cumulative_recording_pct",
+    )
+    rows = (
+        (run.run_index, run.detected_db_count, run.recorded_db_count, run.recorded_sample_count,
+         run.total_sample_count, f"{100.0 * run.recording_fraction:.2f}", f"{100.0 * cum:.2f}")
+        for run, cum in zip(runs, cumulative_fractions(runs))
+    )
+    _write_table(path, header, rows)
 
 
 def write_features(
@@ -262,55 +287,32 @@ def write_features(
     groups: Dict[Tuple[int, ...], List[RecordedSegment]] = {}
     for seg in segments:
         groups.setdefault(seg.path, []).append(seg)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "occurrences", "n_segments", *FEATURE_NAMES])
+
+    def rows():
         for p in sorted(groups):
             members = groups[p]
-            stacked = np.concatenate([seg.values.ravel() for seg in members])
-            feats = extract_features(stacked)
-            writer.writerow(
-                [
-                    members[0].path_id,
-                    forest.occurrence_count(p),
-                    len(members),
-                    *(repr(v) for v in feats.as_tuple()),
-                ]
-            )
+            feats = extract_features(np.concatenate([seg.values.ravel() for seg in members]))
+            counts = (members[0].path_id, forest.occurrence_count(p), len(members))
+            yield (*counts, *map(repr, feats.as_tuple()))
+
+    _write_table(path, ["path_id", "occurrences", "n_segments", *FEATURE_NAMES], rows())
 
 
 def write_variance(
     long_path: str, summary_path: str, comparison: VarianceComparison
 ) -> None:
     """Long-format variances plus a five-number summary per group."""
-    with open(long_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "variance"])
-        for v in comparison.db_variances:
-            writer.writerow(["db", repr(v)])
-        for v in comparison.window_variances:
-            writer.writerow(["window", repr(v)])
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["group", "n", "window_length", "lower_whisker", "p25", "median", "p75", "upper_whisker"]
-        )
-        for group, values in (
-            ("db", comparison.db_variances),
-            ("window", comparison.window_variances),
-        ):
-            s = (
-                comparison.db_summary if group == "db" else comparison.window_summary
-            )
-            writer.writerow(
-                [
-                    group,
-                    len(values),
-                    comparison.window_length,
-                    repr(s.lower_whisker),
-                    repr(s.p25),
-                    repr(s.median),
-                    repr(s.p75),
-                    repr(s.upper_whisker),
-                ]
-            )
+    groups = (
+        ("db", comparison.db_variances, comparison.db_summary),
+        ("window", comparison.window_variances, comparison.window_summary),
+    )
+    long_rows = ((group, repr(v)) for group, values, _ in groups for v in values)
+    _write_table(long_path, ["group", "variance"], long_rows)
+    _write_table(
+        summary_path,
+        ["group", "n", "window_length", "lower_whisker", "p25", "median", "p75", "upper_whisker"],
+        (
+            (group, len(values), comparison.window_length, *map(repr, dataclasses.astuple(s)))
+            for group, values, s in groups
+        ),
+    )

@@ -1,6 +1,7 @@
 """Core types: breakpoint construction, config validation, stream admission."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from behaviorforest.core import (
     validate_stream_header,
 )
 from behaviorforest.io import config_from_dict
-from behaviorforest.preprocess import PreprocessPipeline
+from behaviorforest.preprocess import PreprocessPipeline, fuse_symbols
 from oracles import ReducedSymbol
 
 
@@ -101,10 +102,50 @@ class TestBreakpointSpec:
         with pytest.raises(ConfigError):
             BreakpointSpec(((0.0, bad),))
 
-    @pytest.mark.parametrize("ch", [(1.0, 1.0), (2.0, 1.0), (0.0, 3.0, 3.0)])
+    # 2**53 and 2**53 + 1 are ascending ints but one float.
+    @pytest.mark.parametrize(
+        "ch", [(1.0, 1.0), (2.0, 1.0), (0.0, 3.0, 3.0), (2**53, 2**53 + 1)]
+    )
     def test_rejects_non_ascending(self, ch):
         with pytest.raises(ConfigError):
             BreakpointSpec((ch,))
+
+    @pytest.mark.parametrize(
+        "bad", ["0.5", True, None, [0.5], pytest.param(10**400, id="int_past_float_max")]
+    )
+    def test_rejects_non_numbers(self, bad):
+        # No coercion: a string or bool must not load as the float it spells.
+        with pytest.raises(ConfigError):
+            BreakpointSpec(((-1.0, bad),))
+
+    def test_ints_hash_as_floats(self):
+        doc = {"breakpoints": [[0, 1]]}
+        assert BreakpointSpec(((0, 1),)).channels == ((0.0, 1.0),)
+        assert config_from_dict(doc).config_hash() == "f82b744ee56f"
+        assert config_from_dict({"breakpoints": [[-0.5, 0.5]]}).config_hash() == "d35b306c653e"
+
+    def test_fused_alphabet_bounded_by_int64(self):
+        # 63 binary channels fuse to exactly 2**63 codes; 64 would wrap.
+        assert BreakpointSpec(((0.0,),) * 63).alphabet_sizes == (2,) * 63
+        with pytest.raises(ConfigError, match="2\\*\\*63"):
+            BreakpointSpec(((0.0,),) * 64)
+        sizes = (2**21,) * 3
+        top = [np.array([a - 1], dtype=np.int64) for a in sizes]
+        assert fuse_symbols(top, sizes).tolist() == [2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BreakpointSpec.from_alphabet_sizes([2**22] * 3),
+            lambda: config_from_dict({"alphabet_sizes": [4194304, 4194304, 4194304]}),
+        ],
+        ids=["from_alphabet_sizes", "config_from_dict"],
+    )
+    def test_oversized_alphabet_refused_before_quantiles(self, build):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="2\\*\\*63"):
+            build()
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEngineConfig:

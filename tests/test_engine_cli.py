@@ -407,6 +407,17 @@ class TestConfigIO:
             {"alphabet_sizes": [4.0]},
             {"alphabet_sizes": [True, 4]},
             {"breakpoints": [0.0], "log_base": 1},
+            {"alphabet_sizes": [4194304, 4194304, 4194304]},
+            # Breakpoints are JSON numbers: strings and bools are not coerced.
+            {"breakpoints": [["-0.5", "0.5"]]},
+            {"breakpoints": [[False, True]]},
+            {"breakpoints": ["-0.5", "0.5"]},
+            {"breakpoints": [False, True]},
+            {"breakpoints": [10**400]},
+            {"breakpoints": [0.0], "hysteresis_margin": 10**400},
+            # The checks load_config makes hold for a dict as well.
+            {"breakpoints": [0.0], "relevance_treshold": 1},
+            ["a", "list"],
         ],
     )
     def test_bad_documents(self, doc):
@@ -566,6 +577,17 @@ class TestCli:
         rc = cli.main(["discover", str(data), "--config", str(bad), "--out", str(workdir / "x")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["discover", "replay"])
+    def test_exit_code_2_for_deeply_nested_config(self, workdir, capsys, command):
+        data = self.gen(workdir)
+        deep = workdir / "deep.json"
+        deep.write_text("[" * 100_000)
+        out = workdir / "x"
+        rc = cli.main([command, str(data), "--config", str(deep), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_features_reads_snapshot_before_segments(self, workdir, capsys):
         # workdir holds no segments.csv: the bad snapshot is the error reported.

@@ -1,7 +1,9 @@
-"""Series files: csv-oracle byte identity, bounded memory, header round trip, golden CLI output."""
+"""File layer: series byte identity and memory, golden CLI output, replace-on-success writers."""
 
 import hashlib
 import os
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from behaviorforest import cli
 from behaviorforest import io as bfio
 from behaviorforest.analysis import generate_synthetic
+from behaviorforest.engine import discover
 from oracles import csv_write_series
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -185,3 +188,118 @@ def test_discover_output_matches_golden_digests(tmp_path):
         p.relative_to(out).as_posix(): sha256(p) for p in out.rglob("*") if p.is_file()
     }
     assert written == GOLDEN_OUTPUT
+
+
+# sha256 of what replay, features, variance and dot write for the same
+# input and config, recorded before the writers shared one replacing writer.
+GOLDEN_DERIVED = {
+    "f.dot": "48567587da2e6fdd8966baf0cd48271b09fb9df70e3e244c33770ad5b90fc22c",
+    "o/features.csv": "6e30383589f899d163e03ef8a222512ea156e8e0a3290622a7b850978e1aaa1e",
+    "o/variance_long.csv": "22ef03c5a49ab25c1931f422f0c554f82f4a875f8ab7d81d5c1201b7ae8dbed8",
+    "o/variance_summary.csv": "4e6cd35aff14eb426bcfac53cbd6aec1168731a7049385ee96ef5aeb04b48fd9",
+    "r/replay.csv": "d9cc1e16941657917b3d96724cd7629b2de09cff46b39b82a3fc45eb238d529d",
+}
+
+
+def test_replay_features_variance_dot_match_golden_digests(tmp_path):
+    t, values = generate_synthetic(0, bursts_per_pattern=3)
+    src = str(tmp_path / "s.csv")
+    bfio.write_series(src, t, values)
+    cfg = os.path.join(CONFIG_DIR, "synthetic.json")
+    o, r, dot = str(tmp_path / "o"), str(tmp_path / "r"), str(tmp_path / "f.dot")
+    for argv in (
+        ["discover", src, "--config", cfg, "--out", o],
+        ["replay", src, "--config", cfg, "--out", r, "--runs", "3"],
+        ["features", "--segments", o],
+        ["variance", "--segments", o, "--input", src],
+        ["dot", "--snapshot", os.path.join(o, "forest.json"), "--out", dot],
+    ):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    for name, digest in GOLDEN_DERIVED.items():
+        assert sha256(tmp_path / name) == digest, name
+    # Every file is in place under its own name: no temporary file is left.
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+class TestReplacingWriters:
+    def test_failed_table_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        bfio._write_table(str(path), ["a", "b"], [(1, 2), (3, 4)])
+        before = read_bytes(path)
+
+        def rows():
+            yield (5, 6)
+            raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError, match="row failed"):
+            bfio._write_table(str(path), ["a", "b"], rows())
+        assert read_bytes(path) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_write_text_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        bfio.write_text(str(path), "a much longer first text\n")
+        bfio.write_text(str(path), "short\n")
+        assert read_bytes(path) == b"short\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_symlink_target_replaced_not_link(self, tmp_path):
+        target = tmp_path / "forest.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        bfio.write_text(str(link), "new\n")
+        assert link.is_symlink()
+        assert read_bytes(target) == b"new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["forest.json", "link.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_written_not_replaced(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        bfio.write_text(str(pipe), "digraph {}\n")
+        reader.join(timeout=10)
+        assert received == [b"digraph {}\n"]
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_failed_series_leaves_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        bfio.write_series(str(path), np.arange(3.0), np.ones(3))
+        before = read_bytes(path)
+
+        def failing_column_stack(arrays):
+            raise MemoryError("block failed")
+
+        monkeypatch.setattr(bfio.np, "column_stack", failing_column_stack)
+        with pytest.raises(MemoryError, match="block failed"):
+            bfio.write_series(str(path), np.arange(5.0), np.zeros(5))
+        assert read_bytes(path) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+    @pytest.mark.parametrize("rerun", [False, True], ids=["empty", "rerun"])
+    def test_manifest_written_after_segment_files(self, tmp_path, monkeypatch, rerun):
+        t, values = generate_synthetic(0, bursts_per_pattern=3)
+        _, result = discover(bfio.load_config(os.path.join(CONFIG_DIR, "synthetic.json")),
+                             [("s", t, values)])
+        assert len(result.segments) > 2
+        out = tmp_path / "o"
+        if rerun:
+            # A previous run's complete output, manifest included.
+            bfio.write_segments(str(out), result.segments)
+            assert (out / "segments.csv").is_file()
+        written = []
+
+        def failing_write_series(path, *args):
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(path)
+
+        monkeypatch.setattr(bfio, "write_series", failing_write_series)
+        with pytest.raises(OSError, match="disk full"):
+            bfio.write_segments(str(out), result.segments)
+        # No manifest lists segment files that this run did not write in full.
+        assert sorted(p.name for p in out.iterdir()) == ["segments"]
