@@ -68,12 +68,19 @@ def _load_streams(paths: List[str]):
     return streams
 
 
-def _write_forest_outputs(out_dir: str, engine: DiscoveryEngine) -> None:
-    bfio.write_text(
-        os.path.join(out_dir, "forest.json"),
-        snapshot_dumps(engine.forest, engine.config.config_hash()) + "\n",
-    )
-    bfio.write_text(os.path.join(out_dir, "forest.dot"), forest_to_dot(engine.forest))
+def _forest_texts(engine: DiscoveryEngine) -> tuple:
+    """The forest.json and forest.dot texts, rendered before any file is written.
+
+    A forest the snapshot format refuses then fails the command with `--out`
+    untouched, instead of leaving a new run's files beside an old forest.
+    """
+    snapshot = snapshot_dumps(engine.forest, engine.config.config_hash()) + "\n"
+    return snapshot, forest_to_dot(engine.forest)
+
+
+def _write_forest_outputs(out_dir: str, texts: tuple) -> None:
+    for name, text in zip(("forest.json", "forest.dot"), texts):
+        bfio.write_text(os.path.join(out_dir, name), text)
 
 
 def cmd_discover(args) -> int:
@@ -88,9 +95,10 @@ def cmd_discover(args) -> int:
     engine, result = discover(
         config, streams, forest=prior, buffer_capacity=args.buffer_capacity
     )
+    texts = _forest_texts(engine)
     bfio.write_segments(args.out, result.segments, channel_names)
     bfio.write_stats(os.path.join(args.out, "stats.json"), result.stats)
-    _write_forest_outputs(args.out, engine)
+    _write_forest_outputs(args.out, texts)
     stats = result.stats
     print(
         f"{stats.detected_db_count} behaviors detected, "
@@ -109,10 +117,11 @@ def cmd_replay(args) -> int:
         config, streams, runs=args.runs, buffer_capacity=args.buffer_capacity
     )
     runs = [result.stats for result in results]
+    texts = _forest_texts(engine)
     os.makedirs(args.out, exist_ok=True)
     bfio.write_replay_table(os.path.join(args.out, "replay.csv"), runs)
     bfio.write_stats(os.path.join(args.out, "stats.json"), runs[-1])
-    _write_forest_outputs(args.out, engine)
+    _write_forest_outputs(args.out, texts)
     for run, cum in zip(runs, cumulative_fractions(runs)):
         print(
             f"run {run.run_index}: {run.recorded_db_count} recorded, "

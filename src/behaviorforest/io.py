@@ -9,8 +9,8 @@ with either explicit per-channel breakpoints or alphabet sizes to derive
 equiprobable-Gaussian ones.  Config and snapshot JSON share one reader.
 Every file written, series, document or table, replaces its target whole
 by a rename from a temporary sibling, only once complete; `write_segments`
-removes any old manifest first and writes the new one after the segment
-files it lists.
+first removes any old manifest and `segments/segment_*.csv` files, and writes
+the new manifest after the segment files it lists.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import glob
 import json
 import os
 import warnings
@@ -210,10 +211,11 @@ def write_segments(
 ) -> str:
     """Write one raw file per recorded segment, then the manifest listing them."""
     manifest_path = os.path.join(out_dir, "segments.csv")
-    # A previous run's manifest would list segment files this run overwrites.
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(manifest_path)
     seg_dir = os.path.join(out_dir, "segments")
+    # A previous run's manifest and segment files would outlive or mislist this run's.
+    for path in [manifest_path, *glob.glob(os.path.join(glob.escape(seg_dir), "segment_*.csv"))]:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
     os.makedirs(seg_dir, exist_ok=True)
     for seg in segments:
         path = os.path.join(seg_dir, f"segment_{seg.segment_id:05d}.csv")

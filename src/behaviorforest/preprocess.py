@@ -18,8 +18,7 @@ such samples are resolved, by an exact prefix scan over composed state maps.
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,68 +42,51 @@ def discretize_batch(values: np.ndarray, breakpoints: Sequence[float]) -> np.nda
     return np.searchsorted(breakpoints, values, side="right").astype(np.int64)
 
 
-def _penetration_margins(breakpoints: Sequence[float], margin: float) -> List[float]:
-    """Per-bin penetration distances derived from local bin widths.
-
-    Bin j's margin is `margin` times its own width; the unbounded edge bins
-    borrow the nearest finite bin's width.  With a single breakpoint there
-    is no finite bin at all, so a unit width stands in and the margin is
-    absolute.
-    """
-    k = len(breakpoints)
-    if k == 1:
-        return [margin, margin]
-    widths = [breakpoints[j + 1] - breakpoints[j] for j in range(k - 1)]
-    per_bin = [widths[0]] + widths + [widths[-1]]
-    return [margin * w for w in per_bin]
-
-
 class HysteresisFilter:
     """Debounces one channel's symbol sequence at bin boundaries.
 
-    The first sample commits unconditionally.  Afterwards the committed
-    symbol s only changes to a sample's bin c when the value penetrates c
-    beyond the crossed breakpoint by s's margin: value >= bp[c-1] + delta[s]
-    going up, value <= bp[c] - delta[s] going down; otherwise s is
-    re-emitted.  A margin of 0 degenerates to plain discretization.
+    Bin c spans [edges[c], edges[c + 1]) with edges `[-inf, *breakpoints,
+    +inf]`.  The first sample commits unconditionally.  Afterwards the
+    committed symbol s only changes to a sample's bin c when the value
+    clears c's threshold from s: value >= edges[c] + delta[s] going up,
+    value <= edges[c + 1] - delta[s] going down; otherwise s is re-emitted.
+    delta[s] is `margin` times bin s's width; the edge bins borrow their
+    neighbour's width, and a single breakpoint gets a unit width.  A margin
+    of 0 degenerates to plain discretization.  Setup keeps only per-bin
+    vectors, so it is O(K) in time and memory for K bins.
     """
 
     def __init__(self, breakpoints: Sequence[float], margin: float):
         self.breakpoints = tuple(float(b) for b in breakpoints)
         self.margin = float(margin)
         self.committed: Optional[int] = None
-        self._deltas = _penetration_margins(self.breakpoints, self.margin)
-        # Tables for `run`: bin c is entered from every state at lo[c] <= v <= hi[c];
-        # otherwise state s passes into c at thresholds[c, s], from below if s < c
-        # (+inf at s == c, which always passes).
-        k = len(self._deltas)
-        bp, deltas = self.breakpoints, self._deltas
-        self._lo = np.array([-math.inf] + [bp[c - 1] + max(deltas[:c]) for c in range(1, k)])
-        self._hi = np.array([bp[c] - max(deltas[c + 1 :]) for c in range(k - 1)] + [math.inf])
-        self._thresholds = np.array([
-            [bp[c - 1] + deltas[s] if s < c else bp[c] - deltas[s] if s > c else math.inf
-             for s in range(k)]
-            for c in range(k)
-        ])
-        self._states = np.arange(k, dtype=np.min_scalar_type(k - 1))
+        bp = np.array(self.breakpoints)
+        self._edges = np.concatenate(([-np.inf], bp, [np.inf]))
+        widths = np.pad(np.diff(bp), 1, mode="edge") if len(bp) > 1 else np.ones(2)
+        self._deltas = self.margin * widths
+        # lo[c] = edges[c] + max(deltas[:c]), hi[c] = edges[c + 1] - max(deltas[c + 1:]).
+        below = np.maximum.accumulate(self._deltas)[:-1]
+        above = np.maximum.accumulate(self._deltas[::-1])[-2::-1]
+        self._lo = self._edges[:-1] + np.concatenate(([0.0], below))
+        self._hi = self._edges[1:] - np.concatenate((above, [0.0]))
+        self._states = np.arange(len(widths), dtype=np.min_scalar_type(len(bp)))
 
     def run(self, values: np.ndarray) -> np.ndarray:
         """Debounce a 1-D array of values, carrying the state across calls.
 
-        A sample with `lo[c] <= value <= hi[c]` clears the penetration
-        threshold of its bin `c` from every committed state, so its output is
-        `c` whatever came before.  Every other sample is ambiguous: it maps
-        each committed state to a next state by the comparisons of the
-        class docstring.  The state entering a stretch of ambiguous samples (the last
-        fixed sample's bin, or the carried state) is folded into the
-        stretch's first map, and the maps are composed by Hillis-Steele
-        doubling until every prefix map is constant.  Ambiguous samples are
-        scanned in blocks of bounded size, so memory stays O(block * K).
+        A sample with `lo[c] <= value <= hi[c]` clears the threshold of its
+        bin `c` from every committed state, so its output is `c` whatever came
+        before.  Every other sample is ambiguous: it maps each state s to c
+        if `value >= edges[c] + delta[s]` (s < c) or `value <= edges[c + 1] -
+        delta[s]` (s > c), else to s.  The state entering a stretch of
+        ambiguous samples (the last fixed sample's bin, or the carried state)
+        is folded into the stretch's first map, and the maps are composed by
+        Hillis-Steele doubling until every prefix map is constant, in blocks
+        of bounded size, so memory stays O(block * K).
         """
         values = np.asarray(values, dtype=np.float64)
         out = discretize_batch(values, self.breakpoints)
-        n = len(out)
-        if n == 0:
+        if len(out) == 0:
             return out
         ambiguous = (values < self._lo[out]) | (values > self._hi[out])
         if self.committed is None:
@@ -119,8 +101,12 @@ class HysteresisFilter:
             idx = amb[j : j + block]
             cand = out[idx]
             v = values[idx, None]
-            thr = self._thresholds[cand]
-            passes = np.where(self._states < cand[:, None], v >= thr, v <= thr)
+            # From s == c the downward test applies; either result maps c to c.
+            passes = np.where(
+                self._states < cand[:, None],
+                v >= self._edges[cand, None] + self._deltas,
+                v <= self._edges[cand + 1, None] - self._deltas,
+            )
             maps = np.where(passes, cand[:, None].astype(self._states.dtype), self._states)
             rows = np.flatnonzero(fold[j : j + block])
             prev = idx[rows] - 1

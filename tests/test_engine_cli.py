@@ -631,7 +631,27 @@ class TestCli:
         rc = cli.main(["discover", str(data), "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert "too deep for the v1 snapshot format" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["segments", "segments.csv", "stats.json"]
+        assert not out.exists()
+        # Into the directory of an earlier run, the refused run changes no file.
+        syn = self.gen(workdir)
+        run = workdir / "run"
+        assert cli.main(["discover", str(syn), "--config", str(cfg), "--out", str(run)]) == 0
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        rc = cli.main(["discover", str(data), "--config", str(cfg), "--out", str(run)])
+        assert rc == 2
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    def test_rerun_leaves_only_the_listed_segment_files(self, workdir):
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        out = workdir / "run"
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out)]) == 0
+        first = len(list((out / "segments").iterdir()))
+        rerun = ["discover", str(data), "--config", cfg, "--out", str(out), "--threshold", "1"]
+        assert cli.main(rerun) == 0
+        listed = {f"segment_{s.segment_id:05d}.csv" for s in read_segments(str(out))}
+        assert {p.name for p in (out / "segments").iterdir()} == listed
+        assert len(listed) < first
 
     @pytest.mark.parametrize("kind", ["deep", "not_json"])
     def test_exit_code_2_for_unreadable_snapshot(self, workdir, capsys, kind):

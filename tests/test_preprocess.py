@@ -196,10 +196,10 @@ class TestHysteresisFilter:
     @settings(max_examples=300, deadline=None)
     def test_run_equals_step_and_segment_oracle(self, data):
         bp = tuple(sorted(data.draw(st.lists(
-            st.floats(-4.0, 4.0), min_size=1, max_size=8, unique=True
+            st.floats(-4.0, 4.0), min_size=1, max_size=64, unique=True
         ))))
         margin = data.draw(st.one_of(st.just(0.0), st.just(1e-12), st.floats(0.0, 0.49)))
-        deltas = preprocess._penetration_margins(bp, margin)
+        deltas = HysteresisFilter(bp, margin)._deltas.tolist()
         on_thresholds = [b + s * d for b in bp for d in deltas for s in (1, -1)]
         values = np.array(data.draw(st.lists(
             st.one_of(
@@ -241,6 +241,20 @@ class TestHysteresisFilter:
         assert peak < 64 * 2**20
         head = values[:20_000]
         assert out[:20_000].tolist() == SegmentHysteresisFilter(bp, 0.4).run(head).tolist()
+
+    def test_setup_is_linear_in_the_alphabet(self):
+        # 2,000 bins: a K x K threshold table alone would take 32 MB.
+        bp = np.linspace(-1.0, 1.0, 1999)
+        tracemalloc.start()
+        try:
+            f = HysteresisFilter(bp, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        values = np.random.default_rng(0).uniform(-1.1, 1.1, 2000)
+        ref = StepHysteresisFilter(bp, 0.05)
+        assert f.run(values).tolist() == [ref.step(float(v)) for v in values]
 
 
 class TestUnification:
