@@ -51,7 +51,7 @@ def main() -> None:
         by_path.setdefault(seg.path_id, []).append(seg.values)
     for path_id, chunks in sorted(by_path.items()):
         feats = extract_features(np.concatenate(chunks))
-        row = "  ".join(f"{v:>9.3f}" for v in feats.as_tuple())
+        row = "  ".join(f"{v:>9.3f}" for v in feats)
         print(f"{path_id:>24}  {row}")
 
 

@@ -12,25 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-FEATURE_NAMES = (
-    "mean",
-    "variance",
-    "skew",
-    "kurtosis",
-    "minimum",
-    "maximum",
-    "median",
-    "p25",
-    "p75",
-)
 
-
-@dataclass(frozen=True)
-class PatternFeatures:
+class PatternFeatures(NamedTuple):
     """Nine-number summary of a pattern's raw values.
 
     Variance is the population variance; skew and kurtosis are the
@@ -48,8 +35,8 @@ class PatternFeatures:
     p25: float
     p75: float
 
-    def as_tuple(self) -> Tuple[float, ...]:
-        return tuple(getattr(self, name) for name in FEATURE_NAMES)
+
+FEATURE_NAMES = PatternFeatures._fields
 
 
 def extract_features(values: np.ndarray) -> PatternFeatures:
@@ -87,33 +74,22 @@ def segment_variance(values: np.ndarray) -> float:
     return float(np.mean(np.var(x, axis=0)))
 
 
-def sliding_window_variances(
-    series: np.ndarray, window_length: int, overlap: float = 0.5
-) -> np.ndarray:
-    """Per-window variances over a fixed-length sliding window.
+def sliding_window_variances(series: np.ndarray, window_length: int) -> np.ndarray:
+    """`segment_variance` of each fixed-length window, windows overlapping by half.
 
-    Windows advance by ceil(window_length * (1 - overlap)) samples; a
-    trailing partial window is dropped.
+    Windows advance by ceil(window_length / 2) samples; a trailing partial
+    window is dropped, so a series shorter than one window gives none.
     """
     if window_length < 1:
         raise ValueError(f"window_length must be >= 1, got {window_length}")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
     x = np.asarray(series, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    n = x.shape[0]
-    stride = math.ceil(window_length * (1.0 - overlap))
-    if n < window_length:
-        return np.empty(0, dtype=np.float64)
-    starts = range(0, n - window_length + 1, stride)
+    starts = range(0, len(x) - window_length + 1, (window_length + 1) // 2)
     return np.array(
-        [float(np.mean(np.var(x[s : s + window_length], axis=0))) for s in starts]
+        [segment_variance(x[s : s + window_length]) for s in starts], dtype=np.float64
     )
 
 
-@dataclass(frozen=True)
-class FiveNumberSummary:
+class FiveNumberSummary(NamedTuple):
     """Boxplot numbers: Tukey whiskers around the quartiles."""
 
     lower_whisker: float
@@ -157,9 +133,7 @@ class VarianceComparison:
 
 
 def compare_variances(
-    segments: Sequence[np.ndarray],
-    series: np.ndarray,
-    overlap: float = 0.5,
+    segments: Sequence[np.ndarray], series: np.ndarray
 ) -> VarianceComparison:
     """Contrast segment variances with sliding windows of their mean length.
 
@@ -171,7 +145,7 @@ def compare_variances(
         raise ValueError("need at least one segment to compare")
     lengths = [np.asarray(seg).shape[0] for seg in segments]
     window_length = max(1, round(float(np.mean(lengths))))
-    window_vars = sliding_window_variances(series, window_length, overlap)
+    window_vars = sliding_window_variances(series, window_length)
     if window_vars.size == 0:
         raise ValueError(
             f"series ({np.asarray(series).shape[0]} samples) is shorter than "
@@ -186,59 +160,45 @@ def compare_variances(
 
 # --- synthetic benchmark stream ---------------------------------------------
 
-_SAW = "saw"
-_SINE = "sine"
-# Base waveforms swing +-1.4 * amplitude so that both default amplitude
-# options land >= 5 noise sigmas away from the +-0.5 breakpoints and their
-# hysteresis margins; pattern identity then shows up in the bin dwell
-# durations, exactly as it would for continuous ramps.
+# (waveform, amplitude, period divisor) per burst type, in pattern order.  A
+# period of half vs a fifth of the burst keeps the two amplitudes' dwells in
+# different ceil-log bands under the default log base.
+_PATTERN_TYPES = (("saw", 1.0, 2), ("sine", 1.0, 2), ("saw", 0.6, 5), ("sine", 0.6, 5))
+# Base waveforms swing +-1.4 * amplitude so that both amplitudes land >= 5
+# noise sigmas away from the +-0.5 breakpoints and their hysteresis margins;
+# pattern identity then shows up in the bin dwell durations, exactly as it
+# would for continuous ramps.
 _BASE_SWING = 1.4
 
 
-def _saw_plateaus(amplitude: float, period: int) -> List[Tuple[float, int]]:
+def _saw(peak: float, period: int) -> List[Tuple[float, int]]:
     """Stepped rising saw: low, zero, high dwells from ramp crossing times."""
-    peak = _BASE_SWING * amplitude
-    if peak <= 0.5:
-        raise ValueError(f"amplitude {amplitude} never leaves the middle bin")
-    outer = (peak - 0.5) / (2.0 * peak)
-    low = round(outer * period)
+    low = round((peak - 0.5) / (2.0 * peak) * period)
     mid = round(period / (2.0 * peak))
-    high = period - low - mid
-    plateaus = [(-peak, low), (0.0, mid), (peak, high)]
-    if any(d < 1 for _, d in plateaus):
-        raise ValueError(f"period {period} too short for amplitude {amplitude}")
-    return plateaus
+    return [(-peak, low), (0.0, mid), (peak, period - low - mid)]
 
 
-def _sine_plateaus(amplitude: float, period: int) -> List[Tuple[float, int]]:
+def _sine(peak: float, period: int) -> List[Tuple[float, int]]:
     """Stepped sine: zero, high, zero, low dwells from sine crossing times."""
-    peak = _BASE_SWING * amplitude
-    if peak <= 0.5:
-        raise ValueError(f"amplitude {amplitude} never leaves the middle bin")
-    zero_frac = 2.0 * math.asin(0.5 / peak) / (2.0 * math.pi)
-    extreme_frac = (math.pi - 2.0 * math.asin(0.5 / peak)) / (2.0 * math.pi)
-    z = round(zero_frac * period)
-    e = round(extreme_frac * period)
-    plateaus = [(0.0, z), (peak, e), (0.0, z), (-peak, period - 2 * z - e)]
-    if any(d < 1 for _, d in plateaus):
-        raise ValueError(f"period {period} too short for amplitude {amplitude}")
-    return plateaus
+    z = round(2.0 * math.asin(0.5 / peak) / (2.0 * math.pi) * period)
+    e = round((math.pi - 2.0 * math.asin(0.5 / peak)) / (2.0 * math.pi) * period)
+    return [(0.0, z), (peak, e), (0.0, z), (-peak, period - 2 * z - e)]
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Geometry of the benchmark stream; defaults match the reference tests.
 
-    Four burst types ({saw, sine} x amplitudes) alternate between near-zero
-    gaps; channel 2 mirrors channel 1 so both channels carry signal.  Faster
-    periods for the smaller amplitude keep every bin dwell inside a stable
-    log-copy band, which makes each type reduce to one fixed symbol path.
-    With cluster_size set, bursts arrive in clusters split by much longer
-    gaps, giving the irregular pacing the variance comparison needs.
+    Four burst types ({saw, sine} x two amplitudes, `_PATTERN_TYPES`)
+    alternate between near-zero gaps; channel 2 mirrors channel 1 so both
+    channels carry signal.  Faster periods for the smaller amplitude keep
+    every bin dwell inside a stable log-copy band, which makes each type
+    reduce to one fixed symbol path.  With cluster_size set, bursts arrive
+    in clusters split by much longer gaps, giving the irregular pacing the
+    variance comparison needs.
     """
 
     n_patterns: int = 4
-    amplitudes: Tuple[float, float] = (1.0, 0.6)
     noise_sigma: float = 0.05
     bursts_per_pattern: Union[int, Tuple[int, ...]] = 10
     burst_len: int = 200
@@ -247,14 +207,16 @@ class SyntheticSpec:
     cluster_gap_len: int = 30000
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_patterns <= 2 * len(self.amplitudes):
-            raise ValueError(
-                f"n_patterns must be in [1, {2 * len(self.amplitudes)}]"
-            )
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 1 <= self.n_patterns <= len(_PATTERN_TYPES):
+            raise ValueError(f"n_patterns must be in [1, {len(_PATTERN_TYPES)}]")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.burst_len < 20 or self.gap_len < 1:
             raise ValueError("burst_len must be >= 20 and gap_len >= 1")
+        if (self.cluster_size is not None and self.cluster_size < 1) or self.cluster_gap_len < 1:
+            raise ValueError("cluster_size must be None or >= 1, and cluster_gap_len >= 1")
+        if min(self.burst_counts()) < 0:
+            raise ValueError(f"burst counts must be >= 0, got {self.bursts_per_pattern}")
 
     def burst_counts(self) -> Tuple[int, ...]:
         counts = self.bursts_per_pattern
@@ -268,47 +230,30 @@ class SyntheticSpec:
         return counts
 
     def pattern_types(self) -> List[Tuple[str, float, int]]:
-        """(waveform, amplitude, period) per pattern, first amplitude first."""
-        types: List[Tuple[str, float, int]] = []
-        for i, amplitude in enumerate(self.amplitudes):
-            # Half vs a fifth of the burst keeps the two amplitude options'
-            # dwells in different ceil-log bands under the default log base.
-            period = self.burst_len // (2 if i == 0 else 5)
-            types.append((_SAW, amplitude, period))
-            types.append((_SINE, amplitude, period))
-        return types[: self.n_patterns]
+        """(waveform, amplitude, period) per pattern, in `_PATTERN_TYPES` order."""
+        return [
+            (waveform, amplitude, self.burst_len // divisor)
+            for waveform, amplitude, divisor in _PATTERN_TYPES[: self.n_patterns]
+        ]
 
 
 def _burst_channel(waveform: str, amplitude: float, period: int, burst_len: int) -> np.ndarray:
-    plateaus = (
-        _saw_plateaus(amplitude, period)
-        if waveform == _SAW
-        else _sine_plateaus(amplitude, period)
-    )
+    """One burst: whole periods of the stepped waveform, zero-padded to burst_len."""
+    plateaus = (_saw if waveform == "saw" else _sine)(_BASE_SWING * amplitude, period)
+    if any(d < 1 for _, d in plateaus):
+        raise ValueError(f"period {period} too short for amplitude {amplitude}")
     one = np.concatenate([np.full(d, level) for level, d in plateaus])
-    reps = burst_len // period
-    if reps < 1:
-        raise ValueError(f"burst_len {burst_len} shorter than period {period}")
-    burst = np.tile(one, reps)
-    pad = burst_len - len(burst)
-    if pad:
-        burst = np.concatenate([burst, np.zeros(pad)])
-    return burst
+    burst = np.tile(one, burst_len // period)
+    return np.concatenate([burst, np.zeros(burst_len - len(burst))])
 
 
-def generate_synthetic(
-    seed: int, spec: Optional[SyntheticSpec] = None, **overrides
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Render the benchmark stream; returns (t, values[n, 2]).
+def generate_synthetic(seed: int, **fields) -> Tuple[np.ndarray, np.ndarray]:
+    """Render the stream of `SyntheticSpec(**fields)`; returns (t, values[n, 2]).
 
-    Pass a SyntheticSpec or its fields as keywords.  The burst order is a
-    seeded shuffle and the Gaussian noise is seeded, so equal (seed, spec)
-    pairs produce identical arrays.
+    The burst order is a seeded shuffle and the Gaussian noise is seeded,
+    so equal (seed, fields) produce identical arrays.
     """
-    if spec is None:
-        spec = SyntheticSpec(**overrides)
-    elif overrides:
-        raise TypeError("pass either a SyntheticSpec or keyword fields, not both")
+    spec = SyntheticSpec(**fields)
     rng = np.random.default_rng(seed)
     types = spec.pattern_types()
     schedule: List[int] = []
@@ -321,13 +266,8 @@ def generate_synthetic(
     for i, pattern in enumerate(schedule):
         waveform, amplitude, period = types[pattern]
         pieces.append(_burst_channel(waveform, amplitude, period, spec.burst_len))
-        end_of_cluster = (
-            spec.cluster_size is not None and (i + 1) % spec.cluster_size == 0
-        )
-        if i == len(schedule) - 1 or end_of_cluster:
-            pieces.append(np.zeros(big_gap))
-        else:
-            pieces.append(np.zeros(spec.gap_len))
+        end_of_cluster = spec.cluster_size and (i + 1) % spec.cluster_size == 0
+        pieces.append(np.zeros(big_gap if i == len(schedule) - 1 or end_of_cluster else spec.gap_len))
     ch1 = np.concatenate(pieces)
     values = np.stack([ch1, -ch1], axis=1)
     if spec.noise_sigma > 0:

@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional
 
 from . import io as bfio
-from .analysis import SyntheticSpec, compare_variances, generate_synthetic
+from .analysis import compare_variances, generate_synthetic
 from .core import (
     BufferOverflowError,
     ConfigError,
@@ -61,11 +61,17 @@ def _check_counts(args) -> None:
 
 
 def _load_streams(paths: List[str]):
+    """(basename, t, values) per input, plus the channel names they all share."""
     streams = []
+    channel_names = None
     for path in paths:
         t, values, names = bfio.read_series(path)
-        streams.append((os.path.basename(path), t, values, names))
-    return streams
+        if channel_names is None:
+            channel_names = names
+        elif names != channel_names:  # the engine matches channels by position
+            raise ValueError(f"{path}: channels {names} differ from {paths[0]}'s {channel_names}")
+        streams.append((os.path.basename(path), t, values))
+    return streams, channel_names
 
 
 def _forest_texts(engine: DiscoveryEngine) -> tuple:
@@ -89,9 +95,7 @@ def cmd_discover(args) -> int:
     prior = None
     if args.snapshot is not None:
         prior = bfio.read_snapshot(args.snapshot, config.config_hash())
-    loaded = _load_streams(args.inputs)
-    streams = [(sid, t, v) for sid, t, v, _ in loaded]
-    channel_names = loaded[0][3] if loaded else None
+    streams, channel_names = _load_streams(args.inputs)
     engine, result = discover(
         config, streams, forest=prior, buffer_capacity=args.buffer_capacity
     )
@@ -111,8 +115,7 @@ def cmd_discover(args) -> int:
 def cmd_replay(args) -> int:
     _check_counts(args)
     config = _apply_overrides(bfio.load_config(args.config), args)
-    loaded = _load_streams(args.inputs)
-    streams = [(sid, t, v) for sid, t, v, _ in loaded]
+    streams, _ = _load_streams(args.inputs)
     engine, results = replay(
         config, streams, runs=args.runs, buffer_capacity=args.buffer_capacity
     )
@@ -132,7 +135,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = SyntheticSpec(
+    t, values = generate_synthetic(
+        args.seed,
         n_patterns=args.patterns,
         noise_sigma=args.noise_sigma,
         bursts_per_pattern=args.bursts_per_pattern,
@@ -141,7 +145,6 @@ def cmd_gen(args) -> int:
         cluster_size=args.cluster_size,
         cluster_gap_len=args.cluster_gap_len,
     )
-    t, values = generate_synthetic(args.seed, spec)
     bfio.write_series(args.out, t, values)
     print(f"{len(t)} samples, {values.shape[1]} channels -> {args.out}")
     return EXIT_OK
@@ -211,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--buffer-capacity",
             type=int,
             default=None,
-            help="look-back buffer capacity in samples (default unbounded)",
+            help="look-back buffer capacity in samples (default unbounded); a recorded "
+            "span must start within N samples of the end of the chunk in which it closes",
         )
 
     p = sub.add_parser("discover", help="one pass: detect, record, snapshot", epilog=_EPILOG)

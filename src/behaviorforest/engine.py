@@ -39,7 +39,12 @@ class RunResult:
 
 
 class DiscoveryEngine:
-    """Feeds streams through the full chain against one shared forest."""
+    """Feeds streams through the full chain against one shared forest.
+
+    chunk_size changes no output, but buffer_capacity is checked per chunk: a
+    recorded span has to start within buffer_capacity samples of the end of
+    the chunk in which it closes.
+    """
 
     def __init__(
         self,
@@ -120,8 +125,13 @@ class DiscoveryEngine:
         """One pass over the dataset: all streams in order against the forest.
 
         Every settled behavior is inserted exactly once, so the forest's
-        insertion count grows by the number of behaviors detected.
+        insertion count grows by the number of behaviors detected.  Stream
+        ids must be distinct: the stats merge spans per id.  A repeated id
+        raises ValueError before any stream is processed.
         """
+        ids = [stream_id for stream_id, _, _ in streams]
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"stream ids must be distinct within one run, got {ids}")
         inserted = self.forest.total_insertions
         segments: List[RecordedSegment] = []
         total = 0

@@ -295,7 +295,7 @@ def write_features(
             members = groups[p]
             feats = extract_features(np.concatenate([seg.values.ravel() for seg in members]))
             counts = (members[0].path_id, forest.occurrence_count(p), len(members))
-            yield (*counts, *map(repr, feats.as_tuple()))
+            yield (*counts, *map(repr, feats))
 
     _write_table(path, ["path_id", "occurrences", "n_segments", *FEATURE_NAMES], rows())
 
@@ -314,7 +314,7 @@ def write_variance(
         summary_path,
         ["group", "n", "window_length", "lower_whisker", "p25", "median", "p75", "upper_whisker"],
         (
-            (group, len(values), comparison.window_length, *map(repr, dataclasses.astuple(s)))
+            (group, len(values), comparison.window_length, *map(repr, s))
             for group, values, s in groups
         ),
     )

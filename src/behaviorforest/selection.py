@@ -48,9 +48,10 @@ class SampleBuffer:
     capacity bounds the retained samples (None keeps everything): the
     buffer answers for at least the last `capacity` samples, and drops a
     chunk once it lies wholly before them, so it holds at most `capacity`
-    samples plus one chunk.  Asking for a span older than retention raises
-    BufferOverflowError: silently clipping a segment would corrupt what the
-    recorded dataset means.
+    samples plus one chunk.  A recorded span has to start within `capacity`
+    samples of the end of the chunk it closes in.  Asking for a span older
+    than retention raises BufferOverflowError: silently clipping a segment
+    would corrupt what the recorded dataset means.
     """
 
     def __init__(self, capacity: Optional[int] = None):

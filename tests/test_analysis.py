@@ -53,7 +53,7 @@ class TestExtractFeatures:
     def test_as_tuple_order_matches_names(self):
         f = extract_features(np.array([1.0, 2.0, 3.0, 4.0]))
         assert len(FEATURE_NAMES) == 9
-        assert f.as_tuple() == tuple(getattr(f, n) for n in FEATURE_NAMES)
+        assert tuple(f) == tuple(getattr(f, n) for n in FEATURE_NAMES)
 
     def test_constant_input(self):
         f = extract_features(np.full(10, 3.5))
@@ -95,19 +95,14 @@ class TestSegmentVariance:
 class TestSlidingWindows:
     def test_window_starts_and_partial_drop(self):
         series = np.arange(10.0)
-        vars_ = sliding_window_variances(series, window_length=4, overlap=0.5)
+        vars_ = sliding_window_variances(series, window_length=4)
         # Stride ceil(4 * 0.5) = 2 -> starts 0, 2, 4, 6; start 8 would be partial.
         assert len(vars_) == 4
         expected = [float(np.var(series[s : s + 4])) for s in (0, 2, 4, 6)]
         assert vars_.tolist() == pytest.approx(expected)
 
-    def test_zero_overlap_tiles(self):
-        series = np.arange(12.0)
-        vars_ = sliding_window_variances(series, window_length=4, overlap=0.0)
-        assert len(vars_) == 3
-
     def test_partial_final_window_dropped(self):
-        vars_ = sliding_window_variances(np.arange(9.0), 4, overlap=0.5)
+        vars_ = sliding_window_variances(np.arange(9.0), 4)
         assert len(vars_) == 3
 
     def test_short_series_gives_empty(self):
@@ -115,17 +110,13 @@ class TestSlidingWindows:
 
     def test_multichannel_averages(self):
         series = np.stack([np.arange(8.0), np.zeros(8)], axis=1)
-        vars_ = sliding_window_variances(series, 4, overlap=0.0)
-        expected = [float(np.var(np.arange(s, s + 4.0))) / 2 for s in (0, 4)]
+        vars_ = sliding_window_variances(series, 4)
+        expected = [float(np.var(np.arange(s, s + 4.0))) / 2 for s in (0, 2, 4)]
         assert vars_.tolist() == pytest.approx(expected)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             sliding_window_variances(np.arange(5.0), 0)
-        with pytest.raises(ValueError):
-            sliding_window_variances(np.arange(5.0), 2, overlap=1.0)
-        with pytest.raises(ValueError):
-            sliding_window_variances(np.arange(5.0), 2, overlap=-0.1)
 
 
 class TestFiveNumberSummary:
@@ -187,14 +178,24 @@ class TestSyntheticSpec:
             SyntheticSpec(bursts_per_pattern=(1, 2)).burst_counts()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(n_patterns=0)
-        with pytest.raises(ValueError):
-            SyntheticSpec(n_patterns=5)
-        with pytest.raises(ValueError):
-            SyntheticSpec(noise_sigma=-0.1)
-        with pytest.raises(ValueError):
-            SyntheticSpec(burst_len=10)
+        for fields in [
+            {"n_patterns": 0},
+            {"n_patterns": 5},
+            {"noise_sigma": -0.1},
+            {"noise_sigma": math.nan},
+            {"noise_sigma": math.inf},
+            {"burst_len": 10},
+            {"gap_len": 0},
+            {"cluster_size": 0},
+            {"cluster_size": -1},
+            {"cluster_gap_len": 0},
+            {"bursts_per_pattern": -1},
+            {"bursts_per_pattern": (1, 2, -1, 3)},
+        ]:
+            with pytest.raises(ValueError):
+                SyntheticSpec(**fields)
+            with pytest.raises(ValueError):
+                generate_synthetic(0, **fields)
 
 
 class TestGenerateSynthetic:
@@ -205,10 +206,6 @@ class TestGenerateSynthetic:
         assert np.array_equal(v1, v2)
         _, v3 = generate_synthetic(6)
         assert not np.array_equal(v1, v3)
-
-    def test_spec_and_overrides_are_exclusive(self):
-        with pytest.raises(TypeError):
-            generate_synthetic(0, SyntheticSpec(), noise_sigma=0.1)
 
     def test_shape_and_mirroring(self):
         t, values = generate_synthetic(0, noise_sigma=0.0)

@@ -133,6 +133,13 @@ class TestEngineOnFixture:
         stats = result.stats
         assert (stats.detected_db_count, stats.recorded_db_count) == (2, 1)
 
+    def test_repeated_stream_id_rejected_before_any_stream(self):
+        t, values = fixture_stream()
+        engine = DiscoveryEngine(fixture_config())
+        with pytest.raises(ValueError, match="'fix'"):
+            engine.run([("fix", t, values), ("other", t, values), ("fix", t, values)])
+        assert engine.forest.total_insertions == 0
+
     def test_empty_stream_of_wrong_width(self):
         with pytest.raises(DimensionMismatchError):
             DiscoveryEngine(fixture_config()).process_stream("e", np.empty(0), np.empty((0, 3)))
@@ -731,6 +738,37 @@ class TestCli:
         )
         assert rc == 3
 
+    def test_exit_code_3_for_repeated_input_name(self, workdir, capsys):
+        # Basenames are the stream ids, so these two files would merge into one stream.
+        (workdir / "a").mkdir()
+        (workdir / "b").mkdir()
+        first = self.gen(workdir, "a/s.csv")
+        second = self.gen(workdir, "b/s.csv", "--seed", "1")
+        out = workdir / "x"
+        cfg = str(workdir / "config.json")
+        rc = cli.main(["discover", str(first), str(second), "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert "'s.csv'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inputs_must_share_channel_names(self, workdir, capsys):
+        data = self.gen(workdir)
+        renamed = workdir / "renamed.csv"
+        renamed.write_bytes(data.read_bytes().replace(b"t,ch1,ch2", b"t,left,right", 1))
+        cfg = str(workdir / "config.json")
+        for command in ("discover", "replay"):
+            out = workdir / command
+            rc = cli.main([command, str(data), str(renamed), "--config", cfg, "--out", str(out)])
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert str(data) in err and str(renamed) in err
+            assert not out.exists()
+        copy = workdir / "copy.csv"
+        copy.write_bytes(data.read_bytes())
+        out = workdir / "ok"
+        assert cli.main(["discover", str(data), str(copy), "--config", cfg, "--out", str(out)]) == 0
+        assert read_series(str(out / "segments" / "segment_00000.csv"))[2] == ["ch1", "ch2"]
+
     def test_exit_code_4_for_buffer_overflow(self, workdir):
         data = self.gen(workdir)
         rc = cli.main(
@@ -815,3 +853,43 @@ def test_discover_never_raises(case):
         assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_OVERFLOW)
         if rc == cli.EXIT_OK:
             assert {"segments.csv", "stats.json", "forest.json", "forest.dot"} <= set(os.listdir(out))
+
+
+
+# Valid values for every gen flag; each case then overrides up to two flags
+# with small ints from -2 up, or for the noise level any float, nan and inf.
+_GEN_FLAGS = {
+    "--seed": st.integers(0, 3),
+    "--patterns": st.integers(1, 4),
+    "--bursts-per-pattern": st.integers(0, 3),
+    "--noise-sigma": st.floats(0, 0.2),
+    "--burst-len": st.integers(20, 40),
+    "--gap-len": st.integers(1, 10),
+    "--cluster-size": st.integers(1, 3),
+    "--cluster-gap-len": st.integers(1, 10),
+}
+
+
+@st.composite
+def _gen_flags(draw):
+    optional = {"--cluster-size": _GEN_FLAGS["--cluster-size"]}
+    required = {k: v for k, v in _GEN_FLAGS.items() if k not in optional}
+    flags = draw(st.fixed_dictionaries(required, optional=optional))
+    for flag in draw(st.lists(st.sampled_from(sorted(_GEN_FLAGS)), max_size=2, unique=True)):
+        if flag == "--noise-sigma":
+            flags[flag] = draw(st.floats(allow_nan=True, allow_infinity=True))
+        else:
+            flags[flag] = draw(st.integers(-2, 3))
+    return flags
+
+
+@given(flags=_gen_flags())
+@settings(max_examples=150, deadline=None)
+def test_gen_exits_0_or_3(flags):
+    """Any gen flags either write a stream or exit 3 without writing one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "s.csv")
+        rc = cli.main(["gen", "--out", out, *(f"{flag}={value}" for flag, value in flags.items())])
+        event(f"exit {rc}")
+        assert rc in (cli.EXIT_OK, cli.EXIT_IO)
+        assert os.path.exists(out) == (rc == cli.EXIT_OK)
