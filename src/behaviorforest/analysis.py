@@ -83,10 +83,14 @@ def sliding_window_variances(series: np.ndarray, window_length: int) -> np.ndarr
     if window_length < 1:
         raise ValueError(f"window_length must be >= 1, got {window_length}")
     x = np.asarray(series, dtype=np.float64)
-    starts = range(0, len(x) - window_length + 1, (window_length + 1) // 2)
-    return np.array(
-        [segment_variance(x[s : s + window_length]) for s in starts], dtype=np.float64
-    )
+    if x.ndim == 1:
+        x = x[:, None]
+    if len(x) < window_length:
+        return np.empty(0, dtype=np.float64)
+    windows = np.lib.stride_tricks.sliding_window_view(x, window_length, axis=0)
+    # (n, w, d) in C order, so each window reduces as `segment_variance` would.
+    windows = np.ascontiguousarray(windows[:: (window_length + 1) // 2].transpose(0, 2, 1))
+    return np.var(windows, axis=1).mean(axis=1)
 
 
 class FiveNumberSummary(NamedTuple):

@@ -6,13 +6,26 @@ stationary one and closes when a run settles into a plateau, which then
 seeds the next pattern's context.  Closed patterns are inserted into a
 forest of prefix trees whose edge weights and terminal counts accumulate
 across streams, giving O(path length) occurrence lookups without storing
-raw data.  Every walk over a forest is `BehaviorForest.iter_nodes`, an
-explicit-stack pre-order traversal, so only the JSON encoder recurses.
+raw data.
+
+The forest is path-compressed (a radix, or PATRICIA, tree): it stores
+edges, not nodes.  An edge is a tuple of symbols, one weight, one terminal
+count and a dict of child edges keyed by their first symbol.  It stands
+for a chain of logical nodes, one per symbol, in which every node but the
+last has one child, a terminal count of 0 and the edge's weight; the last
+node carries the terminal count and the children.  A root is its own
+one-symbol edge of weight 0.  A path that never reaches a plateau is thus
+one edge however long it is, and inserting it stores one tuple slice.
+Readers that think in nodes get `BehaviorNode` views, `(edge, offset)`
+pairs that build their fields when read.  Every walk over a forest is one
+explicit-stack pre-order traversal over edges, so only the JSON encoder
+recurses.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -61,6 +74,11 @@ class BehaviorDetector:
     copy; the first run with at least `termination_run` copies adds its
     symbol once, closes the behavior over (context start, run end), and
     becomes the next context with its full copy count.
+
+    `step` loops once per behavior, not once per run: per chunk it expands
+    every run into its path symbols with numpy, then finds each behavior's
+    opening and closing rows by bisection and takes its path as one slice.
+    The open behavior's path carries over to the next chunk as a list.
     """
 
     def __init__(self, termination_run: int = 3, initiation_context: int = 2):
@@ -79,25 +97,46 @@ class BehaviorDetector:
 
     def step(self, runs: np.ndarray) -> List[DiscoveredBehavior]:
         closed: List[DiscoveredBehavior] = []
-        for symbol, start, end, copies in runs.tolist():
+        n = len(runs)
+        if n == 0:
+            return closed
+        copies = runs[:, 3]
+        closing = copies >= self.termination_run
+        # A run adds one path symbol per copy, a closing run only one.
+        counts = np.where(closing, 1, copies)
+        expanded = np.repeat(runs[:, 0], counts).tolist()
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        closes = np.flatnonzero(closing).tolist()
+        arms = np.flatnonzero(copies >= self.initiation_context).tolist()
+        r = 0  # next row to read
+        while r < n:
             if self._path is None:
                 if self._context is None or self._context[2] < self.initiation_context:
-                    self._context = (symbol, start, copies)
+                    # Every row up to the next armed one replaces the context.
+                    i = bisect_left(arms, r)
+                    r = arms[i] if i < len(arms) else n - 1
+                    symbol, start, _, n_copies = runs[r].tolist()
+                    self._context = (symbol, start, n_copies)
+                    r += 1
                     continue
                 self._path = [self._context[0]]
-            if copies < self.termination_run:
-                self._path.extend([symbol] * copies)
-                self._end = end
-                continue
+            i = bisect_left(closes, r)
+            if i == len(closes):
+                self._path += expanded[offsets[r] :]
+                self._end = int(runs[-1, 2])
+                break
+            c = closes[i]
             # Plateau reached: the path keeps this symbol exactly once.
-            self._path.append(symbol)
+            self._path += expanded[offsets[r] : offsets[c + 1]]
+            symbol, start, end, n_copies = runs[c].tolist()
             closed.append(
                 DiscoveredBehavior(
                     tuple(self._path), (self._context[1], end), TERMINATED_BY_PLATEAU
                 )
             )
-            self._context = (symbol, start, copies)
+            self._context = (symbol, start, n_copies)
             self._path = None
+            r = c + 1
         return closed
 
     def flush(self) -> Optional[DiscoveredBehavior]:
@@ -119,16 +158,61 @@ class InsertionReceipt:
     prior_terminal_count: int
 
 
+class _Edge:
+    """A chain of logical nodes stored once; see the module docstring."""
+
+    __slots__ = ("symbols", "weight", "terminal_count", "children")
+
+    def __init__(self, symbols: tuple, weight: int, terminal_count: int = 0, children=None):
+        self.symbols = symbols
+        self.weight = weight  # edge weight of every node on the chain
+        self.terminal_count = terminal_count  # of the last node
+        self.children: Dict[int, "_Edge"] = {} if children is None else children
+
+    def split(self, k: int) -> None:
+        """Cut the chain after its first k symbols; the tail becomes the one child."""
+        tail = _Edge(self.symbols[k:], self.weight, self.terminal_count, self.children)
+        self.symbols = self.symbols[:k]
+        self.terminal_count = 0
+        self.children = {tail.symbols[0]: tail}
+
+
 class BehaviorNode:
-    """One symbol position in a prefix tree."""
+    """Read-only view of one logical node: the symbol at `offset` on an edge.
 
-    __slots__ = ("symbol", "children", "edge_weight", "terminal_count")
+    `symbol`, `edge_weight` (traversals of the link from the parent, 0 at a
+    root), `terminal_count` (behaviors that ended exactly here) and
+    `children` (symbol -> view) are read from the edge when asked for, so a
+    view costs nothing until it is read.  An insert that splits an edge
+    moves the nodes below the split to a new edge, and views of those nodes
+    then raise IndexError, so take views again after inserting.
+    """
 
-    def __init__(self, symbol: int):
-        self.symbol = symbol
-        self.children: Dict[int, "BehaviorNode"] = {}
-        self.edge_weight = 0  # traversals of the edge from the parent
-        self.terminal_count = 0  # behaviors that ended exactly here
+    __slots__ = ("_edge", "_offset")
+
+    def __init__(self, edge: _Edge, offset: int):
+        self._edge = edge
+        self._offset = offset
+
+    @property
+    def symbol(self) -> int:
+        return self._edge.symbols[self._offset]
+
+    @property
+    def edge_weight(self) -> int:
+        return self._edge.weight
+
+    @property
+    def terminal_count(self) -> int:
+        edge = self._edge
+        return edge.terminal_count if self._offset == len(edge.symbols) - 1 else 0
+
+    @property
+    def children(self) -> Dict[int, "BehaviorNode"]:
+        edge, offset = self._edge, self._offset + 1
+        if offset < len(edge.symbols):
+            return {edge.symbols[offset]: BehaviorNode(edge, offset)}
+        return {symbol: BehaviorNode(child, 0) for symbol, child in edge.children.items()}
 
 
 class BehaviorForest:
@@ -136,74 +220,115 @@ class BehaviorForest:
 
     A node's terminal mark is independent of being a structural leaf, so a
     behavior that is a prefix of a longer one is still counted exactly.
+    The trees are stored as edges (see the module docstring); `roots`,
+    `find` and `iter_nodes` serve `BehaviorNode` views of the logical nodes.
     """
 
     def __init__(self) -> None:
-        self.roots: Dict[int, BehaviorNode] = {}
+        self._roots: Dict[int, _Edge] = {}
         self.total_insertions = 0
 
+    @property
+    def roots(self) -> Dict[int, BehaviorNode]:
+        return {symbol: BehaviorNode(edge, 0) for symbol, edge in self._roots.items()}
+
     def insert(self, path: Sequence[int]) -> InsertionReceipt:
-        """Walk/extend the path, bumping edge weights and the terminal count."""
-        if len(path) < 2:
-            raise ValueError(f"behavior path needs >= 2 symbols, got {tuple(path)}")
-        created = False
-        node = self.roots.get(path[0])
-        if node is None:
-            node = BehaviorNode(path[0])
-            self.roots[path[0]] = node
-            created = True
-        for symbol in path[1:]:
-            child = node.children.get(symbol)
+        """Walk/extend the path, bumping edge weights and the terminal count.
+
+        Each edge on the way is matched by one tuple comparison; the symbols
+        are scanned one by one only on a mismatch, to find where to split.
+        """
+        path = tuple(path)
+        n = len(path)
+        if n < 2:
+            raise ValueError(f"behavior path needs >= 2 symbols, got {path}")
+        edge = self._roots.get(path[0])
+        created = edge is None
+        if created:
+            edge = self._roots[path[0]] = _Edge(path[:1], 0)
+        i = 1  # path[:i] ends at the last node of `edge`
+        while i < n:
+            child = edge.children.get(path[i])
             if child is None:
-                child = BehaviorNode(symbol)
-                node.children[symbol] = child
+                edge.children[path[i]] = edge = _Edge(path[i:], 1)
                 created = True
-            child.edge_weight += 1
-            node = child
-        prior = node.terminal_count
-        node.terminal_count += 1
+                break
+            piece = path[i : i + len(child.symbols)]
+            if piece != child.symbols:
+                # The path diverges or ends inside the chain: split it there.
+                pairs = enumerate(zip(piece, child.symbols))
+                child.split(next((j for j, (a, b) in pairs if a != b), len(piece)))
+            child.weight += 1
+            edge = child
+            i += len(child.symbols)
+        prior = edge.terminal_count
+        edge.terminal_count += 1
         self.total_insertions += 1
         return InsertionReceipt(created_new_node=created, prior_terminal_count=prior)
 
     def find(self, path: Sequence[int]) -> Optional[BehaviorNode]:
-        node = self.roots.get(path[0]) if path else None
-        for symbol in path[1:]:
-            if node is None:
+        path = tuple(path)
+        edge = self._roots.get(path[0]) if path else None
+        i, n = 1, len(path)
+        while edge is not None and i < n:
+            child = edge.children.get(path[i])
+            if child is None:
                 return None
-            node = node.children.get(symbol)
-        return node
+            chain = child.symbols
+            if path[i : i + len(chain)] == chain:
+                edge, i = child, i + len(chain)
+            elif n - i < len(chain) and path[i:] == chain[: n - i]:
+                return BehaviorNode(child, n - i - 1)
+            else:
+                return None
+        return None if edge is None else BehaviorNode(edge, len(edge.symbols) - 1)
 
     def occurrence_count(self, path: Sequence[int]) -> int:
         node = self.find(path)
         return node.terminal_count if node is not None else 0
 
+    def _walk(self) -> Iterator[Tuple[int, _Edge]]:
+        """Pre-order over edges, (depth of the edge's first node, edge), by symbol."""
+        stack = [(1, edge) for _, edge in sorted(self._roots.items(), reverse=True)]
+        while stack:
+            depth, edge = stack.pop()
+            yield depth, edge
+            depth += len(edge.symbols)
+            for _, child in sorted(edge.children.items(), reverse=True):
+                stack.append((depth, child))
+
+    def _rows(self) -> Iterator[Tuple[int, int, int, int]]:
+        """(depth, symbol, edge_weight, terminal_count) of each node, in pre-order."""
+        for depth, edge in self._walk():
+            last = len(edge.symbols) - 1
+            for offset, symbol in enumerate(edge.symbols):
+                terminal = edge.terminal_count if offset == last else 0
+                yield depth + offset, symbol, edge.weight, terminal
+
     def iter_nodes(self) -> Iterator[Tuple[int, BehaviorNode]]:
         """Pre-order walk yielding (depth, node): roots at depth 1, children by symbol."""
-        stack = [(1, node) for _, node in sorted(self.roots.items(), reverse=True)]
-        while stack:
-            depth, node = stack.pop()
-            yield depth, node
-            for _, child in sorted(node.children.items(), reverse=True):
-                stack.append((depth + 1, child))
+        for depth, edge in self._walk():
+            for offset in range(len(edge.symbols)):
+                yield depth + offset, BehaviorNode(edge, offset)
 
     def terminal_paths(self) -> Dict[Tuple[int, ...], int]:
         """All paths behaviors have ended on, with their occurrence counts."""
         paths: Dict[Tuple[int, ...], int] = {}
         path: List[int] = []
-        for depth, node in self.iter_nodes():
+        for depth, edge in self._walk():
             del path[depth - 1 :]
-            path.append(node.symbol)
-            if node.terminal_count > 0:
-                paths[tuple(path)] = node.terminal_count
+            path.extend(edge.symbols)
+            if edge.terminal_count > 0:
+                paths[tuple(path)] = edge.terminal_count
         return paths
 
     @property
     def n_nodes(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        return sum(len(edge.symbols) for _, edge in self._walk())
 
     def checked_total(self) -> int:
         """Recompute total insertions from terminal counts (conservation)."""
-        return sum(node.terminal_count for _, node in self.iter_nodes())
+        return sum(edge.terminal_count for _, edge in self._walk())
 
 
 def forest_snapshot(forest: BehaviorForest, config_hash: str) -> dict:
@@ -211,9 +336,9 @@ def forest_snapshot(forest: BehaviorForest, config_hash: str) -> dict:
     # links[d - 1] is the list a depth-d node's link goes into: the root
     # entries {"symbol", "node"} or its parent's {"edge_weight", "node"} links.
     links: List[List[dict]] = [[]]
-    for depth, node in forest.iter_nodes():
-        doc = {"symbol": node.symbol, "terminal_count": node.terminal_count, "children": []}
-        link = {"symbol": node.symbol} if depth == 1 else {"edge_weight": node.edge_weight}
+    for depth, symbol, weight, terminal in forest._rows():
+        doc = {"symbol": symbol, "terminal_count": terminal, "children": []}
+        link = {"symbol": symbol} if depth == 1 else {"edge_weight": weight}
         link["node"] = doc
         del links[depth:]
         links[-1].append(link)
@@ -251,7 +376,13 @@ def _require(doc: dict, key: str, kind) -> object:
 
 
 def forest_restore(doc: dict, expected_config_hash: Optional[str] = None) -> BehaviorForest:
-    """Rebuild a forest from a snapshot document, validating as it goes."""
+    """Rebuild a forest from a snapshot document, validating as it goes.
+
+    Only the total of the terminal counts is checked against the document's
+    insertion count, so weights need not conserve from node to node.  A node
+    therefore joins its parent's edge only if the parent is not a root, has
+    this one child and a terminal count of 0, and has the same edge weight.
+    """
     version = _require(doc, "version", int)
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
@@ -262,28 +393,40 @@ def forest_restore(doc: dict, expected_config_hash: Optional[str] = None) -> Beh
             f"config hashes to {expected_config_hash}"
         )
     forest = BehaviorForest()
+    edges: List[_Edge] = []  # their symbols stay lists until the walk ends
     terminals = 0
-    # One stack of (link, parent): root entries have no parent.
-    stack = [(entry, None) for entry in reversed(_require(doc, "roots", list))]
+    # One stack of (link, parent edge, whether the link may extend it): root
+    # entries have no parent.
+    stack = [(entry, None, False) for entry in reversed(_require(doc, "roots", list))]
     while stack:
-        link, parent = stack.pop()
+        link, parent, joinable = stack.pop()
         key = _require(link, "symbol" if parent is None else "edge_weight", int)
         if parent is not None and key < 1:
             raise SnapshotError("snapshot edge weights must be >= 1")
         node_doc = _require(link, "node", dict)
-        node = BehaviorNode(_require(node_doc, "symbol", int))
-        node.terminal_count = _require(node_doc, "terminal_count", int)
-        if node.symbol < 0 or node.terminal_count < 0:
+        symbol = _require(node_doc, "symbol", int)
+        terminal = _require(node_doc, "terminal_count", int)
+        if symbol < 0 or terminal < 0:
             raise SnapshotError("snapshot symbols and counts must be non-negative")
-        terminals += node.terminal_count
-        if parent is None and key != node.symbol:
-            raise SnapshotError(f"root entry symbol {key} != node symbol {node.symbol}")
-        node.edge_weight = 0 if parent is None else key
-        siblings, kind = (forest.roots, "root") if parent is None else (parent.children, "child")
-        if node.symbol in siblings:
-            raise SnapshotError(f"duplicate {kind} symbol {node.symbol}")
-        siblings[node.symbol] = node
-        stack.extend((child, node) for child in reversed(_require(node_doc, "children", list)))
+        terminals += terminal
+        if parent is None and key != symbol:
+            raise SnapshotError(f"root entry symbol {key} != node symbol {symbol}")
+        if joinable and key == parent.weight:
+            edge = parent
+            edge.symbols.append(symbol)
+            edge.terminal_count = terminal
+        else:
+            edge = _Edge([symbol], 0 if parent is None else key, terminal)
+            edges.append(edge)
+            siblings, kind = (forest._roots, "root") if parent is None else (parent.children, "child")
+            if symbol in siblings:
+                raise SnapshotError(f"duplicate {kind} symbol {symbol}")
+            siblings[symbol] = edge
+        children = _require(node_doc, "children", list)
+        joinable = parent is not None and len(children) == 1 and terminal == 0
+        stack.extend((child, edge, joinable) for child in reversed(children))
+    for edge in edges:
+        edge.symbols = tuple(edge.symbols)
     forest.total_insertions = total = _require(doc, "total_insertions", int)
     if terminals != total:
         raise SnapshotError(f"total_insertions {total} does not match terminal counts ({terminals})")
@@ -301,10 +444,10 @@ def forest_to_dot(forest: BehaviorForest) -> str:
     nodes: List[str] = []
     edges: List[str] = []
     ids: List[int] = []  # ids[d - 1]: number of the last node seen at depth d
-    for i, (depth, node) in enumerate(forest.iter_nodes()):
-        nodes.append(f'  n{i} [label="{node.symbol} [{node.terminal_count}]"];')
+    for i, (depth, symbol, weight, terminal) in enumerate(forest._rows()):
+        nodes.append(f'  n{i} [label="{symbol} [{terminal}]"];')
         del ids[depth - 1 :]
         if ids:
-            edges.append(f'  n{ids[-1]} -> n{i} [label="{node.edge_weight}"];')
+            edges.append(f'  n{ids[-1]} -> n{i} [label="{weight}"];')
         ids.append(i)
     return "\n".join(["digraph behavior_forest {", *nodes, *edges, "}"]) + "\n"

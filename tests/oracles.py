@@ -4,10 +4,11 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from behaviorforest.analysis import segment_variance
 from behaviorforest.core import (
     BufferOverflowError,
     DimensionMismatchError,
@@ -15,9 +16,12 @@ from behaviorforest.core import (
     InvalidSampleError,
 )
 from behaviorforest.forest import (
+    SNAPSHOT_VERSION,
     TERMINATED_BY_PLATEAU,
     TERMINATED_BY_STREAM_END,
+    BehaviorDetector,
     DiscoveredBehavior,
+    InsertionReceipt,
 )
 from behaviorforest.preprocess import HysteresisFilter, discretize_batch
 
@@ -415,6 +419,174 @@ class StepBehaviorDetector:
             )
         self._reset()
         return behavior
+
+
+class RunBehaviorDetector(BehaviorDetector):
+    """Behavior detector whose `step` loops once per run.
+
+    The reference for `forest.BehaviorDetector.step`, which loops once per
+    behavior instead; both share the state that `flush` reads.
+    """
+
+    def step(self, runs: np.ndarray) -> List[DiscoveredBehavior]:
+        closed: List[DiscoveredBehavior] = []
+        for symbol, start, end, copies in runs.tolist():
+            if self._path is None:
+                if self._context is None or self._context[2] < self.initiation_context:
+                    self._context = (symbol, start, copies)
+                    continue
+                self._path = [self._context[0]]
+            if copies < self.termination_run:
+                self._path.extend([symbol] * copies)
+                self._end = end
+                continue
+            # Plateau reached: the path keeps this symbol exactly once.
+            self._path.append(symbol)
+            closed.append(
+                DiscoveredBehavior(
+                    tuple(self._path), (self._context[1], end), TERMINATED_BY_PLATEAU
+                )
+            )
+            self._context = (symbol, start, copies)
+            self._path = None
+        return closed
+
+
+class ObjectNode:
+    """One symbol position in a prefix tree."""
+
+    __slots__ = ("symbol", "children", "edge_weight", "terminal_count")
+
+    def __init__(self, symbol: int):
+        self.symbol = symbol
+        self.children: Dict[int, "ObjectNode"] = {}
+        self.edge_weight = 0  # traversals of the edge from the parent
+        self.terminal_count = 0  # behaviors that ended exactly here
+
+
+class ObjectForest:
+    """Prefix forest holding one node object per path position.
+
+    The reference for `forest.BehaviorForest`, which stores chains of
+    one-child nodes as single edges: both must serve the same logical
+    nodes, receipts and counts.
+    """
+
+    def __init__(self) -> None:
+        self.roots: Dict[int, ObjectNode] = {}
+        self.total_insertions = 0
+
+    def insert(self, path: Sequence[int]) -> InsertionReceipt:
+        if len(path) < 2:
+            raise ValueError(f"behavior path needs >= 2 symbols, got {tuple(path)}")
+        created = False
+        node = self.roots.get(path[0])
+        if node is None:
+            node = ObjectNode(path[0])
+            self.roots[path[0]] = node
+            created = True
+        for symbol in path[1:]:
+            child = node.children.get(symbol)
+            if child is None:
+                child = ObjectNode(symbol)
+                node.children[symbol] = child
+                created = True
+            child.edge_weight += 1
+            node = child
+        prior = node.terminal_count
+        node.terminal_count += 1
+        self.total_insertions += 1
+        return InsertionReceipt(created_new_node=created, prior_terminal_count=prior)
+
+    def find(self, path: Sequence[int]) -> Optional[ObjectNode]:
+        node = self.roots.get(path[0]) if path else None
+        for symbol in path[1:]:
+            if node is None:
+                return None
+            node = node.children.get(symbol)
+        return node
+
+    def occurrence_count(self, path: Sequence[int]) -> int:
+        node = self.find(path)
+        return node.terminal_count if node is not None else 0
+
+    def iter_nodes(self) -> Iterator[Tuple[int, ObjectNode]]:
+        """Pre-order walk yielding (depth, node): roots at depth 1, children by symbol."""
+        stack = [(1, node) for _, node in sorted(self.roots.items(), reverse=True)]
+        while stack:
+            depth, node = stack.pop()
+            yield depth, node
+            for _, child in sorted(node.children.items(), reverse=True):
+                stack.append((depth + 1, child))
+
+    def terminal_paths(self) -> Dict[Tuple[int, ...], int]:
+        paths: Dict[Tuple[int, ...], int] = {}
+        path: List[int] = []
+        for depth, node in self.iter_nodes():
+            del path[depth - 1 :]
+            path.append(node.symbol)
+            if node.terminal_count > 0:
+                paths[tuple(path)] = node.terminal_count
+        return paths
+
+    @classmethod
+    def restore(cls, doc: dict) -> "ObjectForest":
+        """The forest of a valid v1 snapshot document, node for node."""
+        forest = cls()
+        stack = [(entry, None) for entry in reversed(doc["roots"])]
+        while stack:
+            link, parent = stack.pop()
+            node_doc = link["node"]
+            node = ObjectNode(node_doc["symbol"])
+            node.terminal_count = node_doc["terminal_count"]
+            node.edge_weight = 0 if parent is None else link["edge_weight"]
+            (forest.roots if parent is None else parent.children)[node.symbol] = node
+            stack.extend((child, node) for child in reversed(node_doc["children"]))
+        forest.total_insertions = doc["total_insertions"]
+        return forest
+
+    def snapshot(self, config_hash: str) -> dict:
+        """The v1 document that `forest.forest_snapshot` must build for this forest."""
+        links: List[List[dict]] = [[]]
+        for depth, node in self.iter_nodes():
+            doc = {"symbol": node.symbol, "terminal_count": node.terminal_count, "children": []}
+            link = {"symbol": node.symbol} if depth == 1 else {"edge_weight": node.edge_weight}
+            link["node"] = doc
+            del links[depth:]
+            links[-1].append(link)
+            links.append(doc["children"])
+        return {
+            "version": SNAPSHOT_VERSION,
+            "config_hash": config_hash,
+            "roots": links[0],
+            "total_insertions": self.total_insertions,
+        }
+
+    def dot(self) -> str:
+        """The Graphviz text that `forest.forest_to_dot` must render for this forest."""
+        nodes: List[str] = []
+        edges: List[str] = []
+        ids: List[int] = []  # ids[d - 1]: number of the last node seen at depth d
+        for i, (depth, node) in enumerate(self.iter_nodes()):
+            nodes.append(f'  n{i} [label="{node.symbol} [{node.terminal_count}]"];')
+            del ids[depth - 1 :]
+            if ids:
+                edges.append(f'  n{ids[-1]} -> n{i} [label="{node.edge_weight}"];')
+            ids.append(i)
+        return "\n".join(["digraph behavior_forest {", *nodes, *edges, "}"]) + "\n"
+
+
+def loop_window_variances(series: np.ndarray, window_length: int) -> np.ndarray:
+    """`segment_variance` of each half-overlapping window, one call per window.
+
+    The reference for `analysis.sliding_window_variances`, which must give
+    the same bytes.
+    """
+    x = np.asarray(series, dtype=np.float64)
+    starts = range(0, len(x) - window_length + 1, (window_length + 1) // 2)
+    return np.array(
+        [segment_variance(x[s : s + window_length]) for s in starts], dtype=np.float64
+    )
 
 
 def csv_write_series(

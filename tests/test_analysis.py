@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import loop_window_variances
 
 from behaviorforest.analysis import (
     FEATURE_NAMES,
@@ -117,6 +120,22 @@ class TestSlidingWindows:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             sliding_window_variances(np.arange(5.0), 0)
+
+    @given(
+        n=st.integers(0, 60),
+        channels=st.sampled_from([None, 1, 2, 3]),
+        window_length=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_window_oracle_bytes(self, n, channels, window_length, seed):
+        # None draws a 1-D series; n < window_length gives no window.
+        shape = (n,) if channels is None else (n, channels)
+        series = np.random.default_rng(seed).normal(0.0, 10.0, shape)
+        got = sliding_window_variances(series, window_length)
+        want = loop_window_variances(series, window_length)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFiveNumberSummary:

@@ -1,13 +1,23 @@
 """Behavior detection over runs and the weighted prefix forest."""
 
 import json
+import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ReducedSymbol, StepBehaviorDetector, StepPipeline, path_id_dot, unit_runs
+from oracles import (
+    ObjectForest,
+    ReducedSymbol,
+    RunBehaviorDetector,
+    StepBehaviorDetector,
+    StepPipeline,
+    path_id_dot,
+    unit_runs,
+)
 
 from behaviorforest.core import BreakpointSpec, EngineConfig, SnapshotError
 from behaviorforest.forest import (
@@ -313,6 +323,44 @@ def test_run_detector_matches_copy_oracle(
     assert got == expected
 
 
+@st.composite
+def run_table(draw):
+    """Run rows with distinct neighbouring symbols and back-to-back spans."""
+    rows, start, symbol = [], 0, None
+    for _ in range(draw(st.integers(0, 40))):
+        step = draw(st.integers(0, 3) if symbol is None else st.integers(1, 3))
+        symbol = (step if symbol is None else symbol + step) % 4
+        length = draw(st.integers(1, 5))
+        rows.append((symbol, start, start + length, draw(st.integers(1, 7))))
+        start += length
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+@given(
+    runs=run_table(),
+    termination_run=st.integers(2, 5),
+    initiation_context=st.integers(1, 7),
+    data=st.data(),
+)
+@settings(max_examples=500, deadline=None)
+def test_per_behavior_detector_matches_per_run_and_copy_oracles(
+    runs, termination_run, initiation_context, data
+):
+    # Repeated cuts give 0-row chunks, adjacent ones 1-row chunks.
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(runs)), max_size=10)))
+
+    def drive(detector):
+        out = []
+        for lo, hi in zip([0, *cuts], [*cuts, len(runs)]):
+            out += detector.step(runs[lo:hi])
+        return out + [db for db in [detector.flush()] if db is not None]
+
+    got = drive(BehaviorDetector(termination_run, initiation_context))
+    assert got == drive(RunBehaviorDetector(termination_run, initiation_context))
+    copy_oracle = StepBehaviorDetector(termination_run, initiation_context)
+    assert got == feed_copies(copy_oracle, expand(runs))
+
+
 class TestForest:
     def test_canonical_forest_shape(self):
         forest = BehaviorForest()
@@ -348,6 +396,16 @@ class TestForest:
         assert forest.occurrence_count((1, 2, 3)) == 1
         assert forest.total_insertions == 2
         assert forest.checked_total() == 2
+
+    def test_views_above_a_split_stay_live(self):
+        forest = BehaviorForest()
+        forest.insert((1, 2, 3, 4))
+        above, below = forest.find((1, 2)), forest.find((1, 2, 3))
+        forest.insert((1, 2, 9))
+        assert (above.edge_weight, sorted(above.children)) == (2, [3, 9])
+        with pytest.raises(IndexError):
+            below.symbol
+        assert forest.find((1, 2, 3)).edge_weight == 1
 
     def test_rejects_short_paths(self):
         with pytest.raises(ValueError):
@@ -589,3 +647,131 @@ def test_deep_chain_snapshot_restore_dot_and_paths():
     assert restored.n_nodes == 100_001
     assert restored.checked_total() == restored.total_insertions == 1
     assert restored.terminal_paths() == {path: 1}
+
+
+@st.composite
+def insert_sequence(draw):
+    """Paths over four symbols, most built from earlier ones.
+
+    Prefixes end inside an existing chain, extensions grow one, divergent
+    siblings split one, and repeats only bump counts.
+    """
+    symbol = st.integers(0, 3)
+    paths = []
+    for _ in range(draw(st.integers(0, 25))):
+        kinds = ["new", "repeat", "prefix", "extend", "diverge"] if paths else ["new"]
+        kind = draw(st.sampled_from(kinds))
+        base = list(draw(st.sampled_from(paths))) if paths else []
+        if kind == "new":
+            path = draw(st.lists(symbol, min_size=2, max_size=30))
+        elif kind == "repeat":
+            path = base
+        elif kind == "prefix":
+            path = base[: draw(st.integers(2, len(base)))]
+        elif kind == "extend":
+            path = base + draw(st.lists(symbol, min_size=1, max_size=10))
+        else:
+            k = draw(st.integers(1, len(base) - 1))
+            path = base[:k] + draw(st.lists(symbol, min_size=1, max_size=10))
+        paths.append(tuple(path))
+    return paths
+
+
+def node_row(node):
+    if node is None:
+        return None
+    return node.symbol, node.edge_weight, node.terminal_count, sorted(node.children)
+
+
+def node_rows(forest):
+    return [(depth, *node_row(node)) for depth, node in forest.iter_nodes()]
+
+
+def dumps_v1(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@given(paths=insert_sequence())
+@settings(max_examples=300, deadline=None)
+def test_radix_forest_matches_object_forest(paths):
+    forest, oracle = BehaviorForest(), ObjectForest()
+    for path in paths:
+        assert forest.insert(path) == oracle.insert(path)
+    probes = {p[:k] for p in paths for k in range(1, len(p) + 1)}
+    probes |= {p + (s,) for p in paths for s in range(4)} | {(), (9, 1)}
+    for probe in probes:
+        assert node_row(forest.find(probe)) == node_row(oracle.find(probe))
+        assert forest.occurrence_count(probe) == oracle.occurrence_count(probe)
+    rows = node_rows(forest)
+    assert rows == node_rows(oracle)
+    assert {s: node_row(n) for s, n in forest.roots.items()} == {
+        s: node_row(n) for s, n in oracle.roots.items()
+    }
+    assert forest.terminal_paths() == oracle.terminal_paths()
+    assert snapshot_dumps(forest, "h") == dumps_v1(oracle.snapshot("h"))
+    assert forest_to_dot(forest) == oracle.dot()
+    assert forest.n_nodes == len(rows)
+    assert forest.checked_total() == forest.total_insertions == len(paths)
+
+
+@given(paths=insert_sequence(), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_restore_keeps_weights_that_do_not_conserve(paths, seed):
+    # Restore checks only the total, so any weights >= 1 and any terminal
+    # counts must come back node for node, as they did from node objects.
+    oracle = ObjectForest()
+    for path in paths:
+        oracle.insert(path)
+    doc = oracle.snapshot("h")
+    rng = random.Random(seed)
+    total, stack = 0, list(doc["roots"])
+    while stack:
+        link = stack.pop()
+        if "edge_weight" in link:
+            link["edge_weight"] = rng.randint(1, 3)
+        link["node"]["terminal_count"] = count = rng.choice([0, 0, 1, 2])
+        total += count
+        stack.extend(link["node"]["children"])
+    doc["total_insertions"] = total
+    forest, today = forest_restore(doc, "h"), ObjectForest.restore(doc)
+    assert node_rows(forest) == node_rows(today)
+    assert snapshot_dumps(forest, "h") == dumps_v1(today.snapshot("h"))
+    assert forest_to_dot(forest) == today.dot()
+
+
+def test_restore_breaks_edges_where_a_chain_stops_conserving():
+    def link(weight, symbol, terminal, *children):
+        node = {"symbol": symbol, "terminal_count": terminal, "children": list(children)}
+        return {"edge_weight": weight, "node": node}
+
+    # 2 has one child of another weight, 3 is terminal, 4 -> 5 is a chain.
+    chain = link(3, 2, 0, link(2, 3, 1, link(1, 4, 0, link(1, 5, 2))))
+    root = {"symbol": 1, "node": {"symbol": 1, "terminal_count": 0, "children": [chain]}}
+    doc = {"version": 1, "config_hash": "h", "roots": [root], "total_insertions": 3}
+    forest = forest_restore(doc)
+    assert [edge.symbols for _, edge in forest._walk()] == [(1,), (2,), (3,), (4, 5)]
+    assert snapshot_dumps(forest, "h") == dumps_v1(doc)
+    assert forest_to_dot(forest) == ObjectForest.restore(doc).dot()
+    assert [node_row(forest.find(p)) for p in [(1, 2), (1, 2, 3), (1, 2, 3, 4)]] == [
+        (2, 3, 0, [3]),
+        (3, 2, 1, [4]),
+        (4, 1, 0, [5]),
+    ]
+    assert forest.occurrence_count((1, 2, 3, 4, 5)) == 2
+
+
+def test_deep_chattering_path_is_held_as_one_edge():
+    # Flicker's end-of-stream behavior: 271,282 symbols, no two alike in a row.
+    steps = np.random.default_rng(0).integers(1, 4, size=271_281)
+    path = tuple((np.concatenate(([0], np.cumsum(steps))) % 4).tolist())
+    forest = BehaviorForest()
+    tracemalloc.start()
+    try:
+        receipt = forest.insert(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert receipt.created_new_node
+    assert forest.n_nodes == len(path)
+    assert forest.occurrence_count(path) == 1
