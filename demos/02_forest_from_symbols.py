@@ -58,8 +58,8 @@ def main() -> None:
         )
 
     print("\nforest (one line per node, indented by depth; traversals, completions):")
-    for depth, node in forest.iter_nodes():
-        print(f"{'  ' * depth}{node.symbol}  weight={node.edge_weight}  terminal={node.terminal_count}")
+    for depth, symbol, weight, terminal in forest.iter_nodes():
+        print(f"{'  ' * depth}{symbol}  weight={weight}  terminal={terminal}")
 
     print("\nterminal paths:", forest.terminal_paths())
 

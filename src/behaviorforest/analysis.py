@@ -66,12 +66,15 @@ def extract_features(values: np.ndarray) -> PatternFeatures:
     )
 
 
+def _channels(values: np.ndarray) -> np.ndarray:
+    """Samples as float64 rows of channels; a 1-D input is one channel."""
+    x = np.asarray(values, dtype=np.float64)
+    return x[:, None] if x.ndim == 1 else x
+
+
 def segment_variance(values: np.ndarray) -> float:
     """Population variance of a segment, averaged over channels."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    return float(np.mean(np.var(x, axis=0)))
+    return float(np.mean(np.var(_channels(values), axis=0)))
 
 
 def sliding_window_variances(series: np.ndarray, window_length: int) -> np.ndarray:
@@ -82,9 +85,7 @@ def sliding_window_variances(series: np.ndarray, window_length: int) -> np.ndarr
     """
     if window_length < 1:
         raise ValueError(f"window_length must be >= 1, got {window_length}")
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _channels(series)
     if len(x) < window_length:
         return np.empty(0, dtype=np.float64)
     windows = np.lib.stride_tricks.sliding_window_view(x, window_length, axis=0)
@@ -143,16 +144,20 @@ def compare_variances(
 
     The window length is the rounded mean segment length, so the comparison
     asks: had we stored fixed windows instead of detected segments, what
-    variance profile would the archive have?
+    variance profile would the archive have?  Every segment must have the
+    series' channels.
     """
     if not segments:
         raise ValueError("need at least one segment to compare")
-    lengths = [np.asarray(seg).shape[0] for seg in segments]
-    window_length = max(1, round(float(np.mean(lengths))))
+    series, segments = _channels(series), [_channels(seg) for seg in segments]
+    for i, seg in enumerate(segments):
+        if seg.shape[1] != series.shape[1]:
+            raise ValueError(f"segment {i}: {seg.shape[1]} channels, series has {series.shape[1]}")
+    window_length = max(1, round(float(np.mean([len(seg) for seg in segments]))))
     window_vars = sliding_window_variances(series, window_length)
     if window_vars.size == 0:
         raise ValueError(
-            f"series ({np.asarray(series).shape[0]} samples) is shorter than "
+            f"series ({len(series)} samples) is shorter than "
             f"the {window_length}-sample comparison window"
         )
     return VarianceComparison(

@@ -122,6 +122,7 @@ def cmd_replay(args) -> int:
     runs = [result.stats for result in results]
     texts = _forest_texts(engine)
     os.makedirs(args.out, exist_ok=True)
+    bfio.remove_run_files(args.out)
     bfio.write_replay_table(os.path.join(args.out, "replay.csv"), runs)
     bfio.write_stats(os.path.join(args.out, "stats.json"), runs[-1])
     _write_forest_outputs(args.out, texts)

@@ -18,16 +18,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import BufferOverflowError, EngineConfig, validate_stream_header
-from .forest import (
-    BehaviorDetector,
-    BehaviorForest,
-    DiscoveredBehavior,
-    forest_snapshot,
-)
+from .forest import BehaviorDetector, BehaviorForest, DiscoveredBehavior, forest_snapshot
 from .preprocess import PreprocessPipeline
 from .selection import RecordedSegment, RunStats, SampleBuffer, decide, materialize
 
 Stream = Tuple[str, np.ndarray, np.ndarray]  # (stream_id, t, values[n, d])
+
+_CHUNK_SIZE = 8192  # samples fed per step; changes no output without a buffer capacity
 
 
 @dataclass(frozen=True)
@@ -41,9 +38,9 @@ class RunResult:
 class DiscoveryEngine:
     """Feeds streams through the full chain against one shared forest.
 
-    chunk_size changes no output, but buffer_capacity is checked per chunk: a
-    recorded span has to start within buffer_capacity samples of the end of
-    the chunk in which it closes.
+    Each stream is fed in chunks of 8,192 samples, and buffer_capacity is
+    checked per chunk: a recorded span has to start within buffer_capacity
+    samples of the end of the chunk in which it closes.
     """
 
     def __init__(
@@ -51,14 +48,10 @@ class DiscoveryEngine:
         config: EngineConfig,
         forest: Optional[BehaviorForest] = None,
         buffer_capacity: Optional[int] = None,
-        chunk_size: int = 8192,
     ):
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.config = config
         self.forest = forest if forest is not None else BehaviorForest()
         self.buffer_capacity = buffer_capacity
-        self.chunk_size = chunk_size
         self._next_segment_id = 0
 
     def process_stream(
@@ -78,9 +71,7 @@ class DiscoveryEngine:
             )
         validate_stream_header(values.shape[1], self.config, stream_id)
         pipeline = PreprocessPipeline(self.config, stream_id)
-        detector = BehaviorDetector(
-            self.config.termination_run, self.config.initiation_context
-        )
+        detector = BehaviorDetector(self.config.termination_run, self.config.initiation_context)
         buffer = SampleBuffer(self.buffer_capacity)
         threshold = self.config.relevance_threshold
         segments: List[RecordedSegment] = []
@@ -111,8 +102,8 @@ class DiscoveryEngine:
                 self._next_segment_id += 1
 
         n = len(values)
-        for lo in range(0, n, self.chunk_size):
-            hi = min(lo + self.chunk_size, n)
+        for lo in range(0, n, _CHUNK_SIZE):
+            hi = min(lo + _CHUNK_SIZE, n)
             buffer.extend(t[lo:hi], values[lo:hi])
             for behavior in detector.step(pipeline.process_batch(values[lo:hi])):
                 settle(behavior)
@@ -153,11 +144,10 @@ def discover(
     streams: Sequence[Stream],
     forest: Optional[BehaviorForest] = None,
     buffer_capacity: Optional[int] = None,
-    run_index: int = 0,
 ) -> Tuple[DiscoveryEngine, RunResult]:
     """One pass over the dataset: all streams in order against one forest."""
     engine = DiscoveryEngine(config, forest=forest, buffer_capacity=buffer_capacity)
-    return engine, engine.run(streams, run_index)
+    return engine, engine.run(streams)
 
 
 def replay(

@@ -16,10 +16,10 @@ last has one child, a terminal count of 0 and the edge's weight; the last
 node carries the terminal count and the children.  A root is its own
 one-symbol edge of weight 0.  A path that never reaches a plateau is thus
 one edge however long it is, and inserting it stores one tuple slice.
-Readers that think in nodes get `BehaviorNode` views, `(edge, offset)`
-pairs that build their fields when read.  Every walk over a forest is one
-explicit-stack pre-order traversal over edges, so only the JSON encoder
-recurses.
+`iter_nodes` yields plain node rows to the writers; `roots` and `find`
+give navigating callers `BehaviorNode` views, which an insert can make
+stale.  Every walk over a forest is one explicit-stack pre-order
+traversal over edges, so only the JSON encoder recurses.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SnapshotError
+from .core import EngineConfig, SnapshotError
 
 TERMINATED_BY_PLATEAU = "plateau"
 TERMINATED_BY_STREAM_END = "end_of_stream"
@@ -81,7 +81,11 @@ class BehaviorDetector:
     The open behavior's path carries over to the next chunk as a list.
     """
 
-    def __init__(self, termination_run: int = 3, initiation_context: int = 2):
+    def __init__(
+        self,
+        termination_run: int = EngineConfig.termination_run,
+        initiation_context: int = EngineConfig.initiation_context,
+    ):
         if termination_run < 2:
             raise ValueError("termination_run must be >= 2")
         if initiation_context < 1:
@@ -184,8 +188,9 @@ class BehaviorNode:
     root), `terminal_count` (behaviors that ended exactly here) and
     `children` (symbol -> view) are read from the edge when asked for, so a
     view costs nothing until it is read.  An insert that splits an edge
-    moves the nodes below the split to a new edge, and views of those nodes
-    then raise IndexError, so take views again after inserting.
+    moves the nodes below the split to a new edge, and a stale view of one
+    of them raises IndexError for `symbol` but reads wrong counts and
+    children without raising, so take views again after inserting.
     """
 
     __slots__ = ("_edge", "_offset")
@@ -220,8 +225,8 @@ class BehaviorForest:
 
     A node's terminal mark is independent of being a structural leaf, so a
     behavior that is a prefix of a longer one is still counted exactly.
-    The trees are stored as edges (see the module docstring); `roots`,
-    `find` and `iter_nodes` serve `BehaviorNode` views of the logical nodes.
+    The trees are stored as edges (see the module docstring); `roots` and
+    `find` serve `BehaviorNode` views of the logical nodes.
     """
 
     def __init__(self) -> None:
@@ -297,19 +302,13 @@ class BehaviorForest:
             for _, child in sorted(edge.children.items(), reverse=True):
                 stack.append((depth, child))
 
-    def _rows(self) -> Iterator[Tuple[int, int, int, int]]:
-        """(depth, symbol, edge_weight, terminal_count) of each node, in pre-order."""
+    def iter_nodes(self) -> Iterator[Tuple[int, int, int, int]]:
+        """Pre-order rows (depth, symbol, edge_weight, terminal_count); roots at depth 1."""
         for depth, edge in self._walk():
             last = len(edge.symbols) - 1
             for offset, symbol in enumerate(edge.symbols):
                 terminal = edge.terminal_count if offset == last else 0
                 yield depth + offset, symbol, edge.weight, terminal
-
-    def iter_nodes(self) -> Iterator[Tuple[int, BehaviorNode]]:
-        """Pre-order walk yielding (depth, node): roots at depth 1, children by symbol."""
-        for depth, edge in self._walk():
-            for offset in range(len(edge.symbols)):
-                yield depth + offset, BehaviorNode(edge, offset)
 
     def terminal_paths(self) -> Dict[Tuple[int, ...], int]:
         """All paths behaviors have ended on, with their occurrence counts."""
@@ -336,7 +335,7 @@ def forest_snapshot(forest: BehaviorForest, config_hash: str) -> dict:
     # links[d - 1] is the list a depth-d node's link goes into: the root
     # entries {"symbol", "node"} or its parent's {"edge_weight", "node"} links.
     links: List[List[dict]] = [[]]
-    for depth, symbol, weight, terminal in forest._rows():
+    for depth, symbol, weight, terminal in forest.iter_nodes():
         doc = {"symbol": symbol, "terminal_count": terminal, "children": []}
         link = {"symbol": symbol} if depth == 1 else {"edge_weight": weight}
         link["node"] = doc
@@ -393,7 +392,6 @@ def forest_restore(doc: dict, expected_config_hash: Optional[str] = None) -> Beh
             f"config hashes to {expected_config_hash}"
         )
     forest = BehaviorForest()
-    edges: List[_Edge] = []  # their symbols stay lists until the walk ends
     terminals = 0
     # One stack of (link, parent edge, whether the link may extend it): root
     # entries have no parent.
@@ -417,7 +415,6 @@ def forest_restore(doc: dict, expected_config_hash: Optional[str] = None) -> Beh
             edge.terminal_count = terminal
         else:
             edge = _Edge([symbol], 0 if parent is None else key, terminal)
-            edges.append(edge)
             siblings, kind = (forest._roots, "root") if parent is None else (parent.children, "child")
             if symbol in siblings:
                 raise SnapshotError(f"duplicate {kind} symbol {symbol}")
@@ -425,7 +422,7 @@ def forest_restore(doc: dict, expected_config_hash: Optional[str] = None) -> Beh
         children = _require(node_doc, "children", list)
         joinable = parent is not None and len(children) == 1 and terminal == 0
         stack.extend((child, edge, joinable) for child in reversed(children))
-    for edge in edges:
+    for _, edge in forest._walk():  # symbols were lists during the document walk
         edge.symbols = tuple(edge.symbols)
     forest.total_insertions = total = _require(doc, "total_insertions", int)
     if terminals != total:
@@ -444,7 +441,7 @@ def forest_to_dot(forest: BehaviorForest) -> str:
     nodes: List[str] = []
     edges: List[str] = []
     ids: List[int] = []  # ids[d - 1]: number of the last node seen at depth d
-    for i, (depth, symbol, weight, terminal) in enumerate(forest._rows()):
+    for i, (depth, symbol, weight, terminal) in enumerate(forest.iter_nodes()):
         nodes.append(f'  n{i} [label="{symbol} [{terminal}]"];')
         del ids[depth - 1 :]
         if ids:

@@ -9,8 +9,8 @@ with either explicit per-channel breakpoints or alphabet sizes to derive
 equiprobable-Gaussian ones.  Config and snapshot JSON share one reader.
 Every file written, series, document or table, replaces its target whole
 by a rename from a temporary sibling, only once complete; `write_segments`
-first removes any old manifest and `segments/segment_*.csv` files, and writes
-the new manifest after the segment files it lists.
+first removes what a previous `discover` or `replay` run left (`remove_run_files`),
+and writes the new manifest after the segment files it lists.
 """
 
 from __future__ import annotations
@@ -206,16 +206,22 @@ MANIFEST_COLUMNS = (
 )
 
 
+def remove_run_files(out_dir: str) -> None:
+    """Remove a previous run's manifest, segment files and replay table, so no two runs mix."""
+    stale = [os.path.join(out_dir, name) for name in ("segments.csv", "replay.csv")]
+    stale += glob.glob(os.path.join(glob.escape(out_dir), "segments", "segment_*.csv"))
+    for path in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+
+
 def write_segments(
     out_dir: str, segments: Sequence[RecordedSegment], channel_names: Optional[Sequence[str]] = None
 ) -> str:
-    """Write one raw file per recorded segment, then the manifest listing them."""
+    """Remove a previous run's files, write one raw file per segment, then the manifest."""
     manifest_path = os.path.join(out_dir, "segments.csv")
     seg_dir = os.path.join(out_dir, "segments")
-    # A previous run's manifest and segment files would outlive or mislist this run's.
-    for path in [manifest_path, *glob.glob(os.path.join(glob.escape(seg_dir), "segment_*.csv"))]:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(path)
+    remove_run_files(out_dir)
     os.makedirs(seg_dir, exist_ok=True)
     for seg in segments:
         path = os.path.join(seg_dir, f"segment_{seg.segment_id:05d}.csv")

@@ -177,6 +177,15 @@ class TestCompareVariances:
         with pytest.raises(ValueError):
             compare_variances([np.zeros((50, 1))], np.zeros((10, 1)))
 
+    def test_segments_must_have_the_series_channels(self):
+        series = np.random.default_rng(3).normal(size=(300, 2))
+        for other in (series[:, :1], series[:, 0], np.column_stack([series, series[:, 0]])):
+            with pytest.raises(ValueError, match="channels"):
+                compare_variances([series[0:10], series[50:70]], other)
+        # A 1-D series or segment is one channel.
+        one = compare_variances([series[0:10, 0], series[50:70, :1]], series[:, 0])
+        assert one == compare_variances([series[0:10, :1], series[50:70, :1]], series[:, :1])
+
 
 class TestSyntheticSpec:
     def test_pattern_types_order_and_periods(self):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import StepBehaviorDetector, StepPipeline
 
 from behaviorforest import cli
+from behaviorforest import engine as engine_module
 from behaviorforest.core import (
     BreakpointSpec,
     BufferOverflowError,
@@ -94,8 +96,9 @@ class TestEngineOnFixture:
         t, values = fixture_stream()
         base_engine = DiscoveryEngine(fixture_config())
         base = base_engine.process_stream("fix", t, values)
-        small_engine = DiscoveryEngine(fixture_config(), chunk_size=3)
-        small = small_engine.process_stream("fix", t, values)
+        small_engine = DiscoveryEngine(fixture_config())
+        with mock.patch.object(engine_module, "_CHUNK_SIZE", 3):
+            small = small_engine.process_stream("fix", t, values)
         assert [(s.path, s.raw_span) for s in small] == [
             (s.path, s.raw_span) for s in base
         ]
@@ -168,11 +171,16 @@ class TestEngineOnFixture:
         cfg = fixture_config()
         engine, results = replay(cfg, streams, runs=2)
 
-        first_engine, first = discover(cfg, streams, run_index=1)
+        first_engine, first = discover(cfg, streams)
         restored = forest_restore(first_engine.snapshot(), cfg.config_hash())
-        second_engine, second = discover(cfg, streams, forest=restored, run_index=2)
+        second_engine, second = discover(cfg, streams, forest=restored)
         assert engine.snapshot() == second_engine.snapshot()
-        assert [r.stats for r in results] == [first.stats, second.stats]
+        # discover numbers its one pass 0; replay numbers its passes from 1.
+        assert (first.stats.run_index, second.stats.run_index) == (0, 0)
+        assert [r.stats for r in results] == [
+            dataclasses.replace(first.stats, run_index=1),
+            dataclasses.replace(second.stats, run_index=2),
+        ]
         assert [(s.path, s.raw_span) for s in results[1].segments] == [
             (s.path, s.raw_span) for s in second.segments
         ]
@@ -266,8 +274,9 @@ def test_run_stats_match_independent_recount(
         DiscoveryEngine(config, forest=prior).run(streams)
     oracle_forest = forest_restore(forest_snapshot(prior, "h"))
 
-    engine = DiscoveryEngine(config, forest=prior, chunk_size=chunk_size)
-    result = engine.run(streams, run_index=2)
+    engine = DiscoveryEngine(config, forest=prior)
+    with mock.patch.object(engine_module, "_CHUNK_SIZE", chunk_size):
+        result = engine.run(streams, run_index=2)
     detected, recorded, n_paths, covered, total = recount(config, streams, oracle_forest)
 
     stats = result.stats
@@ -557,6 +566,21 @@ class TestCli:
         assert summary[1].startswith("db,20,")
         assert summary[2].startswith("window,")
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_variance_refuses_series_of_other_channel_count(self, workdir, capsys, width):
+        data = self.gen(workdir)  # two channels
+        out = workdir / "run"
+        cfg = str(workdir / "config.json")
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out)]) == 0
+        t, values, _ = read_series(str(data))
+        other = workdir / "other.csv"
+        write_series(str(other), t, np.resize(values, (len(t), width)))
+        rc = cli.main(["variance", "--segments", str(out), "--input", str(other)])
+        assert rc == 3
+        assert "channels" in capsys.readouterr().err
+        assert not (out / "variance_long.csv").exists()
+        assert not (out / "variance_summary.csv").exists()
+
     def test_dot_to_stdout(self, workdir, capsys):
         data = self.gen(workdir)
         out = workdir / "run"
@@ -659,6 +683,30 @@ class TestCli:
         listed = {f"segment_{s.segment_id:05d}.csv" for s in read_segments(str(out))}
         assert {p.name for p in (out / "segments").iterdir()} == listed
         assert len(listed) < first
+
+    def test_replay_into_a_discover_directory_removes_its_segments(self, workdir, capsys):
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        out = workdir / "run"
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out)]) == 0
+        replay_argv = ["replay", str(data), "--config", cfg, "--out", str(out), "--runs", "3"]
+        assert cli.main(replay_argv) == 0
+        assert not (out / "segments.csv").exists()
+        assert list((out / "segments").iterdir()) == []
+        # With no manifest, features cannot mix replay's forest with discover's segments.
+        assert cli.main(["features", "--segments", str(out)]) == 3
+        assert "segments.csv" in capsys.readouterr().err
+
+    def test_discover_into_a_replay_directory_removes_its_table(self, workdir):
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        out = workdir / "run"
+        assert cli.main(["replay", str(data), "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "replay.csv").exists()
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out)]) == 0
+        assert not (out / "replay.csv").exists()
+        listed = {f"segment_{s.segment_id:05d}.csv" for s in read_segments(str(out))}
+        assert {p.name for p in (out / "segments").iterdir()} == listed
 
     @pytest.mark.parametrize("kind", ["deep", "not_json"])
     def test_exit_code_2_for_unreadable_snapshot(self, workdir, capsys, kind):

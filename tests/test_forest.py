@@ -57,12 +57,12 @@ def feed_copies(detector, copies, flush=True):
 
 
 def with_paths(forest):
-    """(path, node) for every node of `forest.iter_nodes()`, in its order."""
+    """(path, edge_weight, terminal_count) for every row of `forest.iter_nodes()`, in order."""
     path = []
-    for depth, node in forest.iter_nodes():
+    for depth, symbol, weight, terminal in forest.iter_nodes():
         del path[depth - 1 :]
-        path.append(node.symbol)
-        yield tuple(path), node
+        path.append(symbol)
+        yield tuple(path), weight, terminal
 
 
 class TestDetector:
@@ -433,11 +433,11 @@ class TestForest:
         for p in set(paths):
             assert forest.occurrence_count(p) == paths.count(p)
         # Edge weights equal the number of inserted paths sharing the prefix.
-        for prefix, node in with_paths(forest):
+        for prefix, weight, terminal in with_paths(forest):
             expected = sum(1 for p in paths if p[: len(prefix)] == prefix)
             if len(prefix) > 1:
-                assert node.edge_weight == expected
-            assert node.terminal_count == sum(1 for p in paths if p == prefix)
+                assert weight == expected
+            assert terminal == sum(1 for p in paths if p == prefix)
         assert forest.total_insertions == len(paths)
         assert forest.checked_total() == len(paths)
 
@@ -446,9 +446,9 @@ class TestForest:
         forest.insert((2, 1))
         forest.insert((1, 3))
         forest.insert((1, 2))
-        order = [(depth, node.symbol) for depth, node in forest.iter_nodes()]
+        order = [(depth, symbol) for depth, symbol, _, _ in forest.iter_nodes()]
         assert order == [(1, 1), (2, 2), (2, 3), (1, 2), (2, 1)]
-        assert [path for path, _ in with_paths(forest)] == [(1,), (1, 2), (1, 3), (2,), (2, 1)]
+        assert [path for path, _, _ in with_paths(forest)] == [(1,), (1, 2), (1, 3), (2,), (2, 1)]
 
     def test_terminal_paths(self):
         forest = BehaviorForest()
@@ -605,7 +605,7 @@ class TestDot:
         forest = BehaviorForest()
         for _ in range(n_paths):
             forest.insert([rng.randrange(alphabet) for _ in range(rng.randint(2, 7))])
-        path_ids = ["n" + "_".join(map(str, path)) for path, _ in with_paths(forest)]
+        path_ids = ["n" + "_".join(map(str, path)) for path, _, _ in with_paths(forest)]
         renamed = re.sub(
             r"\bn(\d+)\b", lambda m: path_ids[int(m.group(1))], forest_to_dot(forest)
         )
@@ -683,8 +683,9 @@ def node_row(node):
     return node.symbol, node.edge_weight, node.terminal_count, sorted(node.children)
 
 
-def node_rows(forest):
-    return [(depth, *node_row(node)) for depth, node in forest.iter_nodes()]
+def node_rows(oracle):
+    """An ObjectForest's nodes as the rows `BehaviorForest.iter_nodes` yields."""
+    return [(depth, n.symbol, n.edge_weight, n.terminal_count) for depth, n in oracle.iter_nodes()]
 
 
 def dumps_v1(doc):
@@ -702,7 +703,7 @@ def test_radix_forest_matches_object_forest(paths):
     for probe in probes:
         assert node_row(forest.find(probe)) == node_row(oracle.find(probe))
         assert forest.occurrence_count(probe) == oracle.occurrence_count(probe)
-    rows = node_rows(forest)
+    rows = list(forest.iter_nodes())
     assert rows == node_rows(oracle)
     assert {s: node_row(n) for s, n in forest.roots.items()} == {
         s: node_row(n) for s, n in oracle.roots.items()
@@ -734,7 +735,7 @@ def test_restore_keeps_weights_that_do_not_conserve(paths, seed):
         stack.extend(link["node"]["children"])
     doc["total_insertions"] = total
     forest, today = forest_restore(doc, "h"), ObjectForest.restore(doc)
-    assert node_rows(forest) == node_rows(today)
+    assert list(forest.iter_nodes()) == node_rows(today)
     assert snapshot_dumps(forest, "h") == dumps_v1(today.snapshot("h"))
     assert forest_to_dot(forest) == today.dot()
 
