@@ -20,7 +20,6 @@ from .core import (
     InvalidSampleError,
     SnapshotError,
     gaussian_breakpoints,
-    validate_stream_header,
 )
 from .engine import DiscoveryEngine, discover, replay
 from .forest import BehaviorDetector, BehaviorForest, forest_to_dot
@@ -53,6 +52,5 @@ __all__ = [
     "generate_synthetic",
     "load_config",
     "replay",
-    "validate_stream_header",
     "write_segments",
 ]

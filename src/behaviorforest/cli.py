@@ -163,9 +163,6 @@ def cmd_features(args) -> int:
 
 def cmd_variance(args) -> int:
     segments = bfio.read_segments(args.segments)
-    if not segments:
-        print("no recorded segments to compare", file=sys.stderr)
-        return EXIT_IO
     _, values, _ = bfio.read_series(args.input)
     comparison = compare_variances([s.values for s in segments], values)
     out_dir = args.out or args.segments

@@ -178,13 +178,3 @@ def _config_doc(config: EngineConfig) -> dict:
     doc["hysteresis_margin"] = float(config.hysteresis_margin)
     return doc
 
-
-def validate_stream_header(
-    n_channels: int, config: EngineConfig, stream_id: str = "stream"
-) -> None:
-    """Raise DimensionMismatchError unless the channel count matches the config."""
-    if n_channels != config.n_channels:
-        raise DimensionMismatchError(
-            f"stream {stream_id!r} declares {n_channels} channels but the "
-            f"configuration defines {config.n_channels}"
-        )

@@ -6,8 +6,10 @@ straddle stream boundaries, while the forest keeps accumulating across
 streams and runs.  Streams are processed in chunks so the look-back buffer
 behaves like it would online: each chunk is buffered, reduced to the runs
 it closed, and the behaviors those runs close are settled against the
-forest.  `DiscoveryEngine.run` is the one loop over a dataset: `discover`
-calls it once and `replay` once per run.
+forest: inserted, judged by `decide`, and materialized only if recorded.
+An empty stream is one empty chunk, so the pipeline checks every stream.
+`DiscoveryEngine.run` is the one loop over a dataset: `discover` calls it
+once and `replay` once per run.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BufferOverflowError, EngineConfig, validate_stream_header
-from .forest import BehaviorDetector, BehaviorForest, DiscoveredBehavior, forest_snapshot
+from .core import BufferOverflowError, EngineConfig
+from .forest import BehaviorDetector, BehaviorForest, DiscoveredBehavior
 from .preprocess import PreprocessPipeline
 from .selection import RecordedSegment, RunStats, SampleBuffer, decide, materialize
 
@@ -69,7 +71,6 @@ class DiscoveryEngine:
             raise ValueError(
                 f"stream {stream_id!r}: {len(t)} timestamps for {len(values)} samples"
             )
-        validate_stream_header(values.shape[1], self.config, stream_id)
         pipeline = PreprocessPipeline(self.config, stream_id)
         detector = BehaviorDetector(self.config.termination_run, self.config.initiation_context)
         buffer = SampleBuffer(self.buffer_capacity)
@@ -94,15 +95,14 @@ class DiscoveryEngine:
                 )
             receipt = self.forest.insert(behavior.path)
             reason = decide(receipt, threshold)
-            segment = materialize(
-                behavior, reason, receipt, buffer, stream_id, self._next_segment_id
-            )
-            if segment is not None:
-                segments.append(segment)
+            if reason is not None:
+                segments.append(
+                    materialize(behavior, reason, receipt, buffer, stream_id, self._next_segment_id)
+                )
                 self._next_segment_id += 1
 
         n = len(values)
-        for lo in range(0, n, _CHUNK_SIZE):
+        for lo in range(0, max(n, 1), _CHUNK_SIZE):
             hi = min(lo + _CHUNK_SIZE, n)
             buffer.extend(t[lo:hi], values[lo:hi])
             for behavior in detector.step(pipeline.process_batch(values[lo:hi])):
@@ -134,9 +134,6 @@ class DiscoveryEngine:
             stats=RunStats.of(run_index, segments, detected, total),
             segments=tuple(segments),
         )
-
-    def snapshot(self) -> dict:
-        return forest_snapshot(self.forest, self.config.config_hash())
 
 
 def discover(

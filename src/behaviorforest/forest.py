@@ -17,9 +17,10 @@ node carries the terminal count and the children.  A root is its own
 one-symbol edge of weight 0.  A path that never reaches a plateau is thus
 one edge however long it is, and inserting it stores one tuple slice.
 `iter_nodes` yields plain node rows to the writers; `roots` and `find`
-give navigating callers `BehaviorNode` views, which an insert can make
-stale.  Every walk over a forest is one explicit-stack pre-order
-traversal over edges, so only the JSON encoder recurses.
+give navigating callers `BehaviorNode` views, which raise IndexError once
+an insert has made them stale.  Every walk over a forest is one
+explicit-stack pre-order traversal over edges, so only the JSON encoder
+recurses.
 """
 
 from __future__ import annotations
@@ -188,9 +189,9 @@ class BehaviorNode:
     root), `terminal_count` (behaviors that ended exactly here) and
     `children` (symbol -> view) are read from the edge when asked for, so a
     view costs nothing until it is read.  An insert that splits an edge
-    moves the nodes below the split to a new edge, and a stale view of one
-    of them raises IndexError for `symbol` but reads wrong counts and
-    children without raising, so take views again after inserting.
+    moves the nodes below the split to a new edge and cuts them off the old
+    one; every read of a view of one of them then raises IndexError, so
+    take views again after inserting.  A view above the split stays live.
     """
 
     __slots__ = ("_edge", "_offset")
@@ -199,22 +200,28 @@ class BehaviorNode:
         self._edge = edge
         self._offset = offset
 
+    def _live_edge(self) -> _Edge:
+        edge = self._edge
+        if self._offset >= len(edge.symbols):
+            raise IndexError("stale BehaviorNode: an insert moved this node to a new edge")
+        return edge
+
     @property
     def symbol(self) -> int:
-        return self._edge.symbols[self._offset]
+        return self._live_edge().symbols[self._offset]
 
     @property
     def edge_weight(self) -> int:
-        return self._edge.weight
+        return self._live_edge().weight
 
     @property
     def terminal_count(self) -> int:
-        edge = self._edge
+        edge = self._live_edge()
         return edge.terminal_count if self._offset == len(edge.symbols) - 1 else 0
 
     @property
     def children(self) -> Dict[int, "BehaviorNode"]:
-        edge, offset = self._edge, self._offset + 1
+        edge, offset = self._live_edge(), self._offset + 1
         if offset < len(edge.symbols):
             return {edge.symbols[offset]: BehaviorNode(edge, offset)}
         return {symbol: BehaviorNode(child, 0) for symbol, child in edge.children.items()}

@@ -9,8 +9,9 @@ with either explicit per-channel breakpoints or alphabet sizes to derive
 equiprobable-Gaussian ones.  Config and snapshot JSON share one reader.
 Every file written, series, document or table, replaces its target whole
 by a rename from a temporary sibling, only once complete; `write_segments`
-first removes what a previous `discover` or `replay` run left (`remove_run_files`),
-and writes the new manifest after the segment files it lists.
+first removes what a previous run and the `features` and `variance` tables
+derived from it left (`remove_run_files`), and writes the new manifest
+after the segment files it lists.
 """
 
 from __future__ import annotations
@@ -207,8 +208,10 @@ MANIFEST_COLUMNS = (
 
 
 def remove_run_files(out_dir: str) -> None:
-    """Remove a previous run's manifest, segment files and replay table, so no two runs mix."""
-    stale = [os.path.join(out_dir, name) for name in ("segments.csv", "replay.csv")]
+    """Remove a previous run's tables and segment files, so no two runs mix."""
+    tables = ("segments.csv", "replay.csv", "features.csv", "variance_long.csv",
+              "variance_summary.csv")
+    stale = [os.path.join(out_dir, name) for name in tables]
     stale += glob.glob(os.path.join(glob.escape(out_dir), "segments", "segment_*.csv"))
     for path in stale:
         with contextlib.suppress(FileNotFoundError):
@@ -253,8 +256,6 @@ def read_segments(out_dir: str) -> List[RecordedSegment]:
                     segment_id=seg_id,
                     stream_id=row["stream_id"],
                     raw_span=(int(row["start_index"]), int(row["end_index"])),
-                    start_t=float(row["start_t"]),
-                    end_t=float(row["end_t"]),
                     path=tuple(int(s) for s in row["path"].split("-")),
                     reason=row["reason"],
                     occurrence_index=int(row["occurrence_index"]),

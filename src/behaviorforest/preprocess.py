@@ -8,7 +8,8 @@ is one array function; `PreprocessPipeline.process_batch` chains them over a
 chunk and returns the runs it closed as rows `(symbol, start, end, copies)`,
 carrying the filter state and the open run to the next chunk, so the output
 does not depend on how a stream is cut.  `DiscoveryEngine.run` feeds every
-stream through it chunk by chunk.
+stream through it chunk by chunk, so its width and NaN checks, which name
+the stream, are the engine's only ones.
 
 The vectorized hysteresis treats each channel as a K-state machine.  A
 sample deep enough inside its bin commits that bin from every state, so it
@@ -201,7 +202,9 @@ class PreprocessPipeline:
             return np.empty((0, 4), dtype=np.int64)
         if np.isnan(values).any():
             idx = int(np.flatnonzero(np.isnan(values).any(axis=1))[0])
-            raise InvalidSampleError(f"NaN sample at index {self._raw_index + idx}")
+            raise InvalidSampleError(
+                f"stream {self.stream_id!r}: NaN sample at index {self._raw_index + idx}"
+            )
         fused = fuse_symbols(
             [f.run(values[:, c]) for c, f in enumerate(self._filters)],
             self._alphabet_sizes,

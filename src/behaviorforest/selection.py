@@ -1,12 +1,12 @@
 """Recording policy: which discovered behaviors earn raw-sample storage.
 
 A behavior is recorded when its path is new to the forest or still below
-the occurrence threshold; everything else is discarded and survives only
-as forest counts.  Raw samples come out of a look-back buffer that raises
-rather than silently truncate when asked for evicted history.  A run's
-statistics are derived from the segments it recorded, deduplicating
-overlapping spans per stream before computing the recorded fraction, so
-they cannot disagree with what was written.
+the occurrence threshold (`decide`); everything else is discarded and
+survives only as forest counts.  A recorded behavior's raw samples come out
+of a look-back buffer that raises rather than silently truncate when asked
+for evicted history.  A run's statistics are derived from the segments it
+recorded, deduplicating overlapping spans per stream before computing the
+recorded fraction, so they cannot disagree with what was written.
 """
 
 from __future__ import annotations
@@ -127,13 +127,19 @@ class RecordedSegment:
     segment_id: int
     stream_id: str
     raw_span: Tuple[int, int]
-    start_t: float
-    end_t: float
     path: Tuple[int, ...]
     reason: str
     occurrence_index: int
     t: np.ndarray
     values: np.ndarray
+
+    @property
+    def start_t(self) -> float:
+        return float(self.t[0])
+
+    @property
+    def end_t(self) -> float:
+        return float(self.t[-1])
 
     @property
     def path_id(self) -> str:
@@ -142,22 +148,18 @@ class RecordedSegment:
 
 def materialize(
     behavior: DiscoveredBehavior,
-    reason: Optional[str],
+    reason: str,
     receipt: InsertionReceipt,
     buffer: SampleBuffer,
     stream_id: str,
     segment_id: int,
-) -> Optional[RecordedSegment]:
-    """Pull the behavior's raw samples out of the buffer if it is recorded."""
-    if reason is None:
-        return None
+) -> RecordedSegment:
+    """Pull the raw samples of a behavior that `decide` recorded for `reason`."""
     t, values = buffer.extract(behavior.raw_span)
     return RecordedSegment(
         segment_id=segment_id,
         stream_id=stream_id,
         raw_span=behavior.raw_span,
-        start_t=float(t[0]),
-        end_t=float(t[-1]),
         path=behavior.path,
         reason=reason,
         occurrence_index=receipt.prior_terminal_count + 1,

@@ -13,12 +13,11 @@ PUBLIC_API = {
     "InvalidSampleError",
     "BufferOverflowError",
     "SnapshotError",
-    # configuration and stream admission
+    # configuration
     "BreakpointSpec",
     "EngineConfig",
     "gaussian_breakpoints",
     "load_config",
-    "validate_stream_header",
     # preprocessing
     "HysteresisFilter",
     "PreprocessPipeline",

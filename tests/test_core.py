@@ -12,7 +12,6 @@ from behaviorforest.core import (
     DimensionMismatchError,
     EngineConfig,
     gaussian_breakpoints,
-    validate_stream_header,
 )
 from behaviorforest.io import config_from_dict
 from behaviorforest.preprocess import PreprocessPipeline, fuse_symbols
@@ -235,15 +234,15 @@ class TestFrameTypes:
 
 
 class TestStreamAdmission:
+    """The pipeline is the one place a stream's width is checked."""
+
     def test_accepts_matching_header(self):
         cfg = EngineConfig(BreakpointSpec(((0.0,), (0.0,))))
-        assert validate_stream_header(2, cfg, stream_id="s1") is None
         runs = PreprocessPipeline(cfg, "s1").process_batch(np.array([[0.1, 0.2]]))
         assert runs.shape == (0, 4)
 
     def test_rejects_wrong_channel_count(self):
         cfg = EngineConfig(BreakpointSpec(((0.0,), (0.0,))))
-        with pytest.raises(DimensionMismatchError):
-            validate_stream_header(3, cfg)
-        with pytest.raises(DimensionMismatchError, match="'s1'"):
-            PreprocessPipeline(cfg, "s1").process_batch(np.array([[0.1]]))
+        for chunk in (np.array([[0.1]]), np.empty((0, 3))):
+            with pytest.raises(DimensionMismatchError, match="'s1'"):
+                PreprocessPipeline(cfg, "s1").process_batch(chunk)

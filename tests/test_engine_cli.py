@@ -1,5 +1,6 @@
 """End-to-end engine behavior, file I/O, and the command-line interface."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -102,7 +103,7 @@ class TestEngineOnFixture:
         assert [(s.path, s.raw_span) for s in small] == [
             (s.path, s.raw_span) for s in base
         ]
-        assert base_engine.snapshot() == small_engine.snapshot()
+        assert forest_snapshot(base_engine.forest, "h") == forest_snapshot(small_engine.forest, "h")
 
     def test_overflow_leaves_forest_and_stats_untouched(self):
         t, values = fixture_stream()
@@ -144,8 +145,21 @@ class TestEngineOnFixture:
         assert engine.forest.total_insertions == 0
 
     def test_empty_stream_of_wrong_width(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="'e'"):
             DiscoveryEngine(fixture_config()).process_stream("e", np.empty(0), np.empty((0, 3)))
+
+    def test_discarded_behaviors_hand_out_no_segment_ids(self):
+        t, values = fixture_stream()
+        forest = BehaviorForest()
+        for _ in range(5):  # the first behavior is at the threshold, the second new
+            forest.insert((1, 2, 3, 2, 1))
+        engine = DiscoveryEngine(fixture_config(), forest=forest)
+        result = engine.run([("a", t, values), ("b", t, values)])
+        assert [(s.segment_id, s.stream_id, s.path) for s in result.segments] == [
+            (0, "a", (1, 2, 3, 4)),
+            (1, "b", (1, 2, 3, 4)),
+        ]
+        assert result.stats.detected_db_count == 4
 
     def test_timestamp_length_mismatch(self):
         t, values = fixture_stream()
@@ -172,9 +186,9 @@ class TestEngineOnFixture:
         engine, results = replay(cfg, streams, runs=2)
 
         first_engine, first = discover(cfg, streams)
-        restored = forest_restore(first_engine.snapshot(), cfg.config_hash())
+        restored = forest_restore(forest_snapshot(first_engine.forest, "h"))
         second_engine, second = discover(cfg, streams, forest=restored)
-        assert engine.snapshot() == second_engine.snapshot()
+        assert forest_snapshot(engine.forest, "h") == forest_snapshot(second_engine.forest, "h")
         # discover numbers its one pass 0; replay numbers its passes from 1.
         assert (first.stats.run_index, second.stats.run_index) == (0, 0)
         assert [r.stats for r in results] == [
@@ -199,7 +213,7 @@ class TestEngineOnFixture:
         t, values = fixture_stream()
         cfg = fixture_config()
         engine, _ = replay(cfg, [("fix", t, values)], runs=6)
-        saturated = forest_restore(engine.snapshot(), cfg.config_hash())
+        saturated = forest_restore(forest_snapshot(engine.forest, "h"))
         _, result = discover(cfg, [("fix", t, values)], forest=saturated)
         assert result.stats.detected_db_count == 2
         assert result.stats.recorded_db_count == 0
@@ -369,6 +383,19 @@ class TestSegmentsIO:
             assert got.occurrence_index == want.occurrence_index
             assert got.t.tolist() == want.t.tolist()
             assert got.values.tolist() == want.values.tolist()
+
+    def test_times_are_the_manifest_times(self, tmp_path):
+        t, values = fixture_stream()
+        _, result = discover(fixture_config(), [("fix", t * 0.1 + 3.0, values)])
+        out = str(tmp_path / "run")
+        write_segments(out, result.segments)
+        with open(os.path.join(out, "segments.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        loaded = read_segments(out)
+        assert len(loaded) == len(rows) == 2
+        for seg, row in zip(loaded, rows):
+            assert (seg.start_t, seg.end_t) == (float(row["start_t"]), float(row["end_t"]))
+            assert (seg.start_t, seg.end_t) == (seg.t[0], seg.t[-1])
 
     def test_rejects_foreign_manifest(self, tmp_path):
         out = tmp_path / "run"
@@ -697,6 +724,19 @@ class TestCli:
         assert cli.main(["features", "--segments", str(out)]) == 3
         assert "segments.csv" in capsys.readouterr().err
 
+    def test_replay_removes_features_and_variance_tables(self, workdir):
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        out = workdir / "run"
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["features", "--segments", str(out)]) == 0
+        assert cli.main(["variance", "--segments", str(out), "--input", str(data)]) == 0
+        tables = ("features.csv", "variance_long.csv", "variance_summary.csv")
+        assert all((out / name).exists() for name in tables)
+        replay_argv = ["replay", str(data), "--config", cfg, "--out", str(out), "--runs", "3"]
+        assert cli.main(replay_argv) == 0
+        assert not any((out / name).exists() for name in tables)
+
     def test_discover_into_a_replay_directory_removes_its_table(self, workdir):
         data = self.gen(workdir)
         cfg = str(workdir / "config.json")
@@ -785,6 +825,29 @@ class TestCli:
             ]
         )
         assert rc == 3
+
+    def test_nan_error_names_its_stream(self, workdir, capsys):
+        good = self.gen(workdir, "a.csv")
+        t, values, _ = read_series(str(good))
+        values[30, 1] = np.nan
+        bad = workdir / "b.csv"
+        write_series(str(bad), t, values)
+        cfg = str(workdir / "config.json")
+        rc = cli.main(["discover", str(good), str(bad), "--config", cfg, "--out", str(workdir / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: stream 'b.csv': NaN sample at index 30\n"
+
+    def test_variance_of_a_run_with_no_segments(self, workdir, capsys):
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        run1, run2 = workdir / "run1", workdir / "run2"
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(run1)]) == 0
+        snapshot = ["--snapshot", str(run1 / "forest.json")]
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(run2), *snapshot]) == 0
+        assert read_segments(str(run2)) == []
+        assert cli.main(["variance", "--segments", str(run2), "--input", str(data)]) == 3
+        assert capsys.readouterr().err.startswith("error: need at least one segment")
+        assert not (run2 / "variance_long.csv").exists()
 
     def test_exit_code_3_for_repeated_input_name(self, workdir, capsys):
         # Basenames are the stream ids, so these two files would merge into one stream.

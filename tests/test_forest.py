@@ -407,6 +407,44 @@ class TestForest:
             below.symbol
         assert forest.find((1, 2, 3)).edge_weight == 1
 
+    def test_stale_views_raise_on_every_read(self):
+        forest = BehaviorForest()
+        forest.insert((1, 2, 3, 4))
+        view = forest.find((1, 2, 3, 4))
+        forest.insert((1, 2, 9))
+        for read in ("symbol", "edge_weight", "terminal_count", "children"):
+            with pytest.raises(IndexError):
+                getattr(view, read)
+        fresh = forest.find((1, 2, 3, 4))
+        assert (fresh.terminal_count, fresh.edge_weight, fresh.children) == (1, 1, {})
+
+    @given(
+        st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=7), min_size=2, max_size=12),
+        st.integers(1, 11),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_views_read_true_values_or_raise(self, paths, cut):
+        """A view either reads what a fresh `find` reads or raises on every read."""
+        forest = BehaviorForest()
+        for path in paths[:cut]:
+            forest.insert(path)
+        prefixes = {tuple(p[:k]) for p in paths[:cut] for k in range(1, len(p) + 1)}
+        views = {prefix: forest.find(prefix) for prefix in prefixes}
+        for path in paths[cut:]:
+            forest.insert(path)
+        for prefix, view in views.items():
+            fresh = forest.find(prefix)
+            try:
+                got = (view.symbol, view.edge_weight, view.terminal_count, sorted(view.children))
+            except IndexError:
+                for read in ("symbol", "edge_weight", "terminal_count", "children"):
+                    with pytest.raises(IndexError):
+                        getattr(view, read)
+                continue
+            assert got == (
+                fresh.symbol, fresh.edge_weight, fresh.terminal_count, sorted(fresh.children)
+            )
+
     def test_rejects_short_paths(self):
         with pytest.raises(ValueError):
             BehaviorForest().insert((3,))

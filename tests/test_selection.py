@@ -211,14 +211,6 @@ class TestMaterialize:
         assert seg.t.tolist() == [1.0, 1.5, 2.0, 2.5]
         assert seg.values.shape == (4, 2)
 
-    def test_discarded_behavior_materializes_to_none(self):
-        buf = SampleBuffer()
-        buf.extend(np.arange(10.0), np.zeros((10, 1)))
-        forest = BehaviorForest()
-        for _ in range(6):
-            r = forest.insert((1, 2, 1))
-        assert materialize(self.behavior(), decide(r, 5), r, buf, "s1", 0) is None
-
     def test_occurrence_index_counts_from_one(self):
         buf = SampleBuffer()
         buf.extend(np.arange(10.0), np.zeros((10, 1)))
@@ -277,8 +269,6 @@ class TestRunStats:
             segment_id=0,
             stream_id=stream_id,
             raw_span=span,
-            start_t=0.0,
-            end_t=0.0,
             path=tuple(path),
             reason=RECORD_NOVEL,
             occurrence_index=1,
