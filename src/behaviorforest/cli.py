@@ -3,7 +3,8 @@
 Subcommands cover the full loop: generate a benchmark stream, discover and
 record patterns, replay a dataset to watch recording decay, export pattern
 features, compare variances, and render the forest as Graphviz.  Every
-file is read and written through `behaviorforest.io`; this module only
+file is read and written through `behaviorforest.io`, which also names the
+files of a run directory and clears it for a new run; this module only
 maps arguments to calls and failures to exit codes.
 """
 
@@ -41,16 +42,9 @@ _EPILOG = (
 
 
 def _apply_overrides(config: EngineConfig, args) -> EngineConfig:
-    changes = {}
-    if getattr(args, "threshold", None) is not None:
-        changes["relevance_threshold"] = args.threshold
-    if getattr(args, "log_base", None) is not None:
-        changes["log_base"] = args.log_base
-    if getattr(args, "hysteresis", None) is not None:
-        changes["hysteresis_margin"] = args.hysteresis
-    if not changes:
+    if args.threshold is None:
         return config
-    return dataclasses.replace(config, **changes)
+    return dataclasses.replace(config, relevance_threshold=args.threshold)
 
 
 def _check_counts(args) -> None:
@@ -75,18 +69,13 @@ def _load_streams(paths: List[str]):
 
 
 def _forest_texts(engine: DiscoveryEngine) -> tuple:
-    """The forest.json and forest.dot texts, rendered before any file is written.
+    """The forest snapshot and Graphviz texts, rendered before any file is written.
 
     A forest the snapshot format refuses then fails the command with `--out`
     untouched, instead of leaving a new run's files beside an old forest.
     """
     snapshot = snapshot_dumps(engine.forest, engine.config.config_hash()) + "\n"
     return snapshot, forest_to_dot(engine.forest)
-
-
-def _write_forest_outputs(out_dir: str, texts: tuple) -> None:
-    for name, text in zip(("forest.json", "forest.dot"), texts):
-        bfio.write_text(os.path.join(out_dir, name), text)
 
 
 def cmd_discover(args) -> int:
@@ -101,8 +90,7 @@ def cmd_discover(args) -> int:
     )
     texts = _forest_texts(engine)
     bfio.write_segments(args.out, result.segments, channel_names)
-    bfio.write_stats(os.path.join(args.out, "stats.json"), result.stats)
-    _write_forest_outputs(args.out, texts)
+    bfio.write_run(args.out, result.stats, texts)
     stats = result.stats
     print(
         f"{stats.detected_db_count} behaviors detected, "
@@ -121,11 +109,8 @@ def cmd_replay(args) -> int:
     )
     runs = [result.stats for result in results]
     texts = _forest_texts(engine)
-    os.makedirs(args.out, exist_ok=True)
-    bfio.remove_run_files(args.out)
-    bfio.write_replay_table(os.path.join(args.out, "replay.csv"), runs)
-    bfio.write_stats(os.path.join(args.out, "stats.json"), runs[-1])
-    _write_forest_outputs(args.out, texts)
+    bfio.write_replay_table(args.out, runs)
+    bfio.write_run(args.out, runs[-1], texts)
     for run, cum in zip(runs, cumulative_fractions(runs)):
         print(
             f"run {run.run_index}: {run.recorded_db_count} recorded, "
@@ -153,9 +138,9 @@ def cmd_gen(args) -> int:
 
 def cmd_features(args) -> int:
     # Read the snapshot first: a bad one fails before any segment file is parsed.
-    forest = bfio.read_snapshot(args.snapshot or os.path.join(args.segments, "forest.json"))
+    forest = bfio.read_snapshot(args.snapshot or os.path.join(args.segments, bfio.FOREST))
     segments = bfio.read_segments(args.segments)
-    out = args.out or os.path.join(args.segments, "features.csv")
+    out = args.out or os.path.join(args.segments, bfio.FEATURES)
     bfio.write_features(out, segments, forest)
     print(f"{len(set(s.path for s in segments))} patterns -> {out}")
     return EXIT_OK
@@ -166,10 +151,7 @@ def cmd_variance(args) -> int:
     _, values, _ = bfio.read_series(args.input)
     comparison = compare_variances([s.values for s in segments], values)
     out_dir = args.out or args.segments
-    os.makedirs(out_dir, exist_ok=True)
-    long_path = os.path.join(out_dir, "variance_long.csv")
-    summary_path = os.path.join(out_dir, "variance_summary.csv")
-    bfio.write_variance(long_path, summary_path, comparison)
+    bfio.write_variance(out_dir, comparison)
     db_med = comparison.db_summary.median
     win_med = comparison.window_summary.median
     print(
@@ -206,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--snapshot", default=None, help="prior forest snapshot to continue from")
         p.add_argument("--threshold", type=int, default=None, help="override relevance threshold")
-        p.add_argument("--log-base", type=int, default=None, help="override reduction log base")
-        p.add_argument("--hysteresis", type=float, default=None, help="override hysteresis margin")
         p.add_argument(
             "--buffer-capacity",
             type=int,
@@ -238,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="export per-pattern feature rows", epilog=_EPILOG)
     p.add_argument("--segments", required=True, help="discover output directory")
-    p.add_argument("--snapshot", default=None, help="forest snapshot (default: <segments>/forest.json)")
-    p.add_argument("--out", default=None, help="output CSV (default: <segments>/features.csv)")
+    p.add_argument("--snapshot", default=None, help=f"forest snapshot (default: <segments>/{bfio.FOREST})")
+    p.add_argument("--out", default=None, help=f"output CSV (default: <segments>/{bfio.FEATURES})")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("variance", help="segment vs sliding-window variances", epilog=_EPILOG)

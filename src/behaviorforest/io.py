@@ -8,10 +8,11 @@ module, then one row per sample whose values are the shortest round-trip
 with either explicit per-channel breakpoints or alphabet sizes to derive
 equiprobable-Gaussian ones.  Config and snapshot JSON share one reader.
 Every file written, series, document or table, replaces its target whole
-by a rename from a temporary sibling, only once complete; `write_segments`
-first removes what a previous run and the `features` and `variance` tables
-derived from it left (`remove_run_files`), and writes the new manifest
-after the segment files it lists.
+by a rename from a temporary sibling, only once complete.  This module
+alone names the files of a run directory.  A new run (`write_segments`,
+`write_replay_table`) first removes every file of the previous one and of
+the tables derived from it (`remove_run_files`), so a run that fails part
+way leaves no file of another beside its own; `write_run` closes it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ _CONFIG_KEYS = {"breakpoints", "alphabet_sizes", *_SCALAR_KEYS}
 
 # Rows formatted per write_series block; bounds its memory for any length.
 _ROW_BLOCK = 1 << 14
+
+# The files of a run directory, named nowhere else; `cli` reads the two
+# that are defaults of `features`.
+_MANIFEST = "segments.csv"
+_SEGMENT = os.path.join("segments", "segment_%05d.csv")
+_STATS = "stats.json"
+FOREST = "forest.json"
+_DOT = "forest.dot"
+_REPLAY = "replay.csv"
+FEATURES = "features.csv"
+_VARIANCE = ("variance_long.csv", "variance_summary.csv")
+_RUN_FILES = (_MANIFEST, _STATS, FOREST, _DOT, _REPLAY, FEATURES, *_VARIANCE)
 
 
 def _read_json(path: str, error: type) -> object:
@@ -208,11 +221,10 @@ MANIFEST_COLUMNS = (
 
 
 def remove_run_files(out_dir: str) -> None:
-    """Remove a previous run's tables and segment files, so no two runs mix."""
-    tables = ("segments.csv", "replay.csv", "features.csv", "variance_long.csv",
-              "variance_summary.csv")
-    stale = [os.path.join(out_dir, name) for name in tables]
-    stale += glob.glob(os.path.join(glob.escape(out_dir), "segments", "segment_*.csv"))
+    """Make `out_dir` if need be and remove every file a previous run left in it."""
+    os.makedirs(out_dir, exist_ok=True)
+    stale = [os.path.join(out_dir, name) for name in _RUN_FILES]
+    stale += glob.glob(os.path.join(glob.escape(out_dir), _SEGMENT.replace("%05d", "*")))
     for path in stale:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)
@@ -221,26 +233,25 @@ def remove_run_files(out_dir: str) -> None:
 def write_segments(
     out_dir: str, segments: Sequence[RecordedSegment], channel_names: Optional[Sequence[str]] = None
 ) -> str:
-    """Remove a previous run's files, write one raw file per segment, then the manifest."""
-    manifest_path = os.path.join(out_dir, "segments.csv")
-    seg_dir = os.path.join(out_dir, "segments")
+    """Remove the previous run's files, write one raw file per segment, then the manifest."""
     remove_run_files(out_dir)
-    os.makedirs(seg_dir, exist_ok=True)
+    os.makedirs(os.path.join(out_dir, os.path.dirname(_SEGMENT)), exist_ok=True)
     for seg in segments:
-        path = os.path.join(seg_dir, f"segment_{seg.segment_id:05d}.csv")
+        path = os.path.join(out_dir, _SEGMENT % seg.segment_id)
         write_series(path, seg.t, seg.values, channel_names)
     rows = (
         (seg.segment_id, seg.stream_id, *seg.raw_span, repr(seg.start_t), repr(seg.end_t),
          seg.path_id, seg.reason, seg.occurrence_index)
         for seg in segments
     )
+    manifest_path = os.path.join(out_dir, _MANIFEST)
     _write_table(manifest_path, MANIFEST_COLUMNS, rows)
     return manifest_path
 
 
 def read_segments(out_dir: str) -> List[RecordedSegment]:
     """Load a discover output directory back into RecordedSegment objects."""
-    manifest_path = os.path.join(out_dir, "segments.csv")
+    manifest_path = os.path.join(out_dir, _MANIFEST)
     segments: List[RecordedSegment] = []
     with open(manifest_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -248,9 +259,7 @@ def read_segments(out_dir: str) -> List[RecordedSegment]:
             raise ValueError(f"{manifest_path}: unexpected manifest columns")
         for row in reader:
             seg_id = int(row["segment_id"])
-            t, values, _ = read_series(
-                os.path.join(out_dir, "segments", f"segment_{seg_id:05d}.csv")
-            )
+            t, values, _ = read_series(os.path.join(out_dir, _SEGMENT % seg_id))
             segments.append(
                 RecordedSegment(
                     segment_id=seg_id,
@@ -266,12 +275,17 @@ def read_segments(out_dir: str) -> List[RecordedSegment]:
     return segments
 
 
-def write_stats(path: str, stats: RunStats) -> None:
-    _write_json(path, {**dataclasses.asdict(stats), "recording_fraction": stats.recording_fraction})
+def write_run(out_dir: str, stats: RunStats, forest_texts: Tuple[str, str]) -> None:
+    """Close a run: its stats, then the forest snapshot and Graphviz texts."""
+    doc = {**dataclasses.asdict(stats), "recording_fraction": stats.recording_fraction}
+    _write_json(os.path.join(out_dir, _STATS), doc)
+    for name, text in zip((FOREST, _DOT), forest_texts):
+        write_text(os.path.join(out_dir, name), text)
 
 
-def write_replay_table(path: str, runs: Sequence[RunStats]) -> None:
-    """Per-run recording table: counts, per-run %, cumulative %."""
+def write_replay_table(out_dir: str, runs: Sequence[RunStats]) -> None:
+    """Remove the previous run's files, then write counts, per-run % and cumulative % per run."""
+    remove_run_files(out_dir)
     header = (
         "run", "detected_db", "recorded_db", "recorded_samples", "total_samples",
         "recording_pct", "cumulative_recording_pct",
@@ -281,7 +295,7 @@ def write_replay_table(path: str, runs: Sequence[RunStats]) -> None:
          run.total_sample_count, f"{100.0 * run.recording_fraction:.2f}", f"{100.0 * cum:.2f}")
         for run, cum in zip(runs, cumulative_fractions(runs))
     )
-    _write_table(path, header, rows)
+    _write_table(os.path.join(out_dir, _REPLAY), header, rows)
 
 
 def write_features(
@@ -307,10 +321,10 @@ def write_features(
     _write_table(path, ["path_id", "occurrences", "n_segments", *FEATURE_NAMES], rows())
 
 
-def write_variance(
-    long_path: str, summary_path: str, comparison: VarianceComparison
-) -> None:
-    """Long-format variances plus a five-number summary per group."""
+def write_variance(out_dir: str, comparison: VarianceComparison) -> None:
+    """Long-format variances plus a five-number summary per group, into `out_dir`."""
+    os.makedirs(out_dir, exist_ok=True)
+    long_path, summary_path = (os.path.join(out_dir, name) for name in _VARIANCE)
     groups = (
         ("db", comparison.db_variances, comparison.db_summary),
         ("window", comparison.window_variances, comparison.window_summary),

@@ -17,6 +17,7 @@ from oracles import StepBehaviorDetector, StepPipeline
 
 from behaviorforest import cli
 from behaviorforest import engine as engine_module
+from behaviorforest import io as bfio
 from behaviorforest.core import (
     BreakpointSpec,
     BufferOverflowError,
@@ -552,6 +553,17 @@ class TestCli:
         forest = forest_restore(json.loads((run2 / "forest.json").read_text()))
         assert forest.total_insertions == 80
 
+    def test_discover_continues_from_the_snapshot_in_its_own_out(self, workdir):
+        # The snapshot is read before the rerun removes the run files it belongs to.
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        out = workdir / "run"
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out)]) == 0
+        snapshot = ["--snapshot", str(out / "forest.json")]
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out), *snapshot]) == 0
+        forest = forest_restore(json.loads((out / "forest.json").read_text()))
+        assert forest.total_insertions == 80
+
     def test_replay_outputs(self, workdir):
         data = self.gen(workdir)
         out = workdir / "rp"
@@ -710,6 +722,34 @@ class TestCli:
         listed = {f"segment_{s.segment_id:05d}.csv" for s in read_segments(str(out))}
         assert {p.name for p in (out / "segments").iterdir()} == listed
         assert len(listed) < first
+
+    @pytest.mark.parametrize("failing", ["stats.json", "forest.json"])
+    @pytest.mark.parametrize("command", ["discover", "replay"])
+    def test_failed_rerun_leaves_no_file_of_the_previous_run(
+        self, workdir, monkeypatch, command, failing
+    ):
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        out = workdir / "run"
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out)]) == 0
+        # Mark the first run's files by their modification time.
+        for path in out.rglob("*"):
+            if path.is_file():
+                os.utime(path, (0, 0))
+        write_text = bfio.write_text
+
+        def failing_write_text(path, text):
+            if os.path.basename(path) == failing:
+                raise OSError("disk full")
+            write_text(path, text)
+
+        monkeypatch.setattr(bfio, "write_text", failing_write_text)
+        rerun = [command, str(data), "--config", cfg, "--out", str(out), "--threshold", "1"]
+        assert cli.main(rerun) == 3
+        monkeypatch.undo()
+        assert [p for p in out.rglob("*") if p.is_file() and p.stat().st_mtime == 0] == []
+        # What the failed run left cannot pass for a whole run.
+        assert cli.main(["features", "--segments", str(out)]) != 0
 
     def test_replay_into_a_discover_directory_removes_its_segments(self, workdir, capsys):
         data = self.gen(workdir)

@@ -199,6 +199,9 @@ GOLDEN_DERIVED = {
     "o/variance_long.csv": "22ef03c5a49ab25c1931f422f0c554f82f4a875f8ab7d81d5c1201b7ae8dbed8",
     "o/variance_summary.csv": "4e6cd35aff14eb426bcfac53cbd6aec1168731a7049385ee96ef5aeb04b48fd9",
     "r/replay.csv": "d9cc1e16941657917b3d96724cd7629b2de09cff46b39b82a3fc45eb238d529d",
+    # Recorded before io took over naming and clearing the run directory.
+    "r/stats.json": "03fe7d0027a32202214524e0a45e52b6b29d10a60e3ec9d9cee75a6456e0b03b",
+    "r/forest.json": "2125d93e3645f341d8615e8d89dae51aecf2e9328dbf012b1a1afb95b57c77a0",
 }
 
 
@@ -218,6 +221,10 @@ def test_replay_features_variance_dot_match_golden_digests(tmp_path):
         assert cli.main(argv) == cli.EXIT_OK, argv
     for name, digest in GOLDEN_DERIVED.items():
         assert sha256(tmp_path / name) == digest, name
+    # replay writes no manifest and no segment directory.
+    assert sorted(p.name for p in (tmp_path / "r").iterdir()) == [
+        "forest.dot", "forest.json", "replay.csv", "stats.json"
+    ]
     # Every file is in place under its own name: no temporary file is left.
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
