@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from . import io as bfio
-from .analysis import compare_variances, generate_synthetic
+from .analysis import SyntheticSpec, compare_variances, generate_synthetic
 from .core import (
     BufferOverflowError,
     ConfigError,
@@ -121,16 +121,10 @@ def cmd_replay(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    t, values = generate_synthetic(
-        args.seed,
-        n_patterns=args.patterns,
-        noise_sigma=args.noise_sigma,
-        bursts_per_pattern=args.bursts_per_pattern,
-        burst_len=args.burst_len,
-        gap_len=args.gap_len,
-        cluster_size=args.cluster_size,
-        cluster_gap_len=args.cluster_gap_len,
-    )
+    # Flags left out are absent from args, so SyntheticSpec supplies their defaults.
+    names = {field.name for field in dataclasses.fields(SyntheticSpec)}
+    fields = {name: value for name, value in vars(args).items() if name in names}
+    t, values = generate_synthetic(args.seed, **fields)
     bfio.write_series(args.out, t, values)
     print(f"{len(t)} samples, {values.shape[1]} channels -> {args.out}")
     return EXIT_OK
@@ -204,16 +198,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_flags(p, with_runs=True)
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("gen", help="write a synthetic benchmark stream", epilog=_EPILOG)
+    p = sub.add_parser(
+        "gen",
+        help="write a synthetic benchmark stream",
+        epilog=_EPILOG,
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--out", required=True, help="output series file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patterns", type=int, default=4, help="burst types to include (1-4)")
-    p.add_argument("--bursts-per-pattern", type=int, default=10)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
-    p.add_argument("--burst-len", type=int, default=200)
-    p.add_argument("--gap-len", type=int, default=600)
-    p.add_argument("--cluster-size", type=int, default=None)
-    p.add_argument("--cluster-gap-len", type=int, default=30000)
+    p.add_argument("--patterns", dest="n_patterns", type=int, help="burst types to include (1-4)")
+    p.add_argument("--bursts-per-pattern", type=int)
+    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--burst-len", type=int)
+    p.add_argument("--gap-len", type=int)
+    p.add_argument("--cluster-size", type=int)
+    p.add_argument("--cluster-gap-len", type=int)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("features", help="export per-pattern feature rows", epilog=_EPILOG)

@@ -16,11 +16,13 @@ last has one child, a terminal count of 0 and the edge's weight; the last
 node carries the terminal count and the children.  A root is its own
 one-symbol edge of weight 0.  A path that never reaches a plateau is thus
 one edge however long it is, and inserting it stores one tuple slice.
-`iter_nodes` yields plain node rows to the writers; `roots` and `find`
-give navigating callers `BehaviorNode` views, which raise IndexError once
-an insert has made them stale.  Every walk over a forest is one
-explicit-stack pre-order traversal over edges, so only the JSON encoder
-recurses.
+The forest is read through `occurrence_count`, which matches each edge
+with one tuple comparison, `iter_nodes`, which yields plain node rows to
+the writers, `terminal_paths` and `total_insertions`.  `roots` serves
+`BehaviorNode` views, which raise IndexError once an insert has made them
+stale; they stay only for the benchmark's forest checker.  Every walk
+over a forest is one explicit-stack pre-order traversal over edges, so
+only the JSON encoder recurses.
 """
 
 from __future__ import annotations
@@ -192,6 +194,8 @@ class BehaviorNode:
     moves the nodes below the split to a new edge and cuts them off the old
     one; every read of a view of one of them then raises IndexError, so
     take views again after inserting.  A view above the split stays live.
+    Views are reached only from `BehaviorForest.roots`, and stay for the
+    benchmark's forest checker until it reads `iter_nodes` rows instead.
     """
 
     __slots__ = ("_edge", "_offset")
@@ -232,8 +236,8 @@ class BehaviorForest:
 
     A node's terminal mark is independent of being a structural leaf, so a
     behavior that is a prefix of a longer one is still counted exactly.
-    The trees are stored as edges (see the module docstring); `roots` and
-    `find` serve `BehaviorNode` views of the logical nodes.
+    The trees are stored as edges and read as the module docstring says;
+    `roots` alone serves `BehaviorNode` views of the logical nodes.
     """
 
     def __init__(self) -> None:
@@ -242,6 +246,7 @@ class BehaviorForest:
 
     @property
     def roots(self) -> Dict[int, BehaviorNode]:
+        """Views of the roots, kept for the benchmark's forest checker."""
         return {symbol: BehaviorNode(edge, 0) for symbol, edge in self._roots.items()}
 
     def insert(self, path: Sequence[int]) -> InsertionReceipt:
@@ -278,26 +283,17 @@ class BehaviorForest:
         self.total_insertions += 1
         return InsertionReceipt(created_new_node=created, prior_terminal_count=prior)
 
-    def find(self, path: Sequence[int]) -> Optional[BehaviorNode]:
+    def occurrence_count(self, path: Sequence[int]) -> int:
+        """Behaviors that ended exactly on `path`; 0 if it ends inside an edge."""
         path = tuple(path)
         edge = self._roots.get(path[0]) if path else None
-        i, n = 1, len(path)
-        while edge is not None and i < n:
-            child = edge.children.get(path[i])
-            if child is None:
-                return None
-            chain = child.symbols
-            if path[i : i + len(chain)] == chain:
-                edge, i = child, i + len(chain)
-            elif n - i < len(chain) and path[i:] == chain[: n - i]:
-                return BehaviorNode(child, n - i - 1)
-            else:
-                return None
-        return None if edge is None else BehaviorNode(edge, len(edge.symbols) - 1)
-
-    def occurrence_count(self, path: Sequence[int]) -> int:
-        node = self.find(path)
-        return node.terminal_count if node is not None else 0
+        i = 1  # path[:i] ends at the last node of `edge`
+        while edge is not None and i < len(path):
+            edge = edge.children.get(path[i])
+            if edge is None or path[i : i + len(edge.symbols)] != edge.symbols:
+                return 0
+            i += len(edge.symbols)
+        return 0 if edge is None else edge.terminal_count
 
     def _walk(self) -> Iterator[Tuple[int, _Edge]]:
         """Pre-order over edges, (depth of the edge's first node, edge), by symbol."""
@@ -327,14 +323,6 @@ class BehaviorForest:
             if edge.terminal_count > 0:
                 paths[tuple(path)] = edge.terminal_count
         return paths
-
-    @property
-    def n_nodes(self) -> int:
-        return sum(len(edge.symbols) for _, edge in self._walk())
-
-    def checked_total(self) -> int:
-        """Recompute total insertions from terminal counts (conservation)."""
-        return sum(edge.terminal_count for _, edge in self._walk())
 
 
 def forest_snapshot(forest: BehaviorForest, config_hash: str) -> dict:

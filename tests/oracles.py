@@ -452,6 +452,19 @@ class RunBehaviorDetector(BehaviorDetector):
         return closed
 
 
+def node_at(forest, path: Sequence[int]):
+    """The node at `path`, reached from `forest.roots` through `children`, or None.
+
+    Serves `BehaviorForest` views and `ObjectForest` nodes alike.
+    """
+    node = forest.roots.get(path[0]) if path else None
+    for symbol in path[1:]:
+        if node is None:
+            return None
+        node = node.children.get(symbol)
+    return node
+
+
 class ObjectNode:
     """One symbol position in a prefix tree."""
 
@@ -498,16 +511,8 @@ class ObjectForest:
         self.total_insertions += 1
         return InsertionReceipt(created_new_node=created, prior_terminal_count=prior)
 
-    def find(self, path: Sequence[int]) -> Optional[ObjectNode]:
-        node = self.roots.get(path[0]) if path else None
-        for symbol in path[1:]:
-            if node is None:
-                return None
-            node = node.children.get(symbol)
-        return node
-
     def occurrence_count(self, path: Sequence[int]) -> int:
-        node = self.find(path)
+        node = node_at(self, path)
         return node.terminal_count if node is not None else 0
 
     def iter_nodes(self) -> Iterator[Tuple[int, ObjectNode]]:

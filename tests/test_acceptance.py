@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import node_at
 
 from behaviorforest import cli
 from behaviorforest.analysis import compare_variances, generate_synthetic
@@ -78,11 +79,11 @@ def test_criterion_1_reference_sequence_exact():
         (1, 2, 3, 4): 1,
     }
     for prefix, weight in expected_weights.items():
-        node = forest.find(prefix)
+        node = node_at(forest, prefix)
         ok = ok and node is not None and node.edge_weight == weight
     ok = ok and forest.occurrence_count((1, 2, 3, 2, 1)) == 1
     ok = ok and forest.occurrence_count((1, 2, 3, 4)) == 1
-    ok = ok and forest.n_nodes == 6
+    ok = ok and sum(1 for _ in forest.iter_nodes()) == 6
     dot = forest_to_dot(forest)
     ok = ok and dot.count("label") == 11 and dot.count("->") == 5
     ok = ok and elapsed_ms < 1.0

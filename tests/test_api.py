@@ -1,6 +1,7 @@
-"""The package root's public API: what the demos, README and benchmark import.
+"""The public API: what the demos, README and benchmark import.
 
-Adding or removing a root export must be a deliberate edit of this list.
+Adding or removing a root export, or a public attribute of a forest, must
+be a deliberate edit of these lists.
 """
 
 import behaviorforest
@@ -38,6 +39,17 @@ PUBLIC_API = {
     "generate_synthetic",
 }
 
+# The forest is read through rows and one count lookup; `roots` stays only
+# for the benchmark's forest checker.
+FOREST_API = {
+    "insert",
+    "occurrence_count",
+    "iter_nodes",
+    "terminal_paths",
+    "roots",
+    "total_insertions",
+}
+
 EXCEPTIONS = (
     "ConfigError",
     "DimensionMismatchError",
@@ -63,3 +75,8 @@ def test_star_import():
     namespace: dict = {}
     exec("from behaviorforest import *", namespace)
     assert PUBLIC_API <= namespace.keys()
+
+
+def test_forest_read_api_is_the_agreed_set():
+    forest = behaviorforest.BehaviorForest()
+    assert {name for name in dir(forest) if not name.startswith("_")} == FOREST_API

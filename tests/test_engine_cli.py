@@ -13,11 +13,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import StepBehaviorDetector, StepPipeline
+from oracles import StepBehaviorDetector, StepPipeline, node_at
 
 from behaviorforest import cli
 from behaviorforest import engine as engine_module
 from behaviorforest import io as bfio
+from behaviorforest.analysis import generate_synthetic
 from behaviorforest.core import (
     BreakpointSpec,
     BufferOverflowError,
@@ -89,9 +90,9 @@ class TestEngineOnFixture:
         t, values = fixture_stream()
         engine, _ = discover(fixture_config(), [("fix", t, values)])
         forest = engine.forest
-        assert forest.n_nodes == 6
-        assert forest.find((1, 2)).edge_weight == 2
-        assert forest.find((1, 2, 3)).edge_weight == 2
+        assert sum(1 for _ in forest.iter_nodes()) == 6
+        assert node_at(forest, (1, 2)).edge_weight == 2
+        assert node_at(forest, (1, 2, 3)).edge_weight == 2
         assert forest.terminal_paths() == {(1, 2, 3, 2, 1): 1, (1, 2, 3, 4): 1}
 
     def test_chunk_size_does_not_change_results(self):
@@ -508,6 +509,27 @@ class TestCli:
         a = self.gen(workdir, "a.csv")
         b = self.gen(workdir, "b.csv")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            ([], {}),
+            (["--patterns=2"], {"n_patterns": 2}),
+            (["--bursts-per-pattern=3"], {"bursts_per_pattern": 3}),
+            (["--noise-sigma=0.1"], {"noise_sigma": 0.1}),
+            (["--burst-len=100"], {"burst_len": 100}),
+            (["--gap-len=300"], {"gap_len": 300}),
+            (["--cluster-size=5"], {"cluster_size": 5}),
+            (
+                ["--cluster-size=5", "--cluster-gap-len=1000"],
+                {"cluster_size": 5, "cluster_gap_len": 1000},
+            ),
+        ],
+    )
+    def test_gen_defaults_come_from_synthetic_spec(self, workdir, flags, fields):
+        got = self.gen(workdir, "gen.csv", *flags)
+        write_series(str(workdir / "lib.csv"), *generate_synthetic(3, **fields))
+        assert got.read_bytes() == (workdir / "lib.csv").read_bytes()
 
     def test_discover_outputs(self, workdir, capsys):
         data = self.gen(workdir)

@@ -15,6 +15,7 @@ from oracles import (
     RunBehaviorDetector,
     StepBehaviorDetector,
     StepPipeline,
+    node_at,
     path_id_dot,
     unit_runs,
 )
@@ -366,13 +367,15 @@ class TestForest:
         forest = BehaviorForest()
         forest.insert((1, 2, 3, 2, 1))
         forest.insert((1, 2, 3, 4))
-        assert forest.n_nodes == 6
+        assert [(path, weight) for path, weight, _ in with_paths(forest)] == [
+            ((1,), 0),
+            ((1, 2), 2),
+            ((1, 2, 3), 2),
+            ((1, 2, 3, 2), 1),
+            ((1, 2, 3, 2, 1), 1),
+            ((1, 2, 3, 4), 1),
+        ]
         assert set(forest.roots) == {1}
-        assert forest.find((1, 2)).edge_weight == 2
-        assert forest.find((1, 2, 3)).edge_weight == 2
-        assert forest.find((1, 2, 3, 2)).edge_weight == 1
-        assert forest.find((1, 2, 3, 2, 1)).edge_weight == 1
-        assert forest.find((1, 2, 3, 4)).edge_weight == 1
         assert forest.occurrence_count((1, 2, 3, 2, 1)) == 1
         assert forest.occurrence_count((1, 2, 3, 4)) == 1
         assert forest.occurrence_count((1, 2)) == 0
@@ -386,7 +389,7 @@ class TestForest:
         r3 = forest.insert((5, 7, 9))
         assert r3.created_new_node and r3.prior_terminal_count == 0
         # A new leaf under an existing prefix still counts as novel.
-        assert forest.find((5, 7)).edge_weight == 3
+        assert node_at(forest, (5, 7)).edge_weight == 3
 
     def test_prefix_terminals_are_independent(self):
         forest = BehaviorForest()
@@ -395,27 +398,27 @@ class TestForest:
         assert forest.occurrence_count((1, 2)) == 1
         assert forest.occurrence_count((1, 2, 3)) == 1
         assert forest.total_insertions == 2
-        assert forest.checked_total() == 2
+        assert sum(row[3] for row in forest.iter_nodes()) == 2
 
     def test_views_above_a_split_stay_live(self):
         forest = BehaviorForest()
         forest.insert((1, 2, 3, 4))
-        above, below = forest.find((1, 2)), forest.find((1, 2, 3))
+        above, below = node_at(forest, (1, 2)), node_at(forest, (1, 2, 3))
         forest.insert((1, 2, 9))
         assert (above.edge_weight, sorted(above.children)) == (2, [3, 9])
         with pytest.raises(IndexError):
             below.symbol
-        assert forest.find((1, 2, 3)).edge_weight == 1
+        assert node_at(forest, (1, 2, 3)).edge_weight == 1
 
     def test_stale_views_raise_on_every_read(self):
         forest = BehaviorForest()
         forest.insert((1, 2, 3, 4))
-        view = forest.find((1, 2, 3, 4))
+        view = node_at(forest, (1, 2, 3, 4))
         forest.insert((1, 2, 9))
         for read in ("symbol", "edge_weight", "terminal_count", "children"):
             with pytest.raises(IndexError):
                 getattr(view, read)
-        fresh = forest.find((1, 2, 3, 4))
+        fresh = node_at(forest, (1, 2, 3, 4))
         assert (fresh.terminal_count, fresh.edge_weight, fresh.children) == (1, 1, {})
 
     @given(
@@ -424,16 +427,16 @@ class TestForest:
     )
     @settings(max_examples=150, deadline=None)
     def test_views_read_true_values_or_raise(self, paths, cut):
-        """A view either reads what a fresh `find` reads or raises on every read."""
+        """A view either reads what a fresh one from `roots` reads or raises on every read."""
         forest = BehaviorForest()
         for path in paths[:cut]:
             forest.insert(path)
         prefixes = {tuple(p[:k]) for p in paths[:cut] for k in range(1, len(p) + 1)}
-        views = {prefix: forest.find(prefix) for prefix in prefixes}
+        views = {prefix: node_at(forest, prefix) for prefix in prefixes}
         for path in paths[cut:]:
             forest.insert(path)
         for prefix, view in views.items():
-            fresh = forest.find(prefix)
+            fresh = node_at(forest, prefix)
             try:
                 got = (view.symbol, view.edge_weight, view.terminal_count, sorted(view.children))
             except IndexError:
@@ -477,7 +480,7 @@ class TestForest:
                 assert weight == expected
             assert terminal == sum(1 for p in paths if p == prefix)
         assert forest.total_insertions == len(paths)
-        assert forest.checked_total() == len(paths)
+        assert sum(row[3] for row in forest.iter_nodes()) == len(paths)
 
     def test_iter_nodes_sorted_depth_first(self):
         forest = BehaviorForest()
@@ -682,8 +685,9 @@ def test_deep_chain_snapshot_restore_dot_and_paths():
     lines = forest_to_dot(restored).splitlines()
     assert sum(1 for line in lines if " -> " in line) == 100_000
     assert sum(1 for line in lines if "[label=" in line and " -> " not in line) == 100_001
-    assert restored.n_nodes == 100_001
-    assert restored.checked_total() == restored.total_insertions == 1
+    rows = list(restored.iter_nodes())
+    assert len(rows) == 100_001
+    assert sum(row[3] for row in rows) == restored.total_insertions == 1
     assert restored.terminal_paths() == {path: 1}
 
 
@@ -736,10 +740,12 @@ def test_radix_forest_matches_object_forest(paths):
     forest, oracle = BehaviorForest(), ObjectForest()
     for path in paths:
         assert forest.insert(path) == oracle.insert(path)
+    # Every prefix (each root alone, mid-edge ends, the full paths), every
+    # path extended by one symbol, the empty path and an unknown root.
     probes = {p[:k] for p in paths for k in range(1, len(p) + 1)}
-    probes |= {p + (s,) for p in paths for s in range(4)} | {(), (9, 1)}
+    probes |= {p + (s,) for p in paths for s in range(4)} | {(), (9,), (9, 1)}
     for probe in probes:
-        assert node_row(forest.find(probe)) == node_row(oracle.find(probe))
+        assert node_row(node_at(forest, probe)) == node_row(node_at(oracle, probe))
         assert forest.occurrence_count(probe) == oracle.occurrence_count(probe)
     rows = list(forest.iter_nodes())
     assert rows == node_rows(oracle)
@@ -749,8 +755,7 @@ def test_radix_forest_matches_object_forest(paths):
     assert forest.terminal_paths() == oracle.terminal_paths()
     assert snapshot_dumps(forest, "h") == dumps_v1(oracle.snapshot("h"))
     assert forest_to_dot(forest) == oracle.dot()
-    assert forest.n_nodes == len(rows)
-    assert forest.checked_total() == forest.total_insertions == len(paths)
+    assert sum(row[3] for row in rows) == forest.total_insertions == len(paths)
 
 
 @given(paths=insert_sequence(), seed=st.integers(0, 2**16))
@@ -791,7 +796,7 @@ def test_restore_breaks_edges_where_a_chain_stops_conserving():
     assert [edge.symbols for _, edge in forest._walk()] == [(1,), (2,), (3,), (4, 5)]
     assert snapshot_dumps(forest, "h") == dumps_v1(doc)
     assert forest_to_dot(forest) == ObjectForest.restore(doc).dot()
-    assert [node_row(forest.find(p)) for p in [(1, 2), (1, 2, 3), (1, 2, 3, 4)]] == [
+    assert [node_row(node_at(forest, p)) for p in [(1, 2), (1, 2, 3), (1, 2, 3, 4)]] == [
         (2, 3, 0, [3]),
         (3, 2, 1, [4]),
         (4, 1, 0, [5]),
@@ -812,5 +817,5 @@ def test_deep_chattering_path_is_held_as_one_edge():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert receipt.created_new_node
-    assert forest.n_nodes == len(path)
+    assert sum(1 for _ in forest.iter_nodes()) == len(path)
     assert forest.occurrence_count(path) == 1
