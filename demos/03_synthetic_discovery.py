@@ -15,6 +15,7 @@ from behaviorforest import (
     generate_synthetic,
     write_segments,
 )
+from behaviorforest import io as bfio
 
 
 def main() -> None:
@@ -51,7 +52,9 @@ def main() -> None:
         )
 
     if args.out:
-        write_segments(args.out, result.segments)
+        # The run replaces --out whole, so no segment file of an earlier run stays.
+        with bfio.replacing_run(args.out):
+            write_segments(args.out, result.segments)
         print(f"\nsegment files written to {args.out}/")
 
 

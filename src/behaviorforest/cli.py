@@ -4,8 +4,9 @@ Subcommands cover the full loop: generate a benchmark stream, discover and
 record patterns, replay a dataset to watch recording decay, export pattern
 features, compare variances, and render the forest as Graphviz.  Every
 file is read and written through `behaviorforest.io`, which also names the
-files of a run directory and clears it for a new run; this module only
-maps arguments to calls and failures to exit codes.
+files of a run directory; `discover` and `replay` write inside
+`io.replacing_run`, so a run that fails leaves `--out` as it was.  This
+module only maps arguments to calls and failures to exit codes.
 """
 
 from __future__ import annotations
@@ -69,13 +70,7 @@ def _load_streams(paths: List[str]):
 
 
 def _forest_texts(engine: DiscoveryEngine) -> tuple:
-    """The forest snapshot and Graphviz texts, rendered before any file is written.
-
-    A forest the snapshot format refuses then fails the command with `--out`
-    untouched, instead of leaving a new run's files beside an old forest.
-    """
-    snapshot = snapshot_dumps(engine.forest, engine.config.config_hash()) + "\n"
-    return snapshot, forest_to_dot(engine.forest)
+    return snapshot_dumps(engine.forest, engine.config.config_hash()) + "\n", forest_to_dot(engine.forest)
 
 
 def cmd_discover(args) -> int:
@@ -85,12 +80,10 @@ def cmd_discover(args) -> int:
     if args.snapshot is not None:
         prior = bfio.read_snapshot(args.snapshot, config.config_hash())
     streams, channel_names = _load_streams(args.inputs)
-    engine, result = discover(
-        config, streams, forest=prior, buffer_capacity=args.buffer_capacity
-    )
-    texts = _forest_texts(engine)
-    bfio.write_segments(args.out, result.segments, channel_names)
-    bfio.write_run(args.out, result.stats, texts)
+    engine, result = discover(config, streams, forest=prior, buffer_capacity=args.buffer_capacity)
+    with bfio.replacing_run(args.out):
+        bfio.write_segments(args.out, result.segments, channel_names)
+        bfio.write_run(args.out, result.stats, _forest_texts(engine))
     stats = result.stats
     print(
         f"{stats.detected_db_count} behaviors detected, "
@@ -104,13 +97,11 @@ def cmd_replay(args) -> int:
     _check_counts(args)
     config = _apply_overrides(bfio.load_config(args.config), args)
     streams, _ = _load_streams(args.inputs)
-    engine, results = replay(
-        config, streams, runs=args.runs, buffer_capacity=args.buffer_capacity
-    )
+    engine, results = replay(config, streams, runs=args.runs, buffer_capacity=args.buffer_capacity)
     runs = [result.stats for result in results]
-    texts = _forest_texts(engine)
-    bfio.write_replay_table(args.out, runs)
-    bfio.write_run(args.out, runs[-1], texts)
+    with bfio.replacing_run(args.out):
+        bfio.write_replay_table(args.out, runs)
+        bfio.write_run(args.out, runs[-1], _forest_texts(engine))
     for run, cum in zip(runs, cumulative_fractions(runs)):
         print(
             f"run {run.run_index}: {run.recorded_db_count} recorded, "

@@ -9,10 +9,8 @@ with either explicit per-channel breakpoints or alphabet sizes to derive
 equiprobable-Gaussian ones.  Config and snapshot JSON share one reader.
 Every file written, series, document or table, replaces its target whole
 by a rename from a temporary sibling, only once complete.  This module
-alone names the files of a run directory.  A new run (`write_segments`,
-`write_replay_table`) first removes every file of the previous one and of
-the tables derived from it (`remove_run_files`), so a run that fails part
-way leaves no file of another beside its own; `write_run` closes it.
+alone names the files of a run directory, and a new run replaces that
+directory whole (`replacing_run`), so it never holds files of two runs.
 """
 
 from __future__ import annotations
@@ -20,9 +18,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import glob
+import fnmatch
 import json
 import os
+import shutil
 import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -220,21 +219,46 @@ MANIFEST_COLUMNS = (
 )
 
 
-def remove_run_files(out_dir: str) -> None:
-    """Make `out_dir` if need be and remove every file a previous run left in it."""
-    os.makedirs(out_dir, exist_ok=True)
-    stale = [os.path.join(out_dir, name) for name in _RUN_FILES]
-    stale += glob.glob(os.path.join(glob.escape(out_dir), _SEGMENT.replace("%05d", "*")))
-    for path in stale:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(path)
+@contextlib.contextmanager
+def replacing_run(out_dir: str):
+    """A fresh `out_dir` for a run, replacing the previous one whole only on success.
+
+    An existing `out_dir` that holds anything but run files (`_RUN_FILES` and
+    `segments/segment_*.csv`) is a ValueError naming that entry, and stays as
+    it is.  Otherwise it is renamed aside to `<out_dir>.<pid>.old`, renamed
+    back if the block fails and removed once it succeeds, so a crash of the
+    process leaves the previous run whole in `.old`.  A symlink keeps its
+    link and has its target replaced.
+    """
+    out_dir = os.path.realpath(out_dir)
+    old = None
+    if os.path.lexists(out_dir):
+        segment_dir, segment = os.path.split(os.path.join(out_dir, _SEGMENT.replace("%05d", "*")))
+        entries = [e.path for e in os.scandir(out_dir) if not (e.name in _RUN_FILES and e.is_file())]
+        if os.path.isdir(segment_dir):
+            entries.remove(segment_dir)
+            entries += [e.path for e in os.scandir(segment_dir)
+                        if not (fnmatch.fnmatch(e.name, segment) and e.is_file())]
+        if entries:
+            raise ValueError(f"{entries[0]}: not a file of a run, so {out_dir} is not replaced")
+        old = f"{out_dir}.{os.getpid()}.old"
+        os.rename(out_dir, old)
+    try:
+        os.makedirs(out_dir)
+        yield
+    except BaseException:
+        shutil.rmtree(out_dir, ignore_errors=True)
+        if old is not None:
+            os.rename(old, out_dir)
+        raise
+    if old is not None:
+        shutil.rmtree(old)
 
 
 def write_segments(
     out_dir: str, segments: Sequence[RecordedSegment], channel_names: Optional[Sequence[str]] = None
 ) -> str:
-    """Remove the previous run's files, write one raw file per segment, then the manifest."""
-    remove_run_files(out_dir)
+    """Write one raw file per segment, then the manifest; returns the manifest's path."""
     os.makedirs(os.path.join(out_dir, os.path.dirname(_SEGMENT)), exist_ok=True)
     for seg in segments:
         path = os.path.join(out_dir, _SEGMENT % seg.segment_id)
@@ -284,8 +308,7 @@ def write_run(out_dir: str, stats: RunStats, forest_texts: Tuple[str, str]) -> N
 
 
 def write_replay_table(out_dir: str, runs: Sequence[RunStats]) -> None:
-    """Remove the previous run's files, then write counts, per-run % and cumulative % per run."""
-    remove_run_files(out_dir)
+    """Counts, per-run % and cumulative % per run."""
     header = (
         "run", "detected_db", "recorded_db", "recorded_samples", "total_samples",
         "recording_pct", "cumulative_recording_pct",

@@ -485,6 +485,19 @@ class TestConfigIO:
             load_config(str(path))
 
 
+def tree_bytes(root):
+    """Every entry under `root`: a file's bytes, or None for a directory."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+def leftovers(root):
+    """Renamed-aside run directories and temporary files anywhere under `root`."""
+    return [p for p in root.rglob("*") if p.suffix in (".old", ".tmp")]
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     cfg = {
@@ -745,33 +758,35 @@ class TestCli:
         assert {p.name for p in (out / "segments").iterdir()} == listed
         assert len(listed) < first
 
-    @pytest.mark.parametrize("failing", ["stats.json", "forest.json"])
-    @pytest.mark.parametrize("command", ["discover", "replay"])
-    def test_failed_rerun_leaves_no_file_of_the_previous_run(
+    @pytest.mark.parametrize(
+        "command, failing",
+        [(command, name) for command in ("discover", "replay")
+         for name in ("stats.json", "forest.json", "forest.dot")]
+        + [("discover", "segment_00000.csv"), ("discover", "segments.csv"),
+           ("replay", "replay.csv")],
+    )
+    def test_failed_rerun_leaves_the_previous_run_whole(
         self, workdir, monkeypatch, command, failing
     ):
         data = self.gen(workdir)
         cfg = str(workdir / "config.json")
         out = workdir / "run"
         assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out)]) == 0
-        # Mark the first run's files by their modification time.
-        for path in out.rglob("*"):
-            if path.is_file():
-                os.utime(path, (0, 0))
-        write_text = bfio.write_text
+        before = tree_bytes(out)
+        replacing = bfio._replacing
 
-        def failing_write_text(path, text):
+        def failing_replacing(path):
             if os.path.basename(path) == failing:
                 raise OSError("disk full")
-            write_text(path, text)
+            return replacing(path)
 
-        monkeypatch.setattr(bfio, "write_text", failing_write_text)
+        monkeypatch.setattr(bfio, "_replacing", failing_replacing)
         rerun = [command, str(data), "--config", cfg, "--out", str(out), "--threshold", "1"]
         assert cli.main(rerun) == 3
         monkeypatch.undo()
-        assert [p for p in out.rglob("*") if p.is_file() and p.stat().st_mtime == 0] == []
-        # What the failed run left cannot pass for a whole run.
-        assert cli.main(["features", "--segments", str(out)]) != 0
+        assert tree_bytes(out) == before
+        assert leftovers(workdir) == []
+        assert cli.main(["features", "--segments", str(out)]) == 0
 
     def test_replay_into_a_discover_directory_removes_its_segments(self, workdir, capsys):
         data = self.gen(workdir)
@@ -781,10 +796,69 @@ class TestCli:
         replay_argv = ["replay", str(data), "--config", cfg, "--out", str(out), "--runs", "3"]
         assert cli.main(replay_argv) == 0
         assert not (out / "segments.csv").exists()
-        assert list((out / "segments").iterdir()) == []
+        assert not (out / "segments").exists()
         # With no manifest, features cannot mix replay's forest with discover's segments.
         assert cli.main(["features", "--segments", str(out)]) == 3
         assert "segments.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, foreign",
+        [("notes.txt", "notes.txt"), ("segments/notes.txt", "segments/notes.txt"),
+         # A directory under a run file's name is no run file either.
+         ("replay.csv/notes.txt", "replay.csv")],
+        ids=["top", "segments", "run-file-name"],
+    )
+    @pytest.mark.parametrize("command", ["discover", "replay"])
+    def test_out_holding_a_foreign_entry_is_refused(
+        self, workdir, capsys, command, entry, foreign
+    ):
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        out = workdir / "run"
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out)]) == 0
+        (out / entry).parent.mkdir(exist_ok=True)
+        (out / entry).write_text("keep me\n")
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert cli.main([command, str(data), "--config", cfg, "--out", str(out)]) == 3
+        assert f"{out / foreign}:" in capsys.readouterr().err
+        assert tree_bytes(out) == before
+        assert leftovers(workdir) == []
+
+    def test_out_that_is_a_file_is_refused(self, workdir):
+        data = self.gen(workdir)
+        out = workdir / "run"
+        out.write_text("not a directory\n")
+        argv = ["discover", str(data), "--config", str(workdir / "config.json"), "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert out.read_text() == "not a directory\n"
+        assert leftovers(workdir) == []
+
+    def test_out_with_a_trailing_separator(self, workdir):
+        data = self.gen(workdir)
+        out = workdir / "run"
+        argv = ["discover", str(data), "--config", str(workdir / "config.json"),
+                "--out", str(out) + os.sep]
+        assert cli.main(argv) == 0
+        assert cli.main([*argv, "--threshold", "1"]) == 0
+        listed = {f"segment_{s.segment_id:05d}.csv" for s in read_segments(str(out))}
+        assert {p.name for p in (out / "segments").iterdir()} == listed
+        assert sorted(p.name for p in workdir.iterdir() if p.is_dir()) == ["run"]
+
+    def test_symlinked_out_keeps_its_link_and_replaces_its_target(self, workdir):
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        target, link = workdir / "target", workdir / "link"
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(target)]) == 0
+        first = tree_bytes(target)
+        link.symlink_to(target)
+        rerun = ["discover", str(data), "--config", cfg, "--out", str(link), "--threshold", "1"]
+        assert cli.main(rerun) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert tree_bytes(target) != first
+        listed = {f"segment_{s.segment_id:05d}.csv" for s in read_segments(str(target))}
+        assert {p.name for p in (target / "segments").iterdir()} == listed
+        assert leftovers(workdir) == []
 
     def test_replay_removes_features_and_variance_tables(self, workdir):
         data = self.gen(workdir)

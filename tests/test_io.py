@@ -1,5 +1,6 @@
 """File layer: series byte identity and memory, golden CLI output, replace-on-success writers."""
 
+import contextlib
 import hashlib
 import os
 import stat
@@ -299,6 +300,7 @@ class TestReplacingWriters:
             # A previous run's complete output, manifest included.
             bfio.write_segments(str(out), result.segments)
             assert (out / "segments.csv").is_file()
+            before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         written = []
 
         def failing_write_series(path, *args):
@@ -308,6 +310,12 @@ class TestReplacingWriters:
 
         monkeypatch.setattr(bfio, "write_series", failing_write_series)
         with pytest.raises(OSError, match="disk full"):
-            bfio.write_segments(str(out), result.segments)
-        # No manifest lists segment files that this run did not write in full.
-        assert sorted(p.name for p in out.iterdir()) == ["segments"]
+            with bfio.replacing_run(str(out)) if rerun else contextlib.nullcontext():
+                bfio.write_segments(str(out), result.segments)
+        if rerun:
+            # The failed run is gone and the previous one is back, whole.
+            assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+        else:
+            # No manifest lists segment files that this run did not write in full.
+            assert sorted(p.name for p in out.iterdir()) == ["segments"]
