@@ -53,8 +53,8 @@ def main() -> None:
 
     if args.out:
         # The run replaces --out whole, so no segment file of an earlier run stays.
-        with bfio.replacing_run(args.out):
-            write_segments(args.out, result.segments)
+        with bfio.replacing_run(args.out) as out:
+            write_segments(out, result.segments)
         print(f"\nsegment files written to {args.out}/")
 
 

@@ -70,7 +70,8 @@ def _load_streams(paths: List[str]):
 
 
 def _forest_texts(engine: DiscoveryEngine) -> tuple:
-    return snapshot_dumps(engine.forest, engine.config.config_hash()) + "\n", forest_to_dot(engine.forest)
+    snapshot = snapshot_dumps(engine.forest, engine.config.config_hash()) + "\n"
+    return snapshot, forest_to_dot(engine.forest)
 
 
 def cmd_discover(args) -> int:
@@ -80,10 +81,12 @@ def cmd_discover(args) -> int:
     if args.snapshot is not None:
         prior = bfio.read_snapshot(args.snapshot, config.config_hash())
     streams, channel_names = _load_streams(args.inputs)
-    engine, result = discover(config, streams, forest=prior, buffer_capacity=args.buffer_capacity)
-    with bfio.replacing_run(args.out):
-        bfio.write_segments(args.out, result.segments, channel_names)
-        bfio.write_run(args.out, result.stats, _forest_texts(engine))
+    engine, result = discover(
+        config, streams, forest=prior, buffer_capacity=args.buffer_capacity
+    )
+    with bfio.replacing_run(args.out) as out:
+        bfio.write_segments(out, result.segments, channel_names)
+        bfio.write_run(out, result.stats, _forest_texts(engine))
     stats = result.stats
     print(
         f"{stats.detected_db_count} behaviors detected, "
@@ -97,11 +100,13 @@ def cmd_replay(args) -> int:
     _check_counts(args)
     config = _apply_overrides(bfio.load_config(args.config), args)
     streams, _ = _load_streams(args.inputs)
-    engine, results = replay(config, streams, runs=args.runs, buffer_capacity=args.buffer_capacity)
+    engine, results = replay(
+        config, streams, runs=args.runs, buffer_capacity=args.buffer_capacity
+    )
     runs = [result.stats for result in results]
-    with bfio.replacing_run(args.out):
-        bfio.write_replay_table(args.out, runs)
-        bfio.write_run(args.out, runs[-1], _forest_texts(engine))
+    with bfio.replacing_run(args.out) as out:
+        bfio.write_replay_table(out, runs)
+        bfio.write_run(out, runs[-1], _forest_texts(engine))
     for run, cum in zip(runs, cumulative_fractions(runs)):
         print(
             f"run {run.run_index}: {run.recorded_db_count} recorded, "

@@ -223,12 +223,14 @@ MANIFEST_COLUMNS = (
 def replacing_run(out_dir: str):
     """A fresh `out_dir` for a run, replacing the previous one whole only on success.
 
-    An existing `out_dir` that holds anything but run files (`_RUN_FILES` and
-    `segments/segment_*.csv`) is a ValueError naming that entry, and stays as
-    it is.  Otherwise it is renamed aside to `<out_dir>.<pid>.old`, renamed
-    back if the block fails and removed once it succeeds, so a crash of the
-    process leaves the previous run whole in `.old`.  A symlink keeps its
-    link and has its target replaced.
+    Yields the resolved path, to write through even from a working directory
+    inside `out_dir`.  An existing `out_dir` holding anything but run files
+    (`_RUN_FILES`, `segments/segment_*.csv`) is a ValueError naming that entry.
+    Otherwise it is renamed aside to `<out_dir>.<pid>.old`, so it must be no
+    mount point and its parent writable; renamed back if the block fails, and
+    removed once it succeeds.  A crash, or an undo that itself fails (raised
+    with the block's error as context), leaves the previous run whole in
+    `.old`.  A symlink keeps its link and has its target replaced.
     """
     out_dir = os.path.realpath(out_dir)
     old = None
@@ -245,9 +247,10 @@ def replacing_run(out_dir: str):
         os.rename(out_dir, old)
     try:
         os.makedirs(out_dir)
-        yield
+        yield out_dir
     except BaseException:
-        shutil.rmtree(out_dir, ignore_errors=True)
+        if os.path.lexists(out_dir):
+            shutil.rmtree(out_dir)
         if old is not None:
             os.rename(old, out_dir)
         raise

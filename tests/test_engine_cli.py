@@ -845,6 +845,24 @@ class TestCli:
         assert {p.name for p in (out / "segments").iterdir()} == listed
         assert sorted(p.name for p in workdir.iterdir() if p.is_dir()) == ["run"]
 
+    @pytest.mark.parametrize("command", ["discover", "replay"])
+    @pytest.mark.parametrize("cwd, flag", [("", "."), ("segments", "..")], ids=["out", "segments"])
+    def test_working_directory_inside_out(self, workdir, monkeypatch, command, cwd, flag):
+        data = self.gen(workdir)
+        cfg = str(workdir / "config.json")
+        out = workdir / "run"
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out)]) == 0
+        monkeypatch.chdir(out / cwd)
+        assert cli.main([command, str(data), "--config", cfg, "--out", flag]) == 0
+        monkeypatch.chdir(workdir)  # the old working directory was removed with the old run
+        assert {"stats.json", "forest.json", "forest.dot"} <= {p.name for p in out.iterdir()}
+        if command == "discover":
+            listed = {f"segment_{s.segment_id:05d}.csv" for s in read_segments(str(out))}
+            assert listed and {p.name for p in (out / "segments").iterdir()} == listed
+        else:
+            assert (out / "replay.csv").is_file() and not (out / "segments").exists()
+        assert leftovers(workdir) == []
+
     def test_symlinked_out_keeps_its_link_and_replaces_its_target(self, workdir):
         data = self.gen(workdir)
         cfg = str(workdir / "config.json")

@@ -289,6 +289,22 @@ class TestReplacingWriters:
         assert read_bytes(path) == before
         assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
+    def test_failed_undo_is_raised_and_leaves_the_previous_run_aside(self, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "stats.json").write_text("{}\n")
+
+        def failing_rmtree(path, *args, **kwargs):
+            raise OSError("device busy")
+
+        with pytest.raises(OSError, match="device busy") as info:
+            with bfio.replacing_run(str(out)) as path:
+                assert path == os.path.realpath(out)
+                monkeypatch.setattr(bfio.shutil, "rmtree", failing_rmtree)
+                raise ValueError("run failed")
+        assert isinstance(info.value.__context__, ValueError)
+        assert (tmp_path / f"o.{os.getpid()}.old" / "stats.json").read_text() == "{}\n"
+
     @pytest.mark.parametrize("rerun", [False, True], ids=["empty", "rerun"])
     def test_manifest_written_after_segment_files(self, tmp_path, monkeypatch, rerun):
         t, values = generate_synthetic(0, bursts_per_pattern=3)
