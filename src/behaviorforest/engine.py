@@ -43,6 +43,13 @@ class DiscoveryEngine:
     Each stream is fed in chunks of 8,192 samples, and buffer_capacity is
     checked per chunk: a recorded span has to start within buffer_capacity
     samples of the end of the chunk in which it closes.
+
+    The look-back buffer refers to the stream's arrays instead of copying
+    them, so the caller must not write into `t` or `values` while
+    `process_stream` runs; once it returns, the arrays are the caller's
+    again, since every segment owns copies of its samples.  A call's
+    memory is the caller's arrays, plus the recorded segments, plus the
+    forest.
     """
 
     def __init__(

@@ -41,17 +41,24 @@ def decide(receipt: InsertionReceipt, threshold: int) -> Optional[str]:
 class SampleBuffer:
     """Look-back buffer of raw frames indexed by absolute sample position.
 
-    Each extended chunk is kept as its own float64 copy, tagged with the
-    absolute index of its first sample, so storage stays at the raw data's
-    size and no caller can alter recorded history through its own arrays.
+    Each extended chunk is kept by reference, tagged with the absolute
+    index of its first sample: a float64 chunk (a slice of the caller's
+    stream, strided or not) is held as it is and only other dtypes are
+    converted, so buffering copies no samples.  The caller must not write
+    into an array while it is buffered.  `DiscoveryEngine.process_stream`
+    meets this: the buffer lives only for the call, and the call holds the
+    stream throughout.  `extract` always returns fresh arrays, so a
+    recorded segment never shares memory with the caller's arrays.
 
     capacity bounds the retained samples (None keeps everything): the
     buffer answers for at least the last `capacity` samples, and drops a
-    chunk once it lies wholly before them, so it holds at most `capacity`
-    samples plus one chunk.  A recorded span has to start within `capacity`
-    samples of the end of the chunk it closes in.  Asking for a span older
-    than retention raises BufferOverflowError: silently clipping a segment
-    would corrupt what the recorded dataset means.
+    chunk once it lies wholly before them, so it refers to at most
+    `capacity` samples plus one chunk.  Dropping a chunk drops only a
+    reference, so capacity bounds look-back, not memory.  A recorded span
+    has to start within `capacity` samples of the end of the chunk it
+    closes in.  Asking for a span older than retention raises
+    BufferOverflowError: silently clipping a segment would corrupt what
+    the recorded dataset means.
     """
 
     def __init__(self, capacity: Optional[int] = None):
@@ -77,8 +84,8 @@ class SampleBuffer:
         return max(0, self._next - self.capacity)
 
     def extend(self, t: np.ndarray, values: np.ndarray) -> None:
-        t = np.array(t, dtype=np.float64)
-        values = np.array(values, dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
         if len(t) != len(values):
             raise ValueError(f"{len(t)} timestamps for {len(values)} samples")
         if len(t) == 0:

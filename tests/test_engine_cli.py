@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -42,6 +43,8 @@ from behaviorforest.io import (
     write_series,
 )
 from behaviorforest.selection import decide
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 # Raw single-channel fixture whose runs (under log base 2) reduce to the
 # symbol sequence 1,1,1,2,3,2,1,1,1,1,1,2,3,4 and therefore to exactly the
@@ -228,6 +231,30 @@ class TestEngineOnFixture:
         stats = engine.run([("fix", t, values)], run_index=3).stats
         assert stats.run_index == 3
         assert stats.detected_db_count == 2
+
+    def test_segments_survive_writes_after_the_call(self):
+        t, values = fixture_stream()
+        segments = DiscoveryEngine(fixture_config()).process_stream("fix", t, values)
+        before = [(s.t.tolist(), s.values.tolist()) for s in segments]
+        t[:] = -1.0
+        values[:] = -1.0
+        assert [(s.t.tolist(), s.values.tolist()) for s in segments] == before
+
+
+def test_process_stream_memory_excludes_the_stream():
+    # 400,600 x 2 samples, 9.17 MB with timestamps.  The look-back buffer
+    # refers to the stream's arrays, so the call's own peak is about 1 MB;
+    # one buffered copy of the stream alone would be the input's size.
+    t, values = generate_synthetic(0, bursts_per_pattern=125)
+    engine = DiscoveryEngine(load_config(os.path.join(CONFIG_DIR, "synthetic.json")))
+    tracemalloc.start()
+    try:
+        segments = engine.process_stream("s", t, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert segments
+    assert peak < (t.nbytes + values.nbytes) / 4
 
 
 LEVELS = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.sampled_from([-1.0, 0.0, 1.0]))

@@ -128,21 +128,33 @@ class TestSampleBuffer:
             buf.extend(np.arange(3.0), np.zeros((2, 1)))
         assert buf.next_index == 0
 
-    def test_buffer_owns_its_data(self):
+    @pytest.mark.parametrize("span", [(2, 6), (0, 10), (4, 14)], ids=["inner", "whole", "across"])
+    def test_extract_shares_no_memory_with_chunks(self, span):
+        chunks = [np.arange(10.0), np.arange(10.0, 20.0)]
+        values = [np.stack([t, -t], axis=1) for t in chunks]
+        buf = SampleBuffer()
+        for t, v in zip(chunks, values):
+            buf.extend(t, v)
+        seg_t, seg_values = buf.extract(span)
+        assert seg_t.tolist() == list(map(float, range(*span)))
+        for t, v in zip(chunks, values):
+            assert not np.shares_memory(seg_t, t)
+            assert not np.shares_memory(seg_values, v)
+
+    def test_extracted_arrays_survive_writes(self):
         buf = SampleBuffer()
         t = np.arange(10, dtype=float)
         values = np.stack([t, -t], axis=1)
         buf.extend(t, values)
+        seg_t, seg_values = buf.extract((2, 6))
         t[:] = 99.0
         values[:] = 99.0
-        seg_t, seg_values = buf.extract((2, 6))
         assert seg_t.tolist() == [2.0, 3.0, 4.0, 5.0]
         assert seg_values[:, 1].tolist() == [-2.0, -3.0, -4.0, -5.0]
         seg_t[:] = -1.0
         seg_values[:] = -1.0
-        again_t, again_values = buf.extract((2, 6))
-        assert again_t.tolist() == [2.0, 3.0, 4.0, 5.0]
-        assert again_values[:, 1].tolist() == [-2.0, -3.0, -4.0, -5.0]
+        assert t.tolist() == [99.0] * 10
+        assert values.tolist() == [[99.0, 99.0]] * 10
 
     @staticmethod
     def outcome(buf, span):
