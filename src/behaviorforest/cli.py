@@ -182,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--buffer-capacity",
             type=int,
             default=None,
-            help="look-back buffer capacity in samples (default unbounded); a recorded "
-            "span must start within N samples of the end of the chunk in which it closes",
+            help="look-back buffer capacity in samples (default unbounded); a behavior "
+            "that would be recorded may span at most N samples; a longer one exits 4 "
+            "before the forest counts it",
         )
 
     p = sub.add_parser("discover", help="one pass: detect, record, snapshot", epilog=_EPILOG)

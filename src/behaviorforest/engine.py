@@ -26,7 +26,7 @@ from .selection import RecordedSegment, RunStats, SampleBuffer, decide, material
 
 Stream = Tuple[str, np.ndarray, np.ndarray]  # (stream_id, t, values[n, d])
 
-_CHUNK_SIZE = 8192  # samples fed per step; changes no output without a buffer capacity
+_CHUNK_SIZE = 8192  # samples fed per step; changes no output
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,10 @@ class RunResult:
 class DiscoveryEngine:
     """Feeds streams through the full chain against one shared forest.
 
-    Each stream is fed in chunks of 8,192 samples, and buffer_capacity is
-    checked per chunk: a recorded span has to start within buffer_capacity
-    samples of the end of the chunk in which it closes.
+    buffer_capacity N (None is unbounded) is the longest behavior a run
+    can record: a behavior that would be recorded may span at most N
+    samples; a longer one raises BufferOverflowError before the forest
+    counts it.  A behavior that is discarded may span any length.
 
     The look-back buffer refers to the stream's arrays instead of copying
     them, so the caller must not write into `t` or `values` while
@@ -58,6 +59,8 @@ class DiscoveryEngine:
         forest: Optional[BehaviorForest] = None,
         buffer_capacity: Optional[int] = None,
     ):
+        if buffer_capacity is not None and buffer_capacity < 1:
+            raise ValueError(f"buffer_capacity must be >= 1 or None, got {buffer_capacity}")
         self.config = config
         self.forest = forest if forest is not None else BehaviorForest()
         self.buffer_capacity = buffer_capacity
@@ -72,6 +75,8 @@ class DiscoveryEngine:
         """Run one stream start to finish, returning its recorded segments."""
         t = np.asarray(t, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
+        if t.ndim != 1:
+            raise ValueError(f"stream {stream_id!r}: timestamps must be 1-D, got shape {t.shape}")
         if values.ndim == 1:
             values = values[:, None]
         if len(t) != len(values):
@@ -80,25 +85,27 @@ class DiscoveryEngine:
             )
         pipeline = PreprocessPipeline(self.config, stream_id)
         detector = BehaviorDetector(self.config.termination_run, self.config.initiation_context)
-        buffer = SampleBuffer(self.buffer_capacity)
+        buffer = SampleBuffer()
+        capacity = self.buffer_capacity
         threshold = self.config.relevance_threshold
         segments: List[RecordedSegment] = []
 
         def settle(behavior: Optional[DiscoveredBehavior]) -> None:
             if behavior is None:
                 return
-            # A behavior that would be recorded from evicted samples fails
-            # here, before the forest counts it.  The lookup is only paid
-            # once a span has already fallen behind the buffer.
+            # A behavior that would be recorded over a span longer than the
+            # capacity fails here, before the forest counts it.  The lookup
+            # is only paid for such a span.
             start, end = behavior.raw_span
             if (
-                start < buffer.oldest_index
+                capacity is not None
+                and end - start > capacity
                 and self.forest.occurrence_count(behavior.path) < threshold
             ):
                 raise BufferOverflowError(
                     f"stream {stream_id!r}: span [{start}, {end}) reaches "
-                    f"{buffer.oldest_index - start} samples behind the look-back "
-                    f"buffer (capacity {buffer.capacity})"
+                    f"{end - capacity - start} samples behind the look-back "
+                    f"buffer (capacity {capacity})"
                 )
             receipt = self.forest.insert(behavior.path)
             reason = decide(receipt, threshold)

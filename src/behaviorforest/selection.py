@@ -2,11 +2,11 @@
 
 A behavior is recorded when its path is new to the forest or still below
 the occurrence threshold (`decide`); everything else is discarded and
-survives only as forest counts.  A recorded behavior's raw samples come out
-of a look-back buffer that raises rather than silently truncate when asked
-for evicted history.  A run's statistics are derived from the segments it
-recorded, deduplicating overlapping spans per stream before computing the
-recorded fraction, so they cannot disagree with what was written.
+survives only as forest counts.  A recorded behavior's raw samples are
+copied out of a look-back buffer that refers to the stream's own chunks.
+A run's statistics are derived from the segments it recorded,
+deduplicating overlapping spans per stream before computing the recorded
+fraction, so they cannot disagree with what was written.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BufferOverflowError
 from .forest import DiscoveredBehavior, InsertionReceipt
 
 RECORD_NOVEL = "novel"
@@ -48,40 +47,19 @@ class SampleBuffer:
     into an array while it is buffered.  `DiscoveryEngine.process_stream`
     meets this: the buffer lives only for the call, and the call holds the
     stream throughout.  `extract` always returns fresh arrays, so a
-    recorded segment never shares memory with the caller's arrays.
-
-    capacity bounds the retained samples (None keeps everything): the
-    buffer answers for at least the last `capacity` samples, and drops a
-    chunk once it lies wholly before them, so it refers to at most
-    `capacity` samples plus one chunk.  Dropping a chunk drops only a
-    reference, so capacity bounds look-back, not memory.  A recorded span
-    has to start within `capacity` samples of the end of the chunk it
-    closes in.  Asking for a span older than retention raises
-    BufferOverflowError: silently clipping a segment would corrupt what
-    the recorded dataset means.
+    recorded segment never shares memory with the caller's arrays.  The
+    buffer serves every span in `[0, len(buffer))`; how far back a
+    recorded behavior may reach is the engine's `buffer_capacity` rule.
     """
 
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._next = 0
         self._starts: List[int] = []
         self._t: List[np.ndarray] = []
         self._values: List[np.ndarray] = []
 
     def __len__(self) -> int:
-        return self._next - self.oldest_index
-
-    @property
-    def next_index(self) -> int:
         return self._next
-
-    @property
-    def oldest_index(self) -> int:
-        if self.capacity is None:
-            return 0
-        return max(0, self._next - self.capacity)
 
     def extend(self, t: np.ndarray, values: np.ndarray) -> None:
         t = np.asarray(t, dtype=np.float64)
@@ -94,26 +72,15 @@ class SampleBuffer:
         self._t.append(t)
         self._values.append(values)
         self._next += len(t)
-        # Chunks before the one holding oldest_index lie wholly before it.
-        drop = bisect_right(self._starts, self.oldest_index) - 1
-        if drop > 0:
-            del self._starts[:drop], self._t[:drop], self._values[:drop]
 
     def extract(self, span: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
         """Fresh float64 copies of the samples in the half-open span."""
         start, end = span
-        oldest = self.oldest_index
         if end <= start:
             raise ValueError(f"span must be non-empty, got [{start}, {end})")
-        if start < oldest:
-            raise BufferOverflowError(
-                f"span [{start}, {end}) reaches {oldest - start} samples "
-                f"behind the look-back buffer (capacity {self.capacity})"
-            )
-        if end > self._next:
+        if start < 0 or end > self._next:
             raise ValueError(
-                f"span [{start}, {end}) extends past the last buffered sample "
-                f"{self._next}"
+                f"span [{start}, {end}) lies outside the buffered samples [0, {self._next})"
             )
         first = bisect_right(self._starts, start) - 1
         last = bisect_left(self._starts, end)

@@ -10,7 +10,6 @@ import numpy as np
 
 from behaviorforest.analysis import segment_variance
 from behaviorforest.core import (
-    BufferOverflowError,
     DimensionMismatchError,
     EngineConfig,
     InvalidSampleError,
@@ -29,62 +28,33 @@ from behaviorforest.preprocess import HysteresisFilter, discretize_batch
 class ListSampleBuffer:
     """Look-back buffer holding one Python tuple per sample.
 
-    The reference for `selection.SampleBuffer`: it keeps exactly the last
-    `capacity` samples, so its `extract` defines which spans are served,
-    which raise, and what they return.
+    The reference for `selection.SampleBuffer`: it keeps every sample, so
+    its `extract` defines which spans are served, which raise, and what
+    they return.
     """
 
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.capacity = capacity
-        self._base = 0
+    def __init__(self) -> None:
         self._t: List[float] = []
         self._values: List[Tuple[float, ...]] = []
 
     def __len__(self) -> int:
         return len(self._t)
 
-    @property
-    def next_index(self) -> int:
-        return self._base + len(self._t)
-
-    @property
-    def oldest_index(self) -> int:
-        return self._base
-
     def extend(self, t: np.ndarray, values: np.ndarray) -> None:
         self._t.extend(float(x) for x in t)
         self._values.extend(map(tuple, np.asarray(values, dtype=np.float64)))
-        self._evict()
-
-    def _evict(self) -> None:
-        if self.capacity is None:
-            return
-        excess = len(self._t) - self.capacity
-        if excess > 0:
-            del self._t[:excess]
-            del self._values[:excess]
-            self._base += excess
 
     def extract(self, span: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
         start, end = span
         if end <= start:
             raise ValueError(f"span must be non-empty, got [{start}, {end})")
-        if start < self._base:
-            raise BufferOverflowError(
-                f"span [{start}, {end}) reaches {self._base - start} samples "
-                f"behind the look-back buffer (capacity {self.capacity})"
-            )
-        if end > self.next_index:
+        if start < 0 or end > len(self._t):
             raise ValueError(
-                f"span [{start}, {end}) extends past the last buffered sample "
-                f"{self.next_index}"
+                f"span [{start}, {end}) lies outside the buffered samples [0, {len(self._t)})"
             )
-        lo, hi = start - self._base, end - self._base
         return (
-            np.array(self._t[lo:hi], dtype=np.float64),
-            np.array(self._values[lo:hi], dtype=np.float64),
+            np.array(self._t[start:end], dtype=np.float64),
+            np.array(self._values[start:end], dtype=np.float64),
         )
 
 

@@ -115,10 +115,12 @@ class TestEngineOnFixture:
         engine, _ = discover(fixture_config(), [("fix", t, values)])
         forest = engine.forest
         before = forest_snapshot(forest, "h")
-        # Capacity 20 keeps samples [8, 28); the first behavior spans [0, 25)
-        # and is still under the threshold, so it cannot be recorded.
+        # The first behavior spans the 25 samples [0, 25), more than the
+        # capacity of 20, and is still under the threshold, so it cannot be
+        # recorded.
         small = DiscoveryEngine(fixture_config(), forest=forest, buffer_capacity=20)
-        with pytest.raises(BufferOverflowError):
+        message = r"'fix': span \[0, 25\) reaches 5 samples behind the look-back buffer \(capacity 20\)"
+        with pytest.raises(BufferOverflowError, match=message):
             small.run([("fix", t, values)])
         assert forest.total_insertions == 2
         assert forest.terminal_paths() == {(1, 2, 3, 2, 1): 1, (1, 2, 3, 4): 1}
@@ -168,8 +170,14 @@ class TestEngineOnFixture:
 
     def test_timestamp_length_mismatch(self):
         t, values = fixture_stream()
-        with pytest.raises(ValueError):
-            DiscoveryEngine(fixture_config()).process_stream("fix", t[:-1], values)
+        for bad_t in (t[:-1], t[:, None], np.stack([t, t], axis=1)):
+            with pytest.raises(ValueError, match="'fix'"):
+                DiscoveryEngine(fixture_config()).process_stream("fix", bad_t, values)
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_rejects_bad_buffer_capacity(self, capacity):
+        with pytest.raises(ValueError, match="buffer_capacity"):
+            DiscoveryEngine(fixture_config(), buffer_capacity=capacity)
 
     def test_patterns_do_not_straddle_streams(self):
         # Each stream ends mid-behavior; both close at their own stream end
@@ -273,8 +281,12 @@ def piecewise_stream(draw):
     return np.arange(len(values), dtype=float), values
 
 
-def recount(config, streams, forest):
-    """Run stats rebuilt one sample and one behavior at a time from the oracles."""
+def recount(config, streams, forest, capacity=None):
+    """Run stats rebuilt one sample and one behavior at a time from the oracles.
+
+    Returns None, leaving `forest` as it stands, at the first behavior that
+    would be recorded over a span longer than `capacity`.
+    """
     detected, recorded, paths, covered = 0, 0, set(), {}
     for sid, _, values in streams:
         pipe = StepPipeline(config, sid)
@@ -283,12 +295,19 @@ def recount(config, streams, forest):
         for behavior in [detector.step(r) for r in reduced] + [detector.flush()]:
             if behavior is None:
                 continue
+            start, end = behavior.raw_span
+            if (
+                capacity is not None
+                and end - start > capacity
+                and forest.occurrence_count(behavior.path) < config.relevance_threshold
+            ):
+                return None
             detected += 1
             if decide(forest.insert(behavior.path), config.relevance_threshold) is None:
                 continue
             recorded += 1
             paths.add(behavior.path)
-            covered.setdefault(sid, set()).update(range(*behavior.raw_span))
+            covered.setdefault(sid, set()).update(range(start, end))
     total = sum(len(values) for _, _, values in streams)
     return detected, recorded, len(paths), covered, total
 
@@ -300,10 +319,11 @@ def recount(config, streams, forest):
     threshold=st.integers(1, 3),
     log_base=st.sampled_from([2, 3]),
     margin=st.sampled_from([0.0, 0.1]),
+    data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
 def test_run_stats_match_independent_recount(
-    streams, chunk_size, prior_run, threshold, log_base, margin
+    streams, chunk_size, prior_run, threshold, log_base, margin, data
 ):
     config = EngineConfig(
         BreakpointSpec(((-0.5, 0.5), (-0.5, 0.5))),
@@ -316,11 +336,25 @@ def test_run_stats_match_independent_recount(
     if prior_run:
         DiscoveryEngine(config, forest=prior).run(streams)
     oracle_forest = forest_restore(forest_snapshot(prior, "h"))
+    # Short capacities overflow often; ones up to twice the longest stream
+    # mostly do not.
+    longest = max(len(t) for _, t, _ in streams)
+    capacity = data.draw(
+        st.one_of(st.none(), st.integers(1, 60), st.integers(1, 2 * longest)), label="capacity"
+    )
 
-    engine = DiscoveryEngine(config, forest=prior)
+    engine = DiscoveryEngine(config, forest=prior, buffer_capacity=capacity)
+    counts = recount(config, streams, oracle_forest, capacity)
+    event("overflow" if counts is None else "no overflow")
+    if counts is None:
+        with mock.patch.object(engine_module, "_CHUNK_SIZE", chunk_size):
+            with pytest.raises(BufferOverflowError):
+                engine.run(streams, run_index=2)
+        assert forest_snapshot(engine.forest, "h") == forest_snapshot(oracle_forest, "h")
+        return
     with mock.patch.object(engine_module, "_CHUNK_SIZE", chunk_size):
         result = engine.run(streams, run_index=2)
-    detected, recorded, n_paths, covered, total = recount(config, streams, oracle_forest)
+    detected, recorded, n_paths, covered, total = counts
 
     stats = result.stats
     assert stats.run_index == 2

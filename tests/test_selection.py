@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ListSampleBuffer
 
-from behaviorforest.core import BreakpointSpec, BufferOverflowError, ConfigError, EngineConfig
+from behaviorforest.core import BreakpointSpec, ConfigError, EngineConfig
 from behaviorforest.forest import (
     TERMINATED_BY_PLATEAU,
     BehaviorForest,
@@ -80,7 +80,6 @@ class TestSampleBuffer:
         buf = SampleBuffer()
         self.fill(buf, 1000)
         assert len(buf) == 1000
-        assert buf.oldest_index == 0
         t, values = buf.extract((0, 1000))
         assert len(t) == 1000
         assert values.shape == (1000, 2)
@@ -93,23 +92,6 @@ class TestSampleBuffer:
         assert values[:, 0].tolist() == [10.0, 11.0, 12.0]
         assert values[:, 1].tolist() == [-10.0, -11.0, -12.0]
 
-    def test_capacity_evicts_oldest(self):
-        buf = SampleBuffer(capacity=10)
-        self.fill(buf, 25)
-        assert len(buf) == 10
-        assert buf.oldest_index == 15
-        assert buf.next_index == 25
-        t, _ = buf.extract((15, 25))
-        assert t[0] == 15.0
-
-    def test_overflow_raises_instead_of_truncating(self):
-        buf = SampleBuffer(capacity=10)
-        self.fill(buf, 25)
-        with pytest.raises(BufferOverflowError):
-            buf.extract((14, 25))  # one sample older than retention
-        # The boundary span of exactly the capacity still works.
-        buf.extract((15, 25))
-
     def test_span_past_the_end_rejected(self):
         buf = SampleBuffer()
         self.fill(buf, 5)
@@ -118,15 +100,11 @@ class TestSampleBuffer:
         with pytest.raises(ValueError):
             buf.extract((3, 3))
 
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            SampleBuffer(capacity=0)
-
     def test_rejects_misaligned_chunk(self):
         buf = SampleBuffer()
         with pytest.raises(ValueError):
             buf.extend(np.arange(3.0), np.zeros((2, 1)))
-        assert buf.next_index == 0
+        assert len(buf) == 0
 
     @pytest.mark.parametrize("span", [(2, 6), (0, 10), (4, 14)], ids=["inner", "whole", "across"])
     def test_extract_shares_no_memory_with_chunks(self, span):
@@ -160,35 +138,30 @@ class TestSampleBuffer:
     def outcome(buf, span):
         try:
             return buf.extract(span)
-        except (ValueError, BufferOverflowError) as exc:
+        except ValueError as exc:
             return type(exc)
 
     @given(
         chunks=st.lists(st.integers(0, 40), max_size=10),
-        capacity=st.one_of(st.none(), st.integers(1, 100)),
         n_channels=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_list_oracle(self, chunks, capacity, n_channels, seed, data):
+    def test_matches_list_oracle(self, chunks, n_channels, seed, data):
         rng = np.random.default_rng(seed)
         n = sum(chunks)
         t = rng.standard_normal(n)
         values = rng.standard_normal((n, n_channels))
         values[rng.random(values.shape) < 0.05] = -0.0
-        buf, oracle = SampleBuffer(capacity), ListSampleBuffer(capacity)
+        buf, oracle = SampleBuffer(), ListSampleBuffer()
         lo = 0
         for size in chunks:
             buf.extend(t[lo : lo + size], values[lo : lo + size])
             oracle.extend(t[lo : lo + size], values[lo : lo + size])
             lo += size
-            assert buf.next_index == oracle.next_index
-            assert buf.oldest_index == oracle.oldest_index
             assert len(buf) == len(oracle)
-            if capacity is not None:
-                assert sum(len(c) for c in buf._t) <= capacity + max(chunks)
-            index = st.integers(oracle.oldest_index - 3, oracle.next_index + 3)
+            index = st.integers(-3, len(oracle) + 3)
             for span in data.draw(st.lists(st.tuples(index, index), max_size=6)):
                 got, want = self.outcome(buf, span), self.outcome(oracle, span)
                 if isinstance(want, type):
