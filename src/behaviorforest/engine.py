@@ -77,6 +77,11 @@ class DiscoveryEngine:
         values = np.asarray(values, dtype=np.float64)
         if t.ndim != 1:
             raise ValueError(f"stream {stream_id!r}: timestamps must be 1-D, got shape {t.shape}")
+        if values.ndim > 2:
+            raise ValueError(
+                f"stream {stream_id!r}: expected a (samples, channels) array, "
+                f"got shape {values.shape}"
+            )
         if values.ndim == 1:
             values = values[:, None]
         if len(t) != len(values):

@@ -8,22 +8,26 @@ module, then one row per sample whose values are the shortest round-trip
 with either explicit per-channel breakpoints or alphabet sizes to derive
 equiprobable-Gaussian ones.  Config and snapshot JSON share one reader.
 Every file written, series, document or table, replaces its target whole
-by a rename from a temporary sibling, only once complete.  This module
+by a rename from a temporary sibling, only once complete.  A run's segment
+files are written by up to one process per CPU in the affinity mask
+(`write_segments`), with the same bytes as from one.  This module
 alone names the files of a run directory, and a new run replaces that
 directory whole (`replacing_run`), so it never holds files of two runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import dataclasses
 import fnmatch
+import itertools
 import json
 import os
 import shutil
 import warnings
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .selection import RecordedSegment, RunStats, cumulative_fractions
 _SCALAR_KEYS = tuple(f.name for f in dataclasses.fields(EngineConfig) if f.name != "breakpoints")
 _CONFIG_KEYS = {"breakpoints", "alphabet_sizes", *_SCALAR_KEYS}
 
-# Rows formatted per write_series block; bounds its memory for any length.
+# Rows formatted per block of a series file; bounds its memory for any length.
 _ROW_BLOCK = 1 << 14
 
 # The files of a run directory, named nowhere else; `cli` reads the two
@@ -178,12 +182,10 @@ def read_series(path: str) -> Tuple[np.ndarray, np.ndarray, List[str]]:
     return data[:, 0], data[:, 1:], names[1:]
 
 
-def write_series(
-    path: str,
-    t: np.ndarray,
-    values: np.ndarray,
-    channel_names: Optional[Sequence[str]] = None,
-) -> None:
+def _series(
+    t: np.ndarray, values: np.ndarray, channel_names: Optional[Sequence[str]]
+) -> Tuple[np.ndarray, np.ndarray, List[str]]:
+    """(t, values[n, d], header row) of a series to write, checked."""
     t = np.asarray(t, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
@@ -194,16 +196,35 @@ def write_series(
     names = list(channel_names) if channel_names else [f"ch{i + 1}" for i in range(d)]
     if len(names) != d:
         raise ValueError(f"{len(names)} channel names for {d} channels")
-    # "%r" % x is repr(x) and "\r\n" is csv's line terminator, so each block
-    # of rows is formatted by one %-operation with the bytes csv.writer gives.
-    row = ",".join(["%r"] * (d + 1)) + "\r\n"
+    return t, values, ["t", *names]
+
+
+def _rows(t: np.ndarray, values: np.ndarray, start: int, stop: int) -> str:
+    """The text of rows [start, stop) of a series file."""
+    # "%r" % x is repr(x) and "\r\n" is csv's line terminator, so a block of
+    # rows is formatted by one %-operation with the bytes csv.writer gives.
+    block = np.column_stack([t[start:stop], values[start:stop]])
+    row = ",".join(["%r"] * block.shape[1]) + "\r\n"
+    return row * len(block) % tuple(block.ravel().tolist())
+
+
+def _write_rows(path: str, header: Sequence[str], texts: Iterable[str]) -> None:
+    """Replace `path` with a series file: the header row, then the row texts."""
     with _replacing(path) as fh:
-        csv.writer(fh).writerow(["t", *names])
-        for start in range(0, len(t), _ROW_BLOCK):
-            block = np.column_stack(
-                [t[start : start + _ROW_BLOCK], values[start : start + _ROW_BLOCK]]
-            )
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        csv.writer(fh).writerow(header)
+        for text in texts:
+            fh.write(text)
+
+
+def write_series(
+    path: str,
+    t: np.ndarray,
+    values: np.ndarray,
+    channel_names: Optional[Sequence[str]] = None,
+) -> None:
+    t, values, header = _series(t, values, channel_names)
+    blocks = (_rows(t, values, start, start + _ROW_BLOCK) for start in range(0, len(t), _ROW_BLOCK))
+    _write_rows(path, header, blocks)
 
 
 MANIFEST_COLUMNS = (
@@ -258,14 +279,125 @@ def replacing_run(out_dir: str):
         shutil.rmtree(old)
 
 
+class _SegmentFile(NamedTuple):
+    path: str
+    span: Tuple[int, int]
+    t: np.ndarray
+    values: np.ndarray
+    header: List[str]
+
+
+def _shared_rows(prev: _SegmentFile, nxt: _SegmentFile) -> int:
+    """How many last rows of `prev` are the first rows of `nxt`, at most one block.
+
+    Consecutive behaviors of a stream share their boundary run, so their
+    spans say how far they overlap; the samples must agree bit for bit too,
+    for a segment's arrays are not bound to its span.
+    """
+    k = prev.span[1] - nxt.span[0]
+    if not 0 < k <= min(_ROW_BLOCK, len(prev.t), len(nxt.t)):
+        return 0
+    same = (prev.t[-k:].tobytes() == nxt.t[:k].tobytes()
+            and prev.values[-k:].tobytes() == nxt.values[:k].tobytes())
+    return k if same else 0
+
+
+def _write_segment_files(files: Sequence[_SegmentFile]) -> None:
+    """Write consecutive segment files, formatting the rows each shares with the next once."""
+    shared, h = "", 0  # the previous file's last rows, which are this file's first h
+    for i, (path, _, t, values, header) in enumerate(files):
+        n = len(t)
+        k = _shared_rows(files[i], files[i + 1]) if i + 1 < len(files) else 0
+        if h + k > n:
+            k = 0
+        tail = _rows(t, values, n - k, n) if k else ""
+        middle = (_rows(t, values, lo, min(lo + _ROW_BLOCK, n - k))
+                  for lo in range(h, n - k, _ROW_BLOCK))
+        _write_rows(path, header, itertools.chain((shared,), middle, (tail,)))
+        shared, h = tail, k
+
+
+def _writer_groups(files: Sequence[_SegmentFile]) -> List[Sequence[_SegmentFile]]:
+    """`files` cut into contiguous groups of about equal rows, one per writer process.
+
+    There is a group per CPU this process may run on, but no more than the
+    rows fill blocks, and only one where the platform cannot fork.
+    """
+    ends = list(itertools.accumulate(len(f.t) for f in files))
+    rows = ends[-1] if ends else 0
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = max(1, min(len(os.sched_getaffinity(0)), -(-rows // _ROW_BLOCK)))
+    cuts = [0, *(bisect.bisect_left(ends, rows * j / n) + 1 for j in range(1, n)), len(files)]
+    return [files[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+
+
+def _fork(work, *args) -> Tuple[int, int]:
+    """Run `work(*args)` in a child process; returns its pid and the pipe its error comes on.
+
+    The child leaves by `os._exit` whatever happens, so it never returns into
+    the caller's frames nor flushes the stdio buffers it inherited.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            work(*args)
+            status = 0
+        except BaseException as exc:
+            os.write(write_end, (str(exc) or type(exc).__name__).encode("utf-8", "replace"))
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _reap(pid: int, read_end: int) -> str:
+    """Wait for a child of `_fork`: its error message, or "" if it succeeded."""
+    try:
+        with os.fdopen(read_end, "rb") as fh:
+            message = fh.read().decode("utf-8", "replace")
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    return message or (f"segment writer process {pid} exited with {code}" if code else "")
+
+
 def write_segments(
     out_dir: str, segments: Sequence[RecordedSegment], channel_names: Optional[Sequence[str]] = None
 ) -> str:
-    """Write one raw file per segment, then the manifest; returns the manifest's path."""
+    """Write one raw file per segment, then the manifest; returns the manifest's path.
+
+    The segment files are cut into contiguous groups (`_writer_groups`): this
+    process writes the first and a forked child each other one.  All children
+    are waited for, even on failure, and the first child's error is raised as
+    OSError.  The manifest is written only once every segment file is.
+    """
     os.makedirs(os.path.join(out_dir, os.path.dirname(_SEGMENT)), exist_ok=True)
-    for seg in segments:
-        path = os.path.join(out_dir, _SEGMENT % seg.segment_id)
-        write_series(path, seg.t, seg.values, channel_names)
+    files = [
+        _SegmentFile(os.path.join(out_dir, _SEGMENT % seg.segment_id), seg.raw_span,
+                     *_series(seg.t, seg.values, channel_names))
+        for seg in segments
+    ]
+    groups = _writer_groups(files)
+    children = []
+    try:
+        for group in groups[1:]:
+            children.append(_fork(_write_segment_files, group))
+        if groups:
+            _write_segment_files(groups[0])
+    finally:
+        errors = [_reap(*child) for child in children]
+    error = next(filter(None, errors), None)
+    if error:
+        raise OSError(error)
     rows = (
         (seg.segment_id, seg.stream_id, *seg.raw_span, repr(seg.start_t), repr(seg.end_t),
          seg.path_id, seg.reason, seg.occurrence_index)

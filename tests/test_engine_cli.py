@@ -174,6 +174,12 @@ class TestEngineOnFixture:
             with pytest.raises(ValueError, match="'fix'"):
                 DiscoveryEngine(fixture_config()).process_stream("fix", bad_t, values)
 
+    def test_values_of_more_than_two_dimensions_rejected(self):
+        t, values = fixture_stream()
+        bad = values[:, :, None]
+        with pytest.raises(ValueError, match=rf"stream 'fix': .* got shape \({len(t)}, 1, 1\)"):
+            DiscoveryEngine(fixture_config()).process_stream("fix", t, bad)
+
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_rejects_bad_buffer_capacity(self, capacity):
         with pytest.raises(ValueError, match="buffer_capacity"):

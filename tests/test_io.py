@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import os
+import signal
 import stat
 import threading
 import tracemalloc
@@ -17,6 +18,7 @@ from behaviorforest import cli
 from behaviorforest import io as bfio
 from behaviorforest.analysis import generate_synthetic
 from behaviorforest.engine import discover
+from behaviorforest.selection import RecordedSegment
 from oracles import csv_write_series
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -116,6 +118,125 @@ class TestWriteSeries:
         # The default block peaks near 2.4 MB at any n.  One row-stacked copy of
         # the whole input alone would be 7.2 MB; formatting it as one block, 44 MB.
         assert peak < 6 * 2**20
+
+
+def stream_segments():
+    """Hand-cut segments of two streams: overlaps shared or not, and spans that lie.
+
+    With 8-row blocks, the first segment spans four blocks; neighbours share
+    up to 3 rows, or a whole segment; the spans of the first "b" segment
+    overlap the last "a" one on paper only, and the last segment's rows
+    disagree with its predecessor's only in the sign of zero.
+    """
+    rng = np.random.default_rng(7)
+    streams = {"a": (np.arange(60.0), rng.normal(size=(60, 2))),
+               "b": (np.arange(80.0) / 8, rng.normal(size=(80, 2)))}
+    streams["b"][1][17:20] = 0.0
+    spans = [("a", (0, 25)), ("a", (22, 30)), ("a", (27, 30)), ("a", (28, 45)), ("a", (40, 44)),
+             ("a", (43, 60)), ("b", (55, 70)), ("b", (0, 12)), ("b", (9, 20)), ("b", (17, 30))]
+    segments = []
+    for segment_id, (stream_id, (lo, hi)) in enumerate(spans):
+        t, values = (a[lo:hi].copy() for a in streams[stream_id])
+        if segment_id == len(spans) - 1:
+            values[values == 0.0] = -0.0
+        segments.append(RecordedSegment(
+            segment_id, stream_id, (lo, hi), (1, 2), "novel", 1, t, values))
+    return segments
+
+
+def tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def force_writers(monkeypatch, workers, block=8):
+    """Make write_segments fork `workers - 1` children for enough rows; returns the fork pids."""
+    monkeypatch.setattr(bfio, "_ROW_BLOCK", block)
+    monkeypatch.setattr(bfio.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    forked, fork = [], os.fork
+    monkeypatch.setattr(bfio.os, "fork", lambda: forked.append(fork()) or forked[-1])
+    return forked
+
+
+class TestWriteSegments:
+    @pytest.mark.parametrize("segments", [stream_segments(), []], ids=["two_streams", "none"])
+    def test_bytes_do_not_depend_on_writer_count(self, tmp_path, monkeypatch, segments):
+        trees = []
+        for workers in (1, 2, 3):
+            forked = force_writers(monkeypatch, workers)
+            out = tmp_path / f"w{workers}"
+            bfio.write_segments(str(out), segments, ["x", "y"])
+            assert len(forked) == (workers - 1 if segments else 0)
+            assert (out / "segments").is_dir()
+            trees.append(tree(out))
+        assert trees[0] == trees[1] == trees[2]
+        assert len(trees[0]) == len(segments) + 1
+        for seg in segments:
+            want = str(tmp_path / "want.csv")
+            csv_write_series(want, seg.t, seg.values, ["x", "y"])
+            assert trees[0][f"segments/segment_{seg.segment_id:05d}.csv"] == read_bytes(want)
+
+    @pytest.mark.parametrize("rerun", [False, True], ids=["empty", "rerun"])
+    def test_failed_child_is_raised_and_leaves_no_manifest(self, tmp_path, monkeypatch, rerun):
+        segments = stream_segments()
+        out = tmp_path / "o"
+        if rerun:
+            bfio.write_segments(str(out), segments)
+            before = tree(out)
+        forked = force_writers(monkeypatch, 2)
+        parent, write_rows = os.getpid(), bfio._write_rows
+
+        def texts_then_fail(texts):
+            yield from texts
+            raise OSError(f"disk full in writer {os.getpid()}")
+
+        def failing_in_child(path, header, texts):
+            write_rows(path, header, texts if os.getpid() == parent else texts_then_fail(texts))
+
+        monkeypatch.setattr(bfio, "_write_rows", failing_in_child)
+        with pytest.raises(OSError, match=r"^disk full in writer (\d+)$") as info:
+            with bfio.replacing_run(str(out)) if rerun else contextlib.nullcontext():
+                bfio.write_segments(str(out), segments)
+        assert info.match(f"writer {forked[0]}$")
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+        if rerun:
+            assert tree(out) == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+        else:
+            assert not (out / "segments.csv").exists()
+            # The parent's own group is complete.
+            assert (out / "segments" / "segment_00000.csv").is_file()
+
+    def test_child_killed_is_raised(self, tmp_path, monkeypatch):
+        forked = force_writers(monkeypatch, 2)
+        parent, write_rows = os.getpid(), bfio._write_rows
+
+        def killed_in_child(path, header, texts):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_rows(path, header, texts)
+
+        monkeypatch.setattr(bfio, "_write_rows", killed_in_child)
+        with pytest.raises(OSError, match="exited with -9") as info:
+            bfio.write_segments(str(tmp_path / "o"), stream_segments())
+        assert info.match(f"process {forked[0]} ")
+        assert not (tmp_path / "o" / "segments.csv").exists()
+
+    def test_memory_bounded_by_block(self, tmp_path):
+        n = 100_000
+        t = np.arange(n, dtype=np.float64)
+        values = np.random.default_rng(0).normal(size=(n, 2))
+        block = len(bfio._rows(t, values, 0, bfio._ROW_BLOCK))
+        seg = RecordedSegment(0, "s", (0, n), (1,), "novel", 1, t, values)
+        tracemalloc.start()
+        try:
+            bfio.write_segments(str(tmp_path), [seg])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 5 blocks of text: a block's floats, their tuple and its text.
+        # Holding the whole file's text, 6.2 blocks, while formatting the last
+        # block would pass 11.
+        assert peak < 7 * block
 
 
 # Printable names without line breaks or edge whitespace, csv's specials often.
@@ -319,12 +440,12 @@ class TestReplacingWriters:
             before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         written = []
 
-        def failing_write_series(path, *args):
+        def failing_write_rows(path, *args):
             if len(written) == 2:
                 raise OSError("disk full")
             written.append(path)
 
-        monkeypatch.setattr(bfio, "write_series", failing_write_series)
+        monkeypatch.setattr(bfio, "_write_rows", failing_write_rows)
         with pytest.raises(OSError, match="disk full"):
             with bfio.replacing_run(str(out)) if rerun else contextlib.nullcontext():
                 bfio.write_segments(str(out), result.segments)
