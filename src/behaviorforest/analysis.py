@@ -262,6 +262,8 @@ def generate_synthetic(seed: int, **fields) -> Tuple[np.ndarray, np.ndarray]:
     The burst order is a seeded shuffle and the Gaussian noise is seeded,
     so equal (seed, fields) produce identical arrays.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     spec = SyntheticSpec(**fields)
     rng = np.random.default_rng(seed)
     types = spec.pattern_types()

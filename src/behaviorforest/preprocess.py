@@ -1,6 +1,7 @@
 """Symbolization pipeline: discretize, debounce, fuse, compress.
 
-Each incoming sample is binned per channel against fixed breakpoints, a
+Each incoming sample is binned per channel against fixed breakpoints (a
+branchless binary search: L = ceil(log2 K) array passes for K bins), a
 hysteresis filter suppresses chatter at bin boundaries, the channel symbols
 are fused into a single mixed-radix alphabet, and maximal runs of identical
 fused symbols are compressed to a logarithmic number of copies.  Each stage
@@ -29,18 +30,36 @@ from .core import DimensionMismatchError, EngineConfig, InvalidSampleError
 _SCAN_ENTRIES = 1 << 18
 
 
+def _search_table(breakpoints: Sequence[float]) -> np.ndarray:
+    """Breakpoints NaN-padded to 2**L - 1 entries; a padded table comes back as is."""
+    bp = np.asarray(breakpoints, dtype=np.float64)
+    pad = (1 << max(1, len(bp).bit_length())) - 1 - len(bp)
+    return np.concatenate((bp, np.full(pad, np.nan))) if pad else bp
+
+
 def discretize_batch(values: np.ndarray, breakpoints: Sequence[float]) -> np.ndarray:
     """Map values to their bin indices under half-open bins [b_j, b_{j+1}).
 
     A value's symbol equals the number of breakpoints <= value, so values
     below every breakpoint map to 0 and values at or above the last map to
-    the top bin.  NaN has no bin and is rejected.
+    the top bin.  NaN has no bin and is rejected.  The count is a binary
+    search over the breakpoints NaN-padded to 2**L - 1 entries, where
+    L = ceil(log2 K) for K bins: each of L array passes, with no per-value
+    branch, compares all values with the entries the earlier passes select
+    and adds the bit it finds.  `v >= NaN` is false, so pads never count.
     """
     values = np.asarray(values, dtype=np.float64)
     if np.isnan(values).any():
         idx = int(np.flatnonzero(np.isnan(values))[0])
         raise InvalidSampleError(f"NaN sample at index {idx} cannot be discretized")
-    return np.searchsorted(breakpoints, values, side="right").astype(np.int64)
+    table = _search_table(breakpoints)
+    step = (len(table) + 1) // 2
+    out = (values >= table[step - 1]) * step
+    while step > 1:
+        # out holds the bits found so far; entry out + step - 1 splits the rest.
+        step //= 2
+        out += (values >= table[step - 1 :].take(out)) * step
+    return out
 
 
 class HysteresisFilter:
@@ -62,6 +81,7 @@ class HysteresisFilter:
         self.margin = float(margin)
         self.committed: Optional[int] = None
         bp = np.array(self.breakpoints)
+        self._table = _search_table(bp)
         self._edges = np.concatenate(([-np.inf], bp, [np.inf]))
         widths = np.pad(np.diff(bp), 1, mode="edge") if len(bp) > 1 else np.ones(2)
         self._deltas = self.margin * widths
@@ -85,11 +105,11 @@ class HysteresisFilter:
         Hillis-Steele doubling until every prefix map is constant, in blocks
         of bounded size, so memory stays O(block * K).
         """
-        values = np.asarray(values, dtype=np.float64)
-        out = discretize_batch(values, self.breakpoints)
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        out = discretize_batch(values, self._table)
         if len(out) == 0:
             return out
-        ambiguous = (values < self._lo[out]) | (values > self._hi[out])
+        ambiguous = (values < self._lo.take(out)) | (values > self._hi.take(out))
         if self.committed is None:
             ambiguous[0] = False  # the first sample commits unconditionally
         amb = np.flatnonzero(ambiguous)

@@ -1,6 +1,7 @@
 """Feature extraction, variance comparison, and the benchmark generator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,11 @@ class TestSyntheticSpec:
 
 
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("seed", [-1, 1.0, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            generate_synthetic(seed)
+
     def test_deterministic_per_seed(self):
         t1, v1 = generate_synthetic(5)
         t2, v2 = generate_synthetic(5)

@@ -1032,6 +1032,12 @@ class TestCli:
         )
         assert rc == 3
 
+    def test_gen_refuses_a_negative_seed(self, workdir, capsys):
+        out = workdir / "neg.csv"
+        assert cli.main(["gen", "--out", str(out), "--seed", "-1"]) == 3
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
     def test_exit_code_3_for_nan_data(self, workdir):
         data = workdir / "bad.csv"
         data.write_text("t,ch1,ch2\n0.0,0.1,0.1\n1.0,nan,0.2\n")

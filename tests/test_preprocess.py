@@ -111,6 +111,50 @@ class TestDiscretize:
         batch = discretize_batch(values, bp)
         assert [discretize(float(v), bp) for v in values] == batch.tolist()
 
+    @pytest.mark.parametrize("n_bins", [2, 3, 4, 5, 8, 9, 16, 17, 255, 256, 257, 4096])
+    def test_matches_searchsorted_oracle(self, n_bins):
+        # n_bins - 1 breakpoints, one of them 0.0, around 1, 2 or 12 search levels.
+        rng = np.random.default_rng(n_bins)
+        bp = np.sort(np.concatenate(([0.0], rng.normal(size=n_bins - 2))))
+        assert len(np.unique(bp)) == n_bins - 1
+        tiny = np.finfo(np.float64).smallest_subnormal
+        values = np.concatenate((
+            bp,
+            np.nextafter(bp, -np.inf),
+            np.nextafter(bp, np.inf),
+            [-np.inf, np.inf, -0.0, 0.0, tiny, -tiny, 1e-310, -1e-310],
+            rng.normal(scale=2.0, size=1_000),
+        ))
+        got = discretize_batch(values, bp)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(bp, values, side="right"))
+        # A value on a breakpoint joins the bin above; -0.0 equals the 0.0 breakpoint.
+        assert np.array_equal(got[: n_bins - 1], np.arange(1, n_bins))
+        zero = int(np.flatnonzero(bp == 0.0)[0])
+        assert discretize_batch(np.array([-0.0]), bp).tolist() == [zero + 1]
+        for cast in (
+            values.astype(np.float32),
+            np.round(values[np.isfinite(values)] * 10).astype(np.int64),
+            np.stack((values, -values), axis=1)[:, 0],
+        ):
+            assert np.array_equal(
+                discretize_batch(cast, bp), np.searchsorted(bp, cast, side="right")
+            )
+
+    def test_memory_is_linear_in_the_samples(self):
+        # Comparing 1M values with all 4,095 breakpoints at once would take
+        # 4 GB of booleans; the search holds a few n-sized arrays.
+        bp = np.linspace(-1.0, 1.0, 4095)
+        values = np.random.default_rng(0).uniform(-1.1, 1.1, 1_000_000)
+        tracemalloc.start()
+        try:
+            got = discretize_batch(values, bp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * values.nbytes
+        assert np.array_equal(got, np.searchsorted(bp, values, side="right"))
+
 
 class TestHysteresisFilter:
     def test_shallow_crossing_suppressed(self):
@@ -149,6 +193,17 @@ class TestHysteresisFilter:
         assert f(-0.5) == [0]
         assert f(2.05) == [0]  # crossed 3 bins but only 0.05 past 2.0
         assert f(2.5) == [3]
+
+    def test_nan_rejected_and_state_kept(self):
+        f = HysteresisFilter((-0.5, 0.5), margin=0.1)
+        with pytest.raises(InvalidSampleError):
+            f.run(np.array([0.0, math.nan]))
+        assert f.committed is None
+        assert f.run(np.array([0.0, 0.7])).tolist() == [1, 2]
+        with pytest.raises(InvalidSampleError):
+            f.run(np.array([-0.9, math.nan, 0.0]))
+        assert f.committed == 2
+        assert f.run(np.array([0.45])).tolist() == [2]
 
     def test_zero_margin_is_plain_discretization(self):
         rng = np.random.default_rng(3)
