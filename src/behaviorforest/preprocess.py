@@ -14,8 +14,9 @@ the stream, are the engine's only ones.
 
 The vectorized hysteresis treats each channel as a K-state machine.  A
 sample deep enough inside its bin commits that bin from every state, so it
-fixes the state outright; only the stretches of ambiguous samples between
-such samples are resolved, by an exact prefix scan over composed state maps.
+fixes the state outright, and one search finds the only bin it can be fixed
+in.  Only the ambiguous samples between fixed ones are binned and resolved,
+by an exact prefix scan over state-major state maps, one gather per doubling.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import numpy as np
 
 from .core import DimensionMismatchError, EngineConfig, InvalidSampleError
 
-# Map entries (samples x states) per block of the hysteresis scan.
-_SCAN_ENTRIES = 1 << 18
+# Map entries (states x samples) per block of the hysteresis scan: 512 KB of
+# int64, so the column-wise gathers of a block stay in cache at large K.
+_SCAN_ENTRIES = 1 << 16
 
 
 def _search_table(breakpoints: Sequence[float]) -> np.ndarray:
@@ -52,7 +54,11 @@ def discretize_batch(values: np.ndarray, breakpoints: Sequence[float]) -> np.nda
     if np.isnan(values).any():
         idx = int(np.flatnonzero(np.isnan(values))[0])
         raise InvalidSampleError(f"NaN sample at index {idx} cannot be discretized")
-    table = _search_table(breakpoints)
+    return _search(values, _search_table(breakpoints))
+
+
+def _search(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Number of entries of a nondecreasing `_search_table` that are <= each value."""
     step = (len(table) + 1) // 2
     out = (values >= table[step - 1]) * step
     while step > 1:
@@ -85,63 +91,70 @@ class HysteresisFilter:
         self._edges = np.concatenate(([-np.inf], bp, [np.inf]))
         widths = np.pad(np.diff(bp), 1, mode="edge") if len(bp) > 1 else np.ones(2)
         self._deltas = self.margin * widths
-        # lo[c] = edges[c] + max(deltas[:c]), hi[c] = edges[c + 1] - max(deltas[c + 1:]).
+        # lo[c] = edges[c] + max(deltas[:c]) never decreases; hi[c] = edges[c + 1] -
+        # max(deltas[c + 1:]) is kept below edges[c + 1], which tiny deltas round to.
         below = np.maximum.accumulate(self._deltas)[:-1]
         above = np.maximum.accumulate(self._deltas[::-1])[-2::-1]
-        self._lo = self._edges[:-1] + np.concatenate(([0.0], below))
-        self._hi = self._edges[1:] - np.concatenate((above, [0.0]))
-        self._states = np.arange(len(widths), dtype=np.min_scalar_type(len(bp)))
+        self._lo_table = _search_table(bp + below)
+        hi = self._edges[1:] - np.concatenate((above, [0.0]))
+        self._hi = np.minimum(hi, np.nextafter(self._edges[1:], -np.inf))
+        self._states = np.arange(len(widths))[:, None]
 
     def run(self, values: np.ndarray) -> np.ndarray:
         """Debounce a 1-D array of values, carrying the state across calls.
 
         A sample with `lo[c] <= value <= hi[c]` clears the threshold of its
         bin `c` from every committed state, so its output is `c` whatever came
-        before.  Every other sample is ambiguous: it maps each state s to c
-        if `value >= edges[c] + delta[s]` (s < c) or `value <= edges[c + 1] -
-        delta[s]` (s > c), else to s.  The state entering a stretch of
-        ambiguous samples (the last fixed sample's bin, or the carried state)
-        is folded into the stretch's first map, and the maps are composed by
-        Hillis-Steele doubling until every prefix map is constant, in blocks
-        of bounded size, so memory stays O(block * K).
+        before.  As lo never decreases and hi[c] < edges[c + 1] <= lo[c + 1],
+        that `c` can only be the count of lo[1:] <= value.  The other samples,
+        NaN included (it is rejected), are ambiguous and binned against the
+        breakpoints: each maps state s to its bin c if `value >= edges[c] +
+        delta[s]` (s < c) or `value <= edges[c + 1] - delta[s]` (s > c), else
+        to s.  The state entering a stretch of ambiguous samples (the last
+        fixed sample's bin, or the carried state) is folded into the stretch's
+        first map, and the maps, a (K, block) array, are composed by
+        Hillis-Steele doubling, one flat gather per step, until every prefix
+        map is constant; memory stays O(block * K).
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
-        out = discretize_batch(values, self._table)
+        out = _search(values, self._lo_table)
         if len(out) == 0:
             return out
-        ambiguous = (values < self._lo.take(out)) | (values > self._hi.take(out))
-        if self.committed is None:
-            ambiguous[0] = False  # the first sample commits unconditionally
-        amb = np.flatnonzero(ambiguous)
+        state = self.committed
+        if state is None:  # the first sample commits unconditionally
+            state = int(_search(values[:1], self._table)[0])
+        amb = np.flatnonzero(~(values <= self._hi.take(out)))
+        sub = values[amb]
+        nan = amb[np.isnan(sub)]
+        if len(nan):
+            raise InvalidSampleError(f"NaN sample at index {nan[0]} cannot be discretized")
+        bins = out[amb] = _search(sub, self._table)
         # Fold at each stretch start (its predecessor is fixed) and each block start.
-        fold = np.ones(len(amb), dtype=bool)
-        fold[1:] = amb[1:] != amb[:-1] + 1
+        fold = np.empty(len(amb), dtype=bool)
+        np.not_equal(amb[1:], amb[:-1] + 1, out=fold[1:])
         block = max(1, _SCAN_ENTRIES // len(self._states))
         fold[::block] = True
         for j in range(0, len(amb), block):
             idx = amb[j : j + block]
-            cand = out[idx]
-            v = values[idx, None]
+            cand, v, m = bins[j : j + block], sub[j : j + block], len(idx)
             # From s == c the downward test applies; either result maps c to c.
-            passes = np.where(
-                self._states < cand[:, None],
-                v >= self._edges[cand, None] + self._deltas,
-                v <= self._edges[cand + 1, None] - self._deltas,
-            )
-            maps = np.where(passes, cand[:, None].astype(self._states.dtype), self._states)
-            rows = np.flatnonzero(fold[j : j + block])
-            prev = idx[rows] - 1
-            entry = out[prev]
-            if prev[0] < 0:
-                entry[0] = self.committed
-            maps[rows] = maps[rows, entry][:, None]
-            # Hillis-Steele: maps[i] <- maps[i] o maps[i - d], as a flat take.
-            offsets = np.arange(0, maps.size, maps.shape[1])[:, None]
+            up = self._states < cand
+            passes = up & (v >= self._edges[cand] + self._deltas[:, None])
+            passes |= ~up & (v <= self._edges[cand + 1] - self._deltas[:, None])
+            # maps[s, i] is m * (the state sample i takes s to): an offset into flat.
+            maps = np.where(passes, cand * m, self._states * m)
+            flat, cols = maps.reshape(-1), np.arange(m)
+            entry = out[idx - 1]
+            if idx[0] == 0:
+                entry[0] = state
+            np.copyto(maps, flat.take(entry * m + cols), where=fold[j : j + block])
+            # Hillis-Steele: maps[:, i] <- maps[:, i] o maps[:, i - d], as a flat take;
+            # the first step is taken untested: a block seldom holds only stretches of one.
             d = 1
-            while not (maps == maps[:, :1]).all():
-                maps[d:] = np.take(maps[d:], maps[:-d] + offsets[:-d])
+            while d == 1 or not (maps[1:] == maps[:1]).all():
+                maps[:, d:] = flat.take(maps[:, :-d] + cols[d:])
                 d *= 2
-            out[idx] = maps[:, 0]
+            out[idx] = maps[0] // m
         self.committed = int(out[-1])
         return out
 

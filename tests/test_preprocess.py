@@ -196,14 +196,24 @@ class TestHysteresisFilter:
 
     def test_nan_rejected_and_state_kept(self):
         f = HysteresisFilter((-0.5, 0.5), margin=0.1)
-        with pytest.raises(InvalidSampleError):
-            f.run(np.array([0.0, math.nan]))
-        assert f.committed is None
+        for values in ([math.nan, 0.0], [0.0, math.nan]):
+            with pytest.raises(InvalidSampleError, match=f"index {values.index(math.nan)} "):
+                f.run(np.array(values))
+            assert f.committed is None
         assert f.run(np.array([0.0, 0.7])).tolist() == [1, 2]
-        with pytest.raises(InvalidSampleError):
-            f.run(np.array([-0.9, math.nan, 0.0]))
-        assert f.committed == 2
+        # Deep samples are fixed before NaN is looked for; the index is the chunk's.
+        for values in ([math.nan, -0.9, 0.0], [-0.9, math.nan, 0.0]):
+            with pytest.raises(InvalidSampleError, match=f"index {values.index(math.nan)} "):
+                f.run(np.array(values))
+            assert f.committed == 2
         assert f.run(np.array([0.45])).tolist() == [2]
+
+    def test_fixed_only_below_the_next_edge(self):
+        # The deltas above 1.0 are a tenth of an ulp, so 1.0 - delta rounds to
+        # 1.0: the sample on that breakpoint must still be ambiguous.
+        f = debouncer((0.0, 1.0, float(np.nextafter(1.0, 2.0))), margin=0.1)
+        assert f(1.5, 1.0, 1.0) == [3, 2, 2]
+        assert f(0.5, 1.0) == [1, 1]
 
     def test_zero_margin_is_plain_discretization(self):
         rng = np.random.default_rng(3)
@@ -277,6 +287,36 @@ class TestHysteresisFilter:
                 assert new.run(chunk).tolist() == expected
                 assert segment.run(chunk).tolist() == expected
                 assert new.committed == segment.committed == ref.committed
+
+    @pytest.mark.parametrize("scan_entries", [7, 1 << 18])
+    def test_flicker_stretches_across_chunks_and_blocks(self, scan_entries):
+        # Noise on a breakpoint after a quiet lead-in, as in the flicker
+        # benchmark: one sample in eight is ambiguous, in stretches that
+        # cross chunk and scan-block boundaries.
+        rng = np.random.default_rng(5)
+        values = np.concatenate([np.zeros(1_000), rng.normal(0.5, 0.3, 20_000)])
+        cuts = np.sort(rng.choice(np.arange(1, len(values)), 36, replace=False))
+        f, ref = HysteresisFilter((-0.5, 0.5), 0.05), StepHysteresisFilter((-0.5, 0.5), 0.05)
+        with mock.patch.object(preprocess, "_SCAN_ENTRIES", scan_entries):
+            got = np.concatenate([f.run(c) for c in np.split(values, cuts)])
+        assert got.tolist() == [ref.step(float(v)) for v in values]
+        assert f.committed == ref.committed
+
+    def test_run_memory_is_linear_on_fixed_input(self):
+        # Every value sits mid-bin, so all are fixed by the one threshold
+        # search; no K-wide temporary may appear on that path.
+        bp = np.linspace(-1.0, 1.0, 4095)
+        mids = (bp[1:] + bp[:-1]) / 2
+        values = np.random.default_rng(0).choice(mids, 1_000_000)
+        f = HysteresisFilter(bp, margin=0.05)
+        tracemalloc.start()
+        try:
+            out = f.run(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * values.nbytes
+        assert np.array_equal(out, np.searchsorted(bp, values, side="right"))
 
     def test_run_memory_is_bounded_on_ambiguous_input(self):
         # Every value lies 0.1 from a breakpoint, inside the 0.4 penetration
