@@ -77,7 +77,7 @@ class DiscoveryEngine:
         values = np.asarray(values, dtype=np.float64)
         if t.ndim != 1:
             raise ValueError(f"stream {stream_id!r}: timestamps must be 1-D, got shape {t.shape}")
-        if values.ndim > 2:
+        if values.ndim not in (1, 2):
             raise ValueError(
                 f"stream {stream_id!r}: expected a (samples, channels) array, "
                 f"got shape {values.shape}"

@@ -1,7 +1,6 @@
 """Symbolization pipeline: discretize, debounce, fuse, compress.
 
-Each incoming sample is binned per channel against fixed breakpoints (a
-branchless binary search: L = ceil(log2 K) array passes for K bins), a
+Each incoming sample is binned per channel against fixed breakpoints, a
 hysteresis filter suppresses chatter at bin boundaries, the channel symbols
 are fused into a single mixed-radix alphabet, and maximal runs of identical
 fused symbols are compressed to a logarithmic number of copies.  Each stage
@@ -14,14 +13,19 @@ the stream, are the engine's only ones.
 
 The vectorized hysteresis treats each channel as a K-state machine.  A
 sample deep enough inside its bin commits that bin from every state, so it
-fixes the state outright, and one search finds the only bin it can be fixed
-in.  Only the ambiguous samples between fixed ones are binned and resolved,
-by an exact prefix scan over state-major state maps, one gather per doubling.
+fixes the state outright.  `process_batch` hands each chunk to one
+`HysteresisFilter.run` as a channel-major (channels, samples) copy, which
+finds the fixed samples of all channels by a byte-wide count of the
+thresholds each sample reaches, or, when a channel has more than
+`_COUNT_THRESHOLDS` of them, by a branchless search of L = ceil(log2 K)
+passes per channel.  Only the ambiguous samples between fixed ones are
+binned against the breakpoints and resolved, by an exact prefix scan over
+state-major state maps, one gather per doubling.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +34,13 @@ from .core import DimensionMismatchError, EngineConfig, InvalidSampleError
 # Map entries (states x samples) per block of the hysteresis scan: 512 KB of
 # int64, so the column-wise gathers of a block stay in cache at large K.
 _SCAN_ENTRIES = 1 << 16
+
+# The longest threshold row (2K - 2 entries for K bins, so K <= 15) whose
+# count `HysteresisFilter.run` takes over a whole block; a stream with a
+# longer row searches each channel instead.  The count makes one pass per
+# entry and the search ceil(log2 K) gathers: on 8,192 x 2 blocks of fixed
+# samples the two tie at K = 15 to 17.
+_COUNT_THRESHOLDS = 28
 
 
 def _search_table(breakpoints: Sequence[float]) -> np.ndarray:
@@ -68,85 +79,76 @@ def _search(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-class HysteresisFilter:
-    """Debounces one channel's symbol sequence at bin boundaries.
+class _Channel:
+    """One channel's thresholds and the scan over its ambiguous samples.
 
-    Bin c spans [edges[c], edges[c + 1]) with edges `[-inf, *breakpoints,
-    +inf]`.  The first sample commits unconditionally.  Afterwards the
-    committed symbol s only changes to a sample's bin c when the value
-    clears c's threshold from s: value >= edges[c] + delta[s] going up,
-    value <= edges[c + 1] - delta[s] going down; otherwise s is re-emitted.
-    delta[s] is `margin` times bin s's width; the edge bins borrow their
-    neighbour's width, and a single breakpoint gets a unit width.  A margin
-    of 0 degenerates to plain discretization.  Setup keeps only per-bin
-    vectors, so it is O(K) in time and memory for K bins.
+    With edges and deltas as in `HysteresisFilter`, a sample with `lo[c] <=
+    value <= hi[c]` clears the threshold of its bin c from every state, so
+    its output is c whatever came before.  lo[c] = edges[c] + max(delta[:c])
+    never decreases, and hi[c] = edges[c + 1] - max(delta[c + 1:]) is kept
+    below edges[c + 1], which tiny deltas round to.  Every vector is O(K).
     """
 
     def __init__(self, breakpoints: Sequence[float], margin: float):
-        self.breakpoints = tuple(float(b) for b in breakpoints)
-        self.margin = float(margin)
-        self.committed: Optional[int] = None
-        bp = np.array(self.breakpoints)
-        self._table = _search_table(bp)
-        self._edges = np.concatenate(([-np.inf], bp, [np.inf]))
+        bp = np.array(breakpoints, dtype=np.float64)
+        self.table = _search_table(bp)
+        self.edges = np.concatenate(([-np.inf], bp, [np.inf]))
         widths = np.pad(np.diff(bp), 1, mode="edge") if len(bp) > 1 else np.ones(2)
-        self._deltas = self.margin * widths
-        # lo[c] = edges[c] + max(deltas[:c]) never decreases; hi[c] = edges[c + 1] -
-        # max(deltas[c + 1:]) is kept below edges[c + 1], which tiny deltas round to.
-        below = np.maximum.accumulate(self._deltas)[:-1]
-        above = np.maximum.accumulate(self._deltas[::-1])[-2::-1]
-        self._lo_table = _search_table(bp + below)
-        hi = self._edges[1:] - np.concatenate((above, [0.0]))
-        self._hi = np.minimum(hi, np.nextafter(self._edges[1:], -np.inf))
-        self._states = np.arange(len(widths))[:, None]
+        self.deltas = margin * widths
+        below = np.maximum.accumulate(self.deltas)[:-1]
+        above = np.maximum.accumulate(self.deltas[::-1])[-2::-1]
+        self.lo = np.concatenate(([-np.inf], bp + below))
+        self.lo_table = _search_table(self.lo[1:])
+        hi = self.edges[1:] - np.concatenate((above, [0.0]))
+        self.hi = np.minimum(hi, np.nextafter(self.edges[1:], -np.inf))
+        self.states = np.arange(len(widths))[:, None]
 
-    def run(self, values: np.ndarray) -> np.ndarray:
-        """Debounce a 1-D array of values, carrying the state across calls.
+    def thresholds(self) -> np.ndarray:
+        """The nondecreasing row a sample fixed in bin c reaches exactly 2c entries of.
 
-        A sample with `lo[c] <= value <= hi[c]` clears the threshold of its
-        bin `c` from every committed state, so its output is `c` whatever came
-        before.  As lo never decreases and hi[c] < edges[c + 1] <= lo[c + 1],
-        that `c` can only be the count of lo[1:] <= value.  The other samples,
-        NaN included (it is rejected), are ambiguous and binned against the
-        breakpoints: each maps state s to its bin c if `value >= edges[c] +
-        delta[s]` (s < c) or `value <= edges[c + 1] - delta[s]` (s > c), else
-        to s.  The state entering a stretch of ambiguous samples (the last
-        fixed sample's bin, or the carried state) is folded into the stretch's
-        first map, and the maps, a (K, block) array, are composed by
-        Hillis-Steele doubling, one flat gather per step, until every prefix
-        map is constant; memory stays O(block * K).
+        For each boundary c the row holds the first value past hi[c] that is
+        not below lo[c], then lo[c + 1]; a sample that reaches one of the two
+        but not the other lies in neither bin's fixed range.  Where lo[c] >
+        hi[c], the max keeps the row sorted.
         """
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        out = _search(values, self._lo_table)
-        if len(out) == 0:
-            return out
-        state = self.committed
-        if state is None:  # the first sample commits unconditionally
-            state = int(_search(values[:1], self._table)[0])
-        amb = np.flatnonzero(~(values <= self._hi.take(out)))
-        sub = values[amb]
-        nan = amb[np.isnan(sub)]
-        if len(nan):
-            raise InvalidSampleError(f"NaN sample at index {nan[0]} cannot be discretized")
-        bins = out[amb] = _search(sub, self._table)
+        row = np.empty(2 * len(self.hi) - 2)
+        row[0::2] = np.maximum(np.nextafter(self.hi[:-1], np.inf), self.lo[:-1])
+        row[1::2] = self.lo[1:]
+        return row
+
+    def resolve(
+        self, out: np.ndarray, amb: np.ndarray, sub: np.ndarray, state: Optional[int]
+    ) -> None:
+        """Write the outputs of the ambiguous samples `out[amb]`, of values `sub`.
+
+        Each is binned against the breakpoints and maps state s to its bin c
+        if `value >= edges[c] + delta[s]` (s < c) or `value <= edges[c + 1] -
+        delta[s]` (s > c), else to s.  The state entering a stretch of
+        ambiguous samples (the last fixed sample's bin, the carried `state`,
+        or with None the first sample's own bin) is folded into the
+        stretch's first map, and the maps, a (K, block) array, are composed
+        by Hillis-Steele doubling, one flat gather per step, until every
+        prefix map is constant; memory stays O(block * K).
+        """
+        bins = out[amb] = _search(sub, self.table)
         # Fold at each stretch start (its predecessor is fixed) and each block start.
         fold = np.empty(len(amb), dtype=bool)
         np.not_equal(amb[1:], amb[:-1] + 1, out=fold[1:])
-        block = max(1, _SCAN_ENTRIES // len(self._states))
+        block = max(1, _SCAN_ENTRIES // len(self.states))
         fold[::block] = True
         for j in range(0, len(amb), block):
             idx = amb[j : j + block]
             cand, v, m = bins[j : j + block], sub[j : j + block], len(idx)
             # From s == c the downward test applies; either result maps c to c.
-            up = self._states < cand
-            passes = up & (v >= self._edges[cand] + self._deltas[:, None])
-            passes |= ~up & (v <= self._edges[cand + 1] - self._deltas[:, None])
+            up = self.states < cand
+            passes = up & (v >= self.edges[cand] + self.deltas[:, None])
+            passes |= ~up & (v <= self.edges[cand + 1] - self.deltas[:, None])
             # maps[s, i] is m * (the state sample i takes s to): an offset into flat.
-            maps = np.where(passes, cand * m, self._states * m)
+            maps = np.where(passes, cand * m, self.states * m)
             flat, cols = maps.reshape(-1), np.arange(m)
             entry = out[idx - 1]
-            if idx[0] == 0:
-                entry[0] = state
+            if idx[0] == 0:  # the first sample commits unconditionally
+                entry[0] = cand[0] if state is None else state
             np.copyto(maps, flat.take(entry * m + cols), where=fold[j : j + block])
             # Hillis-Steele: maps[:, i] <- maps[:, i] o maps[:, i - d], as a flat take;
             # the first step is taken untested: a block seldom holds only stretches of one.
@@ -155,8 +157,94 @@ class HysteresisFilter:
                 maps[:, d:] = flat.take(maps[:, :-d] + cols[d:])
                 d *= 2
             out[idx] = maps[0] // m
-        self.committed = int(out[-1])
-        return out
+
+
+class HysteresisFilter:
+    """Debounces the symbol sequences of a stream's channels at bin boundaries.
+
+    `breakpoints` holds one breakpoint list per channel; a flat list is one
+    channel.  Bin c spans [edges[c], edges[c + 1]) with edges `[-inf,
+    *breakpoints, +inf]`.  The first sample commits unconditionally.
+    Afterwards a channel's committed symbol s only changes to a sample's bin
+    c when the value clears c's threshold from s: value >= edges[c] +
+    delta[s] going up, value <= edges[c + 1] - delta[s] going down;
+    otherwise s is re-emitted.  delta[s] is `margin` times bin s's width;
+    the edge bins borrow their neighbour's width, and a single breakpoint
+    gets a unit width.  A margin of 0 degenerates to plain discretization.
+    Setup keeps only per-bin vectors, so it is O(K) in time and memory for
+    K bins.  `committed` is None before the first sample, then a tuple of
+    one symbol per channel.
+
+    A sample fixed in bin c has `lo[c] <= value <= hi[c]` (see `_Channel`).
+    When every channel's `_Channel.thresholds` row has at most
+    `_COUNT_THRESHOLDS` entries, `run` counts, for all channels at once, the
+    entries of its row that each sample reaches, one compare and one uint8
+    add per entry over the contiguous channel-major block; rows are
+    NaN-padded to the longest, and NaN never counts.  An even count 2c
+    fixes the sample in bin c and an odd one leaves it ambiguous.  A stream
+    with a longer row instead searches each channel's lo thresholds, L =
+    ceil(log2 K) passes, for the only bin c a sample can be fixed in, and
+    compares the sample with hi[c].
+    """
+
+    def __init__(self, breakpoints: Sequence, margin: float):
+        if np.ndim(breakpoints[0]) == 0:  # a flat list is one channel
+            breakpoints = (breakpoints,)
+        self.committed: Optional[Tuple[int, ...]] = None
+        self._channels = [_Channel(ch, float(margin)) for ch in breakpoints]
+        rows = [ch.thresholds() for ch in self._channels]
+        width = max(map(len, rows))
+        self._rows: Optional[np.ndarray] = None
+        if width <= _COUNT_THRESHOLDS:
+            # (width, channels, 1): entry j of every row, NaN past a row's end.
+            self._rows = np.full((width, len(rows), 1), np.nan)
+            for c, row in enumerate(rows):
+                self._rows[: len(row), c, 0] = row
+
+    def run(self, values: np.ndarray) -> np.ndarray:
+        """Debounce a (channels, samples) block, carrying the state across calls.
+
+        A 1-D array is one channel's samples, and the output has the shape
+        of `values`.  Only the samples between fixed ones are ambiguous; each
+        channel's are resolved by `_Channel.resolve`.  NaN is never fixed,
+        and it is rejected before any state changes.
+        """
+        block = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        d, n = block.shape
+        if d != len(self._channels):
+            raise ValueError(f"expected {len(self._channels)} channels, got {d}")
+        if n == 0:
+            return np.empty(np.shape(values), dtype=np.int64)
+        if self._rows is not None:
+            # The first compare is negated so that NaN, which reaches no
+            # entry, counts one: odd, so ambiguous.
+            count = (~(block < self._rows[0])).view(np.uint8)
+            for t in self._rows[1:]:
+                count += block >= t
+            amb = np.flatnonzero((count & 1).view(bool))
+            out = (count >> 1).astype(np.int64)
+        else:
+            out = np.empty((d, n), dtype=np.int64)
+            amb = []
+            for c, (ch, v) in enumerate(zip(self._channels, block)):
+                # lo[1:] <= value counts the only bin v can be fixed in.
+                out[c] = fixed = _search(v, ch.lo_table)
+                amb.append(np.flatnonzero(~(v <= ch.hi.take(fixed))) + c * n)
+            amb = np.concatenate(amb)
+        sub = block.take(amb)
+        nan = amb[np.isnan(sub)]
+        if len(nan):
+            raise InvalidSampleError(
+                f"NaN sample at index {(nan % n).min()} cannot be discretized"
+            )
+        bounds = np.searchsorted(amb, np.arange(d + 1) * n)
+        state = self.committed or (None,) * d
+        for c, ch in enumerate(self._channels):
+            lo, hi = bounds[c], bounds[c + 1]
+            if lo < hi:
+                ch.resolve(out[c], amb[lo:hi] - c * n, sub[lo:hi], state[c])
+        self.committed = tuple(out[:, -1].tolist())
+        return out.reshape(np.shape(values))
 
 
 def fuse_symbols(columns: Sequence[np.ndarray], alphabet_sizes: Sequence[int]) -> np.ndarray:
@@ -204,10 +292,7 @@ class PreprocessPipeline:
         self.config = config
         self.stream_id = stream_id
         self._alphabet_sizes = config.breakpoints.alphabet_sizes
-        self._filters = [
-            HysteresisFilter(ch, config.hysteresis_margin)
-            for ch in config.breakpoints.channels
-        ]
+        self._filter = HysteresisFilter(config.breakpoints.channels, config.hysteresis_margin)
         self._run_powers = run_powers(config.log_base)
         self._raw_index = 0
         self._run_symbol: Optional[int] = None
@@ -233,15 +318,15 @@ class PreprocessPipeline:
             )
         if n == 0:
             return np.empty((0, 4), dtype=np.int64)
-        if np.isnan(values).any():
+        try:
+            # One channel-major copy of the chunk for the whole filter.
+            symbols = self._filter.run(np.ascontiguousarray(values.T))
+        except InvalidSampleError:
             idx = int(np.flatnonzero(np.isnan(values).any(axis=1))[0])
             raise InvalidSampleError(
                 f"stream {self.stream_id!r}: NaN sample at index {self._raw_index + idx}"
-            )
-        fused = fuse_symbols(
-            [f.run(values[:, c]) for c, f in enumerate(self._filters)],
-            self._alphabet_sizes,
-        )
+            ) from None
+        fused = fuse_symbols(symbols, self._alphabet_sizes)
 
         # The last run stays open for the next batch.
         base = self._raw_index

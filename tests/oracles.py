@@ -22,7 +22,7 @@ from behaviorforest.forest import (
     DiscoveredBehavior,
     InsertionReceipt,
 )
-from behaviorforest.preprocess import HysteresisFilter, discretize_batch
+from behaviorforest.preprocess import discretize_batch
 
 
 class ListSampleBuffer:
@@ -58,7 +58,53 @@ class ListSampleBuffer:
         )
 
 
-class SegmentHysteresisFilter(HysteresisFilter):
+def discretize(value: float, breakpoints: Sequence[float]) -> int:
+    """Bin index of one value under half-open bins [b_j, b_{j+1}).
+
+    The reference for `preprocess.discretize_batch`.
+    """
+    if math.isnan(value):
+        raise InvalidSampleError("NaN sample cannot be discretized")
+    return int(np.searchsorted(breakpoints, value, side="right"))
+
+
+class StepHysteresisFilter:
+    """One channel's hysteresis filter stepped one sample at a time.
+
+    The reference for `preprocess.HysteresisFilter.run`: it applies the
+    penetration rule of that class's docstring literally, sample by sample.
+    deltas[s] is the margin times bin s's width; the edge bins borrow their
+    neighbour's width, and a single breakpoint gets a unit width.
+    """
+
+    def __init__(self, breakpoints: Sequence[float], margin: float):
+        self.breakpoints = tuple(float(b) for b in breakpoints)
+        self.margin = float(margin)
+        self.committed: Optional[int] = None
+        bp = self.breakpoints
+        widths = [b - a for a, b in zip(bp, bp[1:])]
+        widths = [widths[0], *widths, widths[-1]] if widths else [1.0, 1.0]
+        self.deltas = [self.margin * w for w in widths]
+
+    def step(self, value: float) -> int:
+        candidate = discretize(value, self.breakpoints)
+        committed = self.committed
+        if committed is None or candidate == committed:
+            self.committed = candidate
+            return candidate
+        if self._passes(value, candidate, committed):
+            self.committed = candidate
+            return candidate
+        return committed
+
+    def _passes(self, value: float, candidate: int, committed: int) -> bool:
+        delta = self.deltas[committed]
+        if candidate > committed:
+            return value >= self.breakpoints[candidate - 1] + delta
+        return value <= self.breakpoints[candidate] - delta
+
+
+class SegmentHysteresisFilter(StepHysteresisFilter):
     """Hysteresis filter whose `run` loops once per constant-candidate segment.
 
     The reference for `preprocess.HysteresisFilter.run`: the committed
@@ -87,7 +133,7 @@ class SegmentHysteresisFilter(HysteresisFilter):
                 committed = candidate
                 out[s:e] = candidate
                 continue
-            delta = self._deltas[committed]
+            delta = self.deltas[committed]
             if candidate > committed:
                 hits = values[s:e] >= self.breakpoints[candidate - 1] + delta
             else:
@@ -102,41 +148,6 @@ class SegmentHysteresisFilter(HysteresisFilter):
                 committed = candidate
         self.committed = committed
         return out
-
-
-def discretize(value: float, breakpoints: Sequence[float]) -> int:
-    """Bin index of one value under half-open bins [b_j, b_{j+1}).
-
-    The reference for `preprocess.discretize_batch`.
-    """
-    if math.isnan(value):
-        raise InvalidSampleError("NaN sample cannot be discretized")
-    return int(np.searchsorted(breakpoints, value, side="right"))
-
-
-class StepHysteresisFilter(HysteresisFilter):
-    """Hysteresis filter stepped one sample at a time.
-
-    The reference for `preprocess.HysteresisFilter.run`: it applies the
-    penetration rule of the class docstring literally, sample by sample.
-    """
-
-    def step(self, value: float) -> int:
-        candidate = discretize(value, self.breakpoints)
-        committed = self.committed
-        if committed is None or candidate == committed:
-            self.committed = candidate
-            return candidate
-        if self._passes(value, candidate, committed):
-            self.committed = candidate
-            return candidate
-        return committed
-
-    def _passes(self, value: float, candidate: int, committed: int) -> bool:
-        delta = self._deltas[committed]
-        if candidate > committed:
-            return value >= self.breakpoints[candidate - 1] + delta
-        return value <= self.breakpoints[candidate] - delta
 
 
 def unify_symbols(symbols: Sequence[int], alphabet_sizes: Sequence[int]) -> int:

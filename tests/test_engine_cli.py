@@ -180,6 +180,11 @@ class TestEngineOnFixture:
         with pytest.raises(ValueError, match=rf"stream 'fix': .* got shape \({len(t)}, 1, 1\)"):
             DiscoveryEngine(fixture_config()).process_stream("fix", t, bad)
 
+    def test_scalar_values_rejected(self):
+        shape = r"expected a \(samples, channels\) array, got shape \(\)"
+        with pytest.raises(ValueError, match=f"stream 's': {shape}"):
+            DiscoveryEngine(fixture_config()).process_stream("s", np.arange(1.0), np.float64(1.0))
+
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_rejects_bad_buffer_capacity(self, capacity):
         with pytest.raises(ValueError, match="buffer_capacity"):

@@ -205,8 +205,16 @@ class TestHysteresisFilter:
         for values in ([math.nan, -0.9, 0.0], [-0.9, math.nan, 0.0]):
             with pytest.raises(InvalidSampleError, match=f"index {values.index(math.nan)} "):
                 f.run(np.array(values))
-            assert f.committed == 2
+            assert f.committed == (2,)
         assert f.run(np.array([0.45])).tolist() == [2]
+
+    def test_nan_in_a_block_rejected_at_its_earliest_sample(self):
+        f = HysteresisFilter([(-0.5, 0.5), (0.0,)], margin=0.1)
+        with pytest.raises(InvalidSampleError, match="index 1 "):
+            f.run(np.array([[0.0, 0.0, math.nan], [0.0, math.nan, 0.0]]))
+        assert f.committed is None
+        assert f.run(np.array([[0.0, 0.7], [-1.0, 1.0]])).tolist() == [[1, 2], [0, 1]]
+        assert f.committed == (2, 1)
 
     def test_fixed_only_below_the_next_edge(self):
         # The deltas above 1.0 are a tenth of an ulp, so 1.0 - delta rounds to
@@ -231,7 +239,7 @@ class TestHysteresisFilter:
         expected = [ref.step(float(v)) for v in values]
         f = HysteresisFilter(bp, margin=0.2)
         assert f.run(values).tolist() == expected
-        assert f.committed == ref.committed
+        assert f.committed == (ref.committed,)
 
     def test_run_preserves_state_across_chunks(self):
         rng = np.random.default_rng(13)
@@ -264,7 +272,7 @@ class TestHysteresisFilter:
             st.floats(-4.0, 4.0), min_size=1, max_size=64, unique=True
         ))))
         margin = data.draw(st.one_of(st.just(0.0), st.just(1e-12), st.floats(0.0, 0.49)))
-        deltas = HysteresisFilter(bp, margin)._deltas.tolist()
+        deltas = StepHysteresisFilter(bp, margin).deltas
         on_thresholds = [b + s * d for b in bp for d in deltas for s in (1, -1)]
         values = np.array(data.draw(st.lists(
             st.one_of(
@@ -280,13 +288,14 @@ class TestHysteresisFilter:
         scan_entries = data.draw(st.sampled_from([1, 7, 1 << 18]))
         new, ref = HysteresisFilter(bp, margin), StepHysteresisFilter(bp, margin)
         segment = SegmentHysteresisFilter(bp, margin)
-        new.committed = segment.committed = ref.committed = preset
+        segment.committed = ref.committed = preset
+        new.committed = None if preset is None else (preset,)
         with mock.patch.object(preprocess, "_SCAN_ENTRIES", scan_entries):
             for chunk in np.split(values, cuts):
                 expected = [ref.step(float(v)) for v in chunk]
                 assert new.run(chunk).tolist() == expected
                 assert segment.run(chunk).tolist() == expected
-                assert new.committed == segment.committed == ref.committed
+                assert new.committed == (segment.committed,) == (ref.committed,)
 
     @pytest.mark.parametrize("scan_entries", [7, 1 << 18])
     def test_flicker_stretches_across_chunks_and_blocks(self, scan_entries):
@@ -300,7 +309,7 @@ class TestHysteresisFilter:
         with mock.patch.object(preprocess, "_SCAN_ENTRIES", scan_entries):
             got = np.concatenate([f.run(c) for c in np.split(values, cuts)])
         assert got.tolist() == [ref.step(float(v)) for v in values]
-        assert f.committed == ref.committed
+        assert f.committed == (ref.committed,)
 
     def test_run_memory_is_linear_on_fixed_input(self):
         # Every value sits mid-bin, so all are fixed by the one threshold
@@ -526,6 +535,48 @@ class TestPipeline:
         config = make_config(channels)
         split = rng.integers(1, 199)
         got = run_chunks(PreprocessPipeline(config), [values[:split], values[split:]])
+        assert got == run_streaming(config, values)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_streaming_on_both_binning_paths(self, data):
+        # Streams whose bins all fit the threshold count, and streams with a
+        # channel past it (those search), cut into chunks of any size.
+        k = preprocess._COUNT_THRESHOLDS // 2 + 1  # the most bins the count takes
+        sizes = data.draw(st.lists(
+            st.integers(2, 5) | st.sampled_from([k - 1, k, k + 1, k + 4]),
+            min_size=1, max_size=3,
+        ))
+        channels = [
+            sorted(data.draw(st.lists(
+                st.floats(-4.0, 4.0), min_size=s - 1, max_size=s - 1, unique=True
+            )))
+            for s in sizes
+        ]
+        margin = data.draw(st.one_of(st.just(0.0), st.just(1e-12), st.floats(0.0, 0.49)))
+        # Each channel's breakpoints, its lo/hi thresholds (b + delta, b -
+        # delta), their neighbouring floats, and the infinities.
+        pools = []
+        for bp in channels:
+            deltas = StepHysteresisFilter(bp, margin).deltas
+            on = [b + s * d for b in bp for d in deltas for s in (1, -1)]
+            pools.append(sorted({
+                x for v in bp + on for x in np.nextafter(v, [-math.inf, v, math.inf]).tolist()
+            } | {math.inf, -math.inf}))
+        row = st.tuples(*(
+            st.one_of(st.sampled_from(pool), st.floats(bp[0] - 1.0, bp[-1] + 1.0))
+            for bp, pool in zip(channels, pools)
+        ))
+        # Rows held for one sample chatter; rows held longer are quiet stretches.
+        rows = data.draw(st.lists(
+            st.tuples(row, st.one_of(st.just(1), st.integers(1, 60))), min_size=1, max_size=60
+        ))
+        values = np.repeat([r for r, _ in rows], [hold for _, hold in rows], axis=0)
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(values) - 1)))))
+        config = make_config(channels, hysteresis_margin=margin)
+        scan_entries = data.draw(st.sampled_from([1, 7, 1 << 18]))
+        with mock.patch.object(preprocess, "_SCAN_ENTRIES", scan_entries):
+            got = run_chunks(PreprocessPipeline(config), np.split(values, cuts))
         assert got == run_streaming(config, values)
 
     def test_nan_rejected_without_state_change(self):
