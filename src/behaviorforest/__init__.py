@@ -12,7 +12,6 @@ exception classes; everything else lives in its submodule.
 from .analysis import FEATURE_NAMES, compare_variances, extract_features, generate_synthetic
 from .core import (
     BreakpointSpec,
-    BufferOverflowError,
     ConfigError,
     DimensionMismatchError,
     EngineConfig,
@@ -32,7 +31,6 @@ __all__ = [
     "BehaviorDetector",
     "BehaviorForest",
     "BreakpointSpec",
-    "BufferOverflowError",
     "ConfigError",
     "DimensionMismatchError",
     "DiscoveryEngine",

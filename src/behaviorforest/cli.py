@@ -20,25 +20,23 @@ from typing import List, Optional
 from . import io as bfio
 from .analysis import SyntheticSpec, compare_variances, generate_synthetic
 from .core import (
-    BufferOverflowError,
     ConfigError,
     DimensionMismatchError,
     EngineConfig,
     InvalidSampleError,
     SnapshotError,
 )
-from .engine import DiscoveryEngine, discover, replay
+from .engine import DiscoveryEngine, RunResult, discover, replay
 from .forest import forest_to_dot, snapshot_dumps
 from .selection import cumulative_fractions
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-EXIT_OVERFLOW = 4
 
 _EPILOG = (
     "exit codes: 0 success, 2 configuration or snapshot mismatch, "
-    "3 input/output or malformed data, 4 look-back buffer overflow"
+    "3 input/output or malformed data"
 )
 
 
@@ -74,6 +72,16 @@ def _forest_texts(engine: DiscoveryEngine) -> tuple:
     return snapshot, forest_to_dot(engine.forest)
 
 
+def _warn_overflowed(capacity: int, result: RunResult, run: str = "") -> None:
+    for stream_id, (start, end) in result.overflowed:
+        print(
+            f"warning: {run}stream {stream_id!r}: span [{start}, {end}) reaches "
+            f"{end - capacity - start} samples behind the look-back buffer "
+            f"(capacity {capacity}); not recorded",
+            file=sys.stderr,
+        )
+
+
 def cmd_discover(args) -> int:
     _check_counts(args)
     config = _apply_overrides(bfio.load_config(args.config), args)
@@ -87,6 +95,7 @@ def cmd_discover(args) -> int:
     with bfio.replacing_run(args.out) as out:
         bfio.write_segments(out, result.segments, channel_names)
         bfio.write_run(out, result.stats, _forest_texts(engine))
+    _warn_overflowed(args.buffer_capacity, result)
     stats = result.stats
     print(
         f"{stats.detected_db_count} behaviors detected, "
@@ -107,7 +116,8 @@ def cmd_replay(args) -> int:
     with bfio.replacing_run(args.out) as out:
         bfio.write_replay_table(out, runs)
         bfio.write_run(out, runs[-1], _forest_texts(engine))
-    for run, cum in zip(runs, cumulative_fractions(runs)):
+    for result, run, cum in zip(results, runs, cumulative_fractions(runs)):
+        _warn_overflowed(args.buffer_capacity, result, f"run {run.run_index}: ")
         print(
             f"run {run.run_index}: {run.recorded_db_count} recorded, "
             f"{100.0 * run.recording_fraction:.2f}% of samples "
@@ -183,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="look-back buffer capacity in samples (default unbounded); a behavior "
-            "that would be recorded may span at most N samples; a longer one exits 4 "
-            "before the forest counts it",
+            "that would be recorded but spans more than N samples is counted in the "
+            "forest, not recorded, and named in a warning on stderr",
         )
 
     p = sub.add_parser("discover", help="one pass: detect, record, snapshot", epilog=_EPILOG)
@@ -240,9 +250,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, SnapshotError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BufferOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
     except (OSError, ValueError, InvalidSampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

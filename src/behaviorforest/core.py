@@ -36,10 +36,6 @@ class InvalidSampleError(EngineError):
     """A sample contains NaN or another value the discretizer must reject."""
 
 
-class BufferOverflowError(EngineError):
-    """A requested raw span is older than the look-back buffer retains."""
-
-
 class SnapshotError(EngineError):
     """Malformed or incompatible forest snapshot document."""
 
@@ -61,7 +57,8 @@ class BreakpointSpec:
 
     A channel with k breakpoints has alphabet size k + 1.  Bin j is the
     half-open interval [b_j, b_{j+1}) with implicit -inf and +inf at the
-    ends, so every finite value lands in exactly one bin.
+    ends, so every finite value lands in exactly one bin.  Breakpoints ascend
+    by finite gaps, since a bin's width scales its hysteresis margin.
     """
 
     channels: tuple[tuple[float, ...], ...]
@@ -75,8 +72,8 @@ class BreakpointSpec:
         for c, ch in enumerate(channels):
             if not ch:
                 raise ConfigError(f"channel {c}: empty breakpoint list")
-            if any(a >= b for a, b in zip(ch, ch[1:])):
-                raise ConfigError(f"channel {c}: breakpoints must be strictly ascending")
+            if not all(0 < b - a < math.inf for a, b in zip(ch, ch[1:])):
+                raise ConfigError(f"channel {c}: breakpoints must ascend by finite gaps")
         object.__setattr__(self, "channels", channels)
         _check_fused_size(self.alphabet_sizes)
 

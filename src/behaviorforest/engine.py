@@ -6,8 +6,9 @@ straddle stream boundaries, while the forest keeps accumulating across
 streams and runs.  Streams are processed in chunks so the look-back buffer
 behaves like it would online: each chunk is buffered, reduced to the runs
 it closed, and the behaviors those runs close are settled against the
-forest: inserted, judged by `decide`, and materialized only if recorded.
-An empty stream is one empty chunk, so the pipeline checks every stream.
+forest: inserted, judged by `decide`, and materialized only if recorded
+within the buffer capacity.  An empty stream is one empty chunk, so the
+pipeline checks every stream.
 `DiscoveryEngine.run` is the one loop over a dataset: `discover` calls it
 once and `replay` once per run.
 """
@@ -19,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BufferOverflowError, EngineConfig
+from .core import EngineConfig
 from .forest import BehaviorDetector, BehaviorForest, DiscoveredBehavior
 from .preprocess import PreprocessPipeline
 from .selection import RecordedSegment, RunStats, SampleBuffer, decide, materialize
@@ -31,19 +32,20 @@ _CHUNK_SIZE = 8192  # samples fed per step; changes no output
 
 @dataclass(frozen=True)
 class RunResult:
-    """One pass's recorded segments and the stats derived from them."""
+    """One pass's recorded segments, the stats derived from them, and its overflows."""
 
     stats: RunStats
     segments: Tuple[RecordedSegment, ...]
+    overflowed: Tuple[Tuple[str, Tuple[int, int]], ...]  # (stream_id, raw_span)
 
 
 class DiscoveryEngine:
     """Feeds streams through the full chain against one shared forest.
 
     buffer_capacity N (None is unbounded) is the longest behavior a run
-    can record: a behavior that would be recorded may span at most N
-    samples; a longer one raises BufferOverflowError before the forest
-    counts it.  A behavior that is discarded may span any length.
+    can record: one that `decide` records over more than N samples is not
+    materialized and takes no segment id; its (stream_id, raw_span) joins
+    `overflowed`.  The forest grows as in an unbounded run.
 
     The look-back buffer refers to the stream's arrays instead of copying
     them, so the caller must not write into `t` or `values` while
@@ -64,6 +66,7 @@ class DiscoveryEngine:
         self.config = config
         self.forest = forest if forest is not None else BehaviorForest()
         self.buffer_capacity = buffer_capacity
+        self.overflowed: List[Tuple[str, Tuple[int, int]]] = []
         self._next_segment_id = 0
 
     def process_stream(
@@ -98,27 +101,18 @@ class DiscoveryEngine:
         def settle(behavior: Optional[DiscoveredBehavior]) -> None:
             if behavior is None:
                 return
-            # A behavior that would be recorded over a span longer than the
-            # capacity fails here, before the forest counts it.  The lookup
-            # is only paid for such a span.
-            start, end = behavior.raw_span
-            if (
-                capacity is not None
-                and end - start > capacity
-                and self.forest.occurrence_count(behavior.path) < threshold
-            ):
-                raise BufferOverflowError(
-                    f"stream {stream_id!r}: span [{start}, {end}) reaches "
-                    f"{end - capacity - start} samples behind the look-back "
-                    f"buffer (capacity {capacity})"
-                )
             receipt = self.forest.insert(behavior.path)
             reason = decide(receipt, threshold)
-            if reason is not None:
-                segments.append(
-                    materialize(behavior, reason, receipt, buffer, stream_id, self._next_segment_id)
-                )
-                self._next_segment_id += 1
+            if reason is None:
+                return
+            start, end = behavior.raw_span
+            if capacity is not None and end - start > capacity:
+                self.overflowed.append((stream_id, behavior.raw_span))
+                return
+            segments.append(
+                materialize(behavior, reason, receipt, buffer, stream_id, self._next_segment_id)
+            )
+            self._next_segment_id += 1
 
         n = len(values)
         for lo in range(0, max(n, 1), _CHUNK_SIZE):
@@ -143,6 +137,7 @@ class DiscoveryEngine:
         if len(set(ids)) < len(ids):
             raise ValueError(f"stream ids must be distinct within one run, got {ids}")
         inserted = self.forest.total_insertions
+        overflows = len(self.overflowed)
         segments: List[RecordedSegment] = []
         total = 0
         for stream_id, t, values in streams:
@@ -152,6 +147,7 @@ class DiscoveryEngine:
         return RunResult(
             stats=RunStats.of(run_index, segments, detected, total),
             segments=tuple(segments),
+            overflowed=tuple(self.overflowed[overflows:]),
         )
 
 

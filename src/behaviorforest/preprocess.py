@@ -231,18 +231,19 @@ class HysteresisFilter:
                 out[c] = fixed = _search(v, ch.lo_table)
                 amb.append(np.flatnonzero(~(v <= ch.hi.take(fixed))) + c * n)
             amb = np.concatenate(amb)
-        sub = block.take(amb)
-        nan = amb[np.isnan(sub)]
-        if len(nan):
-            raise InvalidSampleError(
-                f"NaN sample at index {(nan % n).min()} cannot be discretized"
-            )
-        bounds = np.searchsorted(amb, np.arange(d + 1) * n)
-        state = self.committed or (None,) * d
-        for c, ch in enumerate(self._channels):
-            lo, hi = bounds[c], bounds[c + 1]
-            if lo < hi:
-                ch.resolve(out[c], amb[lo:hi] - c * n, sub[lo:hi], state[c])
+        if len(amb):
+            sub = block.take(amb)
+            nan = amb[np.isnan(sub)]
+            if len(nan):
+                raise InvalidSampleError(
+                    f"NaN sample at index {(nan % n).min()} cannot be discretized"
+                )
+            bounds = np.searchsorted(amb, np.arange(d + 1) * n)
+            state = self.committed or (None,) * d
+            for c, ch in enumerate(self._channels):
+                lo, hi = bounds[c], bounds[c + 1]
+                if lo < hi:
+                    ch.resolve(out[c], amb[lo:hi] - c * n, sub[lo:hi], state[c])
         self.committed = tuple(out[:, -1].tolist())
         return out.reshape(np.shape(values))
 

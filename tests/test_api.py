@@ -12,7 +12,6 @@ PUBLIC_API = {
     "ConfigError",
     "DimensionMismatchError",
     "InvalidSampleError",
-    "BufferOverflowError",
     "SnapshotError",
     # configuration
     "BreakpointSpec",
@@ -54,7 +53,6 @@ EXCEPTIONS = (
     "ConfigError",
     "DimensionMismatchError",
     "InvalidSampleError",
-    "BufferOverflowError",
     "SnapshotError",
 )
 

@@ -1,6 +1,7 @@
 """Core types: breakpoint construction, config validation, stream admission."""
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from behaviorforest.io import config_from_dict
 from behaviorforest.preprocess import PreprocessPipeline, fuse_symbols
 from oracles import ReducedSymbol
 
+MAX = sys.float_info.max
 
 def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
@@ -108,6 +110,17 @@ class TestBreakpointSpec:
     def test_rejects_non_ascending(self, ch):
         with pytest.raises(ConfigError):
             BreakpointSpec((ch,))
+
+    # Both finite, but the gap overflows to inf, and margin * inf would be the
+    # hysteresis filter's threshold offset.
+    @pytest.mark.parametrize("ch", [(-1e308, 1e308), (-1.0, -9e307, 9e307), (-MAX, 1e300)])
+    def test_rejects_gap_past_float_max(self, ch):
+        with pytest.raises(ConfigError, match="finite gaps"):
+            BreakpointSpec((ch,))
+
+    @pytest.mark.parametrize("ch", [(-MAX, 0.0), (-8e307, 8e307), (-1e308, 0.0, 1e308)])
+    def test_accepts_finite_gaps_up_to_float_max(self, ch):
+        assert BreakpointSpec((ch,)).channels == (ch,)
 
     @pytest.mark.parametrize(
         "bad", ["0.5", True, None, [0.5], pytest.param(10**400, id="int_past_float_max")]

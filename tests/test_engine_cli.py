@@ -22,7 +22,6 @@ from behaviorforest import io as bfio
 from behaviorforest.analysis import generate_synthetic
 from behaviorforest.core import (
     BreakpointSpec,
-    BufferOverflowError,
     ConfigError,
     DimensionMismatchError,
     EngineConfig,
@@ -42,7 +41,7 @@ from behaviorforest.io import (
     write_segments,
     write_series,
 )
-from behaviorforest.selection import decide
+from behaviorforest.selection import RunStats, decide
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -110,23 +109,29 @@ class TestEngineOnFixture:
         ]
         assert forest_snapshot(base_engine.forest, "h") == forest_snapshot(small_engine.forest, "h")
 
-    def test_overflow_leaves_forest_and_stats_untouched(self):
+    def test_overflow_is_counted_but_not_recorded(self):
         t, values = fixture_stream()
-        engine, _ = discover(fixture_config(), [("fix", t, values)])
-        forest = engine.forest
-        before = forest_snapshot(forest, "h")
-        # The first behavior spans the 25 samples [0, 25), more than the
-        # capacity of 20, and is still under the threshold, so it cannot be
-        # recorded.
-        small = DiscoveryEngine(fixture_config(), forest=forest, buffer_capacity=20)
-        message = r"'fix': span \[0, 25\) reaches 5 samples behind the look-back buffer \(capacity 20\)"
-        with pytest.raises(BufferOverflowError, match=message):
-            small.run([("fix", t, values)])
-        assert forest.total_insertions == 2
-        assert forest.terminal_paths() == {(1, 2, 3, 2, 1): 1, (1, 2, 3, 4): 1}
-        assert forest_snapshot(forest, "h") == before
-        # The failed run handed out no segment ids.
-        assert small._next_segment_id == 0
+        streams = [("a", t, values), ("b", t, values)]
+        unbounded, _ = discover(fixture_config(), streams)
+        # In each stream the first behavior spans the 25 samples [0, 25),
+        # more than the capacity of 20, and is still under the threshold: the
+        # forest counts it, and it takes no segment id.
+        engine, result = discover(fixture_config(), streams, buffer_capacity=20)
+        assert result.overflowed == (("a", (0, 25)), ("b", (0, 25)))
+        assert engine.overflowed == list(result.overflowed)
+        assert [(s.segment_id, s.stream_id, s.raw_span) for s in result.segments] == [
+            (0, "a", (8, 28)),
+            (1, "b", (8, 28)),
+        ]
+        assert engine.forest.terminal_paths() == {(1, 2, 3, 2, 1): 2, (1, 2, 3, 4): 2}
+        assert forest_snapshot(engine.forest, "h") == forest_snapshot(unbounded.forest, "h")
+        stats = result.stats
+        assert (stats.detected_db_count, stats.recorded_db_count) == (4, 2)
+        assert stats.recorded_sample_count == 40
+        # A second run reports only its own overflows.
+        again = engine.run(streams[:1])
+        assert again.overflowed == (("a", (0, 25)),)
+        assert [s.segment_id for s in again.segments] == [2]
 
     def test_discarded_behavior_may_lie_behind_the_buffer(self):
         t, values = fixture_stream()
@@ -295,10 +300,10 @@ def piecewise_stream(draw):
 def recount(config, streams, forest, capacity=None):
     """Run stats rebuilt one sample and one behavior at a time from the oracles.
 
-    Returns None, leaving `forest` as it stands, at the first behavior that
-    would be recorded over a span longer than `capacity`.
+    Every behavior is inserted into `forest`; one that would be recorded over
+    a span longer than `capacity` is listed as overflowed instead.
     """
-    detected, recorded, paths, covered = 0, 0, set(), {}
+    detected, recorded, paths, covered, overflowed = 0, 0, set(), {}, []
     for sid, _, values in streams:
         pipe = StepPipeline(config, sid)
         detector = StepBehaviorDetector(config.termination_run, config.initiation_context)
@@ -306,21 +311,18 @@ def recount(config, streams, forest, capacity=None):
         for behavior in [detector.step(r) for r in reduced] + [detector.flush()]:
             if behavior is None:
                 continue
-            start, end = behavior.raw_span
-            if (
-                capacity is not None
-                and end - start > capacity
-                and forest.occurrence_count(behavior.path) < config.relevance_threshold
-            ):
-                return None
             detected += 1
             if decide(forest.insert(behavior.path), config.relevance_threshold) is None:
+                continue
+            start, end = behavior.raw_span
+            if capacity is not None and end - start > capacity:
+                overflowed.append((sid, (start, end)))
                 continue
             recorded += 1
             paths.add(behavior.path)
             covered.setdefault(sid, set()).update(range(start, end))
     total = sum(len(values) for _, _, values in streams)
-    return detected, recorded, len(paths), covered, total
+    return detected, recorded, len(paths), covered, total, overflowed
 
 
 @given(
@@ -355,17 +357,13 @@ def test_run_stats_match_independent_recount(
     )
 
     engine = DiscoveryEngine(config, forest=prior, buffer_capacity=capacity)
-    counts = recount(config, streams, oracle_forest, capacity)
-    event("overflow" if counts is None else "no overflow")
-    if counts is None:
-        with mock.patch.object(engine_module, "_CHUNK_SIZE", chunk_size):
-            with pytest.raises(BufferOverflowError):
-                engine.run(streams, run_index=2)
-        assert forest_snapshot(engine.forest, "h") == forest_snapshot(oracle_forest, "h")
-        return
+    detected, recorded, n_paths, covered, total, overflowed = recount(
+        config, streams, oracle_forest, capacity
+    )
+    event("overflow" if overflowed else "no overflow")
     with mock.patch.object(engine_module, "_CHUNK_SIZE", chunk_size):
         result = engine.run(streams, run_index=2)
-    detected, recorded, n_paths, covered, total = counts
+    assert list(result.overflowed) == overflowed
 
     stats = result.stats
     assert stats.run_index == 2
@@ -379,6 +377,80 @@ def test_run_stats_match_independent_recount(
         segment_cover.setdefault(s.stream_id, set()).update(range(*s.raw_span))
     assert segment_cover == covered
     assert forest_snapshot(engine.forest, "h") == forest_snapshot(oracle_forest, "h")
+
+
+@st.composite
+def capacity_case(draw):
+    """A config of 1-2 channels and 1-3 streams of repeated, possibly noisy, pieces."""
+    d = draw(st.integers(1, 2))
+    channel = st.lists(st.sampled_from([-0.75, -0.25, 0.0, 0.5, 1.0]), min_size=1, max_size=3)
+    config = EngineConfig(
+        BreakpointSpec(tuple(tuple(sorted(set(draw(channel)))) for _ in range(d))),
+        log_base=draw(st.integers(2, 4)),
+        relevance_threshold=draw(st.integers(1, 3)),
+        hysteresis_margin=draw(st.sampled_from([0.0, 1e-12, 0.1, 0.3])),
+        termination_run=draw(st.integers(2, 4)),
+        initiation_context=draw(st.integers(1, 3)),
+    )
+    level = st.tuples(*[st.sampled_from([-1.0, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5])] * d)
+    streams = []
+    for i in range(draw(st.integers(1, 3))):
+        motif = draw(st.lists(st.tuples(level, st.integers(1, 25)), min_size=1, max_size=6))
+        pieces = motif * draw(st.integers(1, 4))
+        values = np.repeat([lv for lv, _ in pieces], [n for _, n in pieces], axis=0)
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        values = values + draw(st.sampled_from([0.0, 0.2])) * rng.standard_normal(values.shape)
+        streams.append((f"s{i}", np.arange(len(values), dtype=float), values))
+    return config, streams
+
+
+@given(
+    case=capacity_case(),
+    chunk_size=st.integers(1, 64),
+    prior_run=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_capacity_filters_the_unbounded_run(case, chunk_size, prior_run, data):
+    """With any capacity N, the forest is the unbounded run's, and the segments
+    are the unbounded run's segments of span at most N, renumbered."""
+    config, streams = case
+    prior = BehaviorForest()
+    if prior_run:
+        DiscoveryEngine(config, forest=prior).run(streams)
+    snapshot = forest_snapshot(prior, "h")
+    unbounded = DiscoveryEngine(config, forest=forest_restore(snapshot))
+    expected = unbounded.run(streams, run_index=1)
+    # A recorded span n tests the boundary: at capacity n the segment fits,
+    # at n - 1 it overflows.
+    longest = max(len(t) for _, t, _ in streams)
+    spans = sorted({end - start for start, end in (s.raw_span for s in expected.segments)})
+    boundary = st.sampled_from(spans or [1]).flatmap(lambda n: st.sampled_from([n, max(n - 1, 1)]))
+    capacity = data.draw(
+        st.one_of(st.none(), st.integers(1, 60), st.integers(1, 2 * longest), boundary),
+        label="capacity",
+    )
+    engine = DiscoveryEngine(config, forest=forest_restore(snapshot), buffer_capacity=capacity)
+    with mock.patch.object(engine_module, "_CHUNK_SIZE", chunk_size):
+        result = engine.run(streams, run_index=1)
+
+    def fits(s):
+        return capacity is None or s.raw_span[1] - s.raw_span[0] <= capacity
+
+    def row(s):
+        return (s.stream_id, s.raw_span, s.path, s.reason, s.occurrence_index, s.t.tobytes(),
+                s.values.tobytes())
+
+    kept = [s for s in expected.segments if fits(s)]
+    event("overflow" if len(kept) < len(expected.segments) else "no overflow")
+    assert forest_snapshot(engine.forest, "h") == forest_snapshot(unbounded.forest, "h")
+    assert [s.segment_id for s in result.segments] == list(range(len(kept)))
+    assert [row(s) for s in result.segments] == [row(s) for s in kept]
+    total = sum(len(t) for _, t, _ in streams)
+    assert result.stats == RunStats.of(1, kept, expected.stats.detected_db_count, total)
+    assert result.overflowed == tuple(
+        (s.stream_id, s.raw_span) for s in expected.segments if not fits(s)
+    )
 
 
 class TestSeriesIO:
@@ -746,6 +818,16 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_exit_code_2_for_breakpoint_gap_past_float_max(self, workdir, capsys):
+        data = self.gen(workdir)
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps({"breakpoints": [[-1e308, 1e308], [-0.5, 0.5]]}))
+        out = workdir / "x"
+        rc = cli.main(["discover", str(data), "--config", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: channel 0: breakpoints must ascend by finite gaps\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("sizes", [[4.9, 4], ["4", 4], [4.0, 4]])
     def test_exit_code_2_for_non_integer_alphabet_size(self, workdir, capsys, sizes):
         data = self.gen(workdir)
@@ -1112,21 +1194,58 @@ class TestCli:
         assert cli.main(["discover", str(data), str(copy), "--config", cfg, "--out", str(out)]) == 0
         assert read_series(str(out / "segments" / "segment_00000.csv"))[2] == ["ch1", "ch2"]
 
-    def test_exit_code_4_for_buffer_overflow(self, workdir):
+    @staticmethod
+    def overflow_warnings(segments, capacity, run=""):
+        """The warning lines for the unbounded run's segments longer than `capacity`."""
+        return [
+            f"warning: {run}stream {s.stream_id!r}: span [{s.raw_span[0]}, {s.raw_span[1]}) "
+            f"reaches {s.raw_span[1] - capacity - s.raw_span[0]} samples behind the look-back "
+            f"buffer (capacity {capacity}); not recorded"
+            for s in segments
+            if s.raw_span[1] - s.raw_span[0] > capacity
+        ]
+
+    def test_overflow_warns_and_exits_0(self, workdir, capsys):
         data = self.gen(workdir)
-        rc = cli.main(
-            [
-                "discover",
-                str(data),
-                "--config",
-                str(workdir / "config.json"),
-                "--out",
-                str(workdir / "x"),
-                "--buffer-capacity",
-                "50",
-            ]
-        )
-        assert rc == 4
+        cfg = str(workdir / "config.json")
+        assert cli.main(["discover", str(data), "--config", cfg, "--out", str(workdir / "o")]) == 0
+        capsys.readouterr()
+        out = workdir / "x"
+        argv = ["discover", str(data), "--config", cfg, "--out", str(out), "--buffer-capacity", "50"]
+        assert cli.main(argv) == 0
+        unbounded = read_segments(str(workdir / "o"))
+        warnings = self.overflow_warnings(unbounded, 50)
+        assert warnings
+        assert capsys.readouterr().err.splitlines() == warnings
+        kept = [s for s in unbounded if s.raw_span[1] - s.raw_span[0] <= 50]
+        segments = read_segments(str(out))
+        assert [s.segment_id for s in segments] == list(range(len(kept)))
+        assert [(s.stream_id, s.raw_span, s.path, s.reason) for s in segments] == [
+            (s.stream_id, s.raw_span, s.path, s.reason) for s in kept
+        ]
+        assert (out / "forest.json").read_bytes() == (workdir / "o" / "forest.json").read_bytes()
+
+    def test_replay_with_buffer_capacity(self, workdir, capsys):
+        data = self.gen(workdir, "syn.csv", "--bursts-per-pattern", "1")
+        cfg = str(workdir / "config.json")
+        argv = ["replay", str(data), "--config", cfg, "--runs", "3", "--out"]
+        assert cli.main([*argv, str(workdir / "r")]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main([*argv, str(workdir / "b"), "--buffer-capacity", "50"]) == 0
+        _, results = replay(load_config(cfg), [("syn.csv", *read_series(str(data))[:2])], runs=3)
+        warnings = [
+            line
+            for result in results
+            for line in self.overflow_warnings(
+                result.segments, 50, f"run {result.stats.run_index}: "
+            )
+        ]
+        # Each pattern occurs once per run, under the threshold of 5 in all 3 runs.
+        assert {line.split(":")[1] for line in warnings} == {" run 1", " run 2", " run 3"}
+        assert capsys.readouterr().err.splitlines() == warnings
+        assert (workdir / "b" / "forest.json").read_bytes() == (
+            workdir / "r" / "forest.json"
+        ).read_bytes()
 
     def test_threshold_override_changes_behavior(self, workdir):
         data = self.gen(workdir)
@@ -1193,7 +1312,7 @@ def test_discover_never_raises(case):
             argv += ["--buffer-capacity", str(capacity)]
         rc = cli.main(argv)
         event(f"exit {rc}")
-        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_OVERFLOW)
+        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO)
         if rc == cli.EXIT_OK:
             assert {"segments.csv", "stats.json", "forest.json", "forest.dot"} <= set(os.listdir(out))
 
