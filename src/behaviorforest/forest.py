@@ -21,8 +21,9 @@ with one tuple comparison, `iter_nodes`, which yields plain node rows to
 the writers, `terminal_paths` and `total_insertions`.  `roots` serves
 `BehaviorNode` views, which raise IndexError once an insert has made them
 stale; they stay only for the benchmark's forest checker.  Every walk
-over a forest is one explicit-stack pre-order traversal over edges, so
-only the JSON encoder recurses.
+over a forest is one explicit-stack pre-order traversal over edges, and the
+snapshot and Graphviz writers read its rows, so nothing recurses but the
+JSON decoder that reads a snapshot back.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ TERMINATED_BY_PLATEAU = "plateau"
 TERMINATED_BY_STREAM_END = "end_of_stream"
 
 SNAPSHOT_VERSION = 1
+# The longest path a v1 snapshot is written with.  Python's JSON decoder recurses
+# once per level, and 3 * 300 + 2 levels leave it ~90 of the default 1,000 frames.
+V1_MAX_DEPTH = 300
 
 
 @dataclass(frozen=True)
@@ -325,39 +329,46 @@ class BehaviorForest:
         return paths
 
 
-def forest_snapshot(forest: BehaviorForest, config_hash: str) -> dict:
-    """JSON-ready document capturing the full forest state."""
-    # links[d - 1] is the list a depth-d node's link goes into: the root
-    # entries {"symbol", "node"} or its parent's {"edge_weight", "node"} links.
-    links: List[List[dict]] = [[]]
-    for depth, symbol, weight, terminal in forest.iter_nodes():
-        doc = {"symbol": symbol, "terminal_count": terminal, "children": []}
-        link = {"symbol": symbol} if depth == 1 else {"edge_weight": weight}
-        link["node"] = doc
-        del links[depth:]
-        links[-1].append(link)
-        links.append(doc["children"])
-    return {
-        "version": SNAPSHOT_VERSION,
-        "config_hash": config_hash,
-        "roots": links[0],
-        "total_insertions": forest.total_insertions,
-    }
-
-
 def snapshot_dumps(forest: BehaviorForest, config_hash: str) -> str:
-    """The snapshot as JSON text; raises SnapshotError if the forest is too deep.
+    """The v1 snapshot document, as `json.dumps(doc, indent=2, sort_keys=True)` writes it.
 
-    The v1 document nests one level per path symbol.  Building it does not
-    recurse, but the indenting JSON encoder recurses once per nesting level.
+    It holds "version", "config_hash", "total_insertions" and "roots", a
+    list of {"symbol", "node"}; a node is {"symbol", "terminal_count",
+    "children"}, a list of {"edge_weight", "node"}.  The text is written from
+    `iter_nodes` rows: a node's lines up to its children when its row comes,
+    its closing lines, from a stack, when the walk leaves its subtree.  A path
+    deeper than `V1_MAX_DEPTH` is a SnapshotError, raised before any text is.
     """
-    try:
-        return json.dumps(forest_snapshot(forest, config_hash), indent=2, sort_keys=True)
-    except RecursionError:
-        raise SnapshotError(
-            "forest is too deep for the v1 snapshot format (paths nest one "
-            "JSON level per symbol)"
-        ) from None
+    parts = ['{\n  "config_hash": ', json.dumps(config_hash), ',\n  "roots": [']
+    closers: List[str] = []  # closers[d - 1]: the closing lines of the open node at depth d
+
+    def close(depth: int) -> None:
+        """Close the open nodes at `depth` and below; the deepest has no children."""
+        parts.append(closers.pop())
+        while len(closers) >= depth:
+            parts.append(f"\n{' ' * (6 * len(closers) + 2)}{closers.pop()}")
+
+    for depth, symbol, weight, terminal in forest.iter_nodes():
+        if depth > V1_MAX_DEPTH:
+            raise SnapshotError(f"forest is too deep for the v1 snapshot format (a path of "
+                                f"more than {V1_MAX_DEPTH} symbols; each nests 3 JSON levels)")
+        if depth > len(closers):
+            parts.append("\n")
+        else:
+            close(depth)
+            parts.append(",\n")
+        pad = " " * (6 * depth - 2)
+        link = f'{pad}  "edge_weight": {weight},\n' if depth > 1 else ""
+        parts.append(f'{pad}{{\n{link}{pad}  "node": {{\n{pad}    "children": [')
+        root = f',\n{pad}  "symbol": {symbol}' if depth == 1 else ""
+        closers.append(f'],\n{pad}    "symbol": {symbol},\n{pad}    "terminal_count": '
+                       f'{terminal}\n{pad}  }}{root}\n{pad}}}')
+    if closers:
+        close(1)
+        parts.append("\n  ")
+    parts.append(f'],\n  "total_insertions": {forest.total_insertions},\n'
+                 f'  "version": {SNAPSHOT_VERSION}\n}}')
+    return "".join(parts)
 
 
 def _require(doc: dict, key: str, kind) -> object:

@@ -7,12 +7,13 @@ module, then one row per sample whose values are the shortest round-trip
 `repr` of each float64, every line ending in "\r\n".  Configs are JSON
 with either explicit per-channel breakpoints or alphabet sizes to derive
 equiprobable-Gaussian ones.  Config and snapshot JSON share one reader.
-Every file written, series, document or table, replaces its target whole
-by a rename from a temporary sibling, only once complete.  A run's segment
-files are written by up to one process per CPU in the affinity mask
-(`write_segments`), with the same bytes as from one.  This module
+Every file written replaces its target whole by a rename from a temporary
+sibling, only once complete, but for a run's segment files: `write_segments`
+writes them in place, into a `segments/` directory it makes.  This module
 alone names the files of a run directory, and a new run replaces that
 directory whole (`replacing_run`), so it never holds files of two runs.
+Segment files are written, and a long series file parsed, by up to one
+process per CPU in the affinity mask, with the same bytes as from one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ _CONFIG_KEYS = {"breakpoints", "alphabet_sizes", *_SCALAR_KEYS}
 
 # Rows formatted per block of a series file; bounds its memory for any length.
 _ROW_BLOCK = 1 << 14
+# Bytes of a series file's body that fill one parse process at least.
+_PARSE_BLOCK = 1 << 20
 
 # The files of a run directory, named nowhere else; `cli` reads the two
 # that are defaults of `features`.
@@ -153,8 +156,75 @@ def read_snapshot(path: str, expected_hash: Optional[str] = None) -> BehaviorFor
     return forest_restore(_read_json(path, SnapshotError), expected_config_hash=expected_hash)
 
 
+def _processes(amount: int, block: int) -> int:
+    """Processes for `amount` of work: one per CPU, no more than it fills blocks, 1 without fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), -(-amount // block)))
+
+
+def _loadtxt(fh, width: int = 0) -> np.ndarray:
+    """The rows of the rest of text file `fh`, `width` numbers each if given, or ValueError."""
+    with warnings.catch_warnings():
+        # Zero data rows are legitimate; loadtxt warns about them.
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
+    if width and data.size and data.shape[1] != width:
+        raise ValueError(f"rows of {data.shape[1]} columns")
+    return data.reshape(-1, width) if width else data
+
+
+def _parse_parts(path: str, fh, width: int) -> Optional[np.ndarray]:
+    """The rows of series file `path` after its header, parsed in parts; None if not cut.
+
+    The body is cut at line starts, a part per process (`_processes`).  A
+    forked child parses each part but the last, which this process streams
+    from `fh`, its text handle just past the header.  All children are waited
+    for; if a part fails or has not `width` columns, `fh` is put back and the
+    result is None too.
+    """
+    from io import BytesIO, TextIOWrapper
+
+    def parse(lo: int, hi: int) -> bytes:  # in a child
+        with open(path, "rb") as raw:
+            raw.seek(lo)
+            text = TextIOWrapper(BytesIO(raw.read(hi - lo)), encoding="utf-8")
+        return _loadtxt(text, width).tobytes()
+
+    size = os.fstat(fh.fileno()).st_size
+    with open(path, "rb") as raw:
+        if b"\r" in raw.readline()[:-2]:
+            return None  # the text handle's header ends at this lone carriage return
+        lo = raw.tell()
+        n = _processes(size - lo, _PARSE_BLOCK)
+        cuts = [lo]
+        for j in range(1, n):
+            raw.seek(lo + (size - lo) * j // n)
+            raw.readline()
+            cuts.append(raw.tell())
+    if n == 1:
+        return None
+    children, last = [], None
+    try:
+        for start, stop in zip(cuts, cuts[1:]):
+            children.append(_fork(parse, start, stop))
+        fh.seek(cuts[-1])
+        with contextlib.suppress(ValueError):
+            last = _loadtxt(fh, width)
+    finally:
+        sent = [_reap(*child) for child in children]
+    if last is None or any(error for _, error in sent):
+        fh.seek(lo)
+        return None
+    return np.concatenate([*(np.frombuffer(b).reshape(-1, width) for b, _ in sent), last])
+
+
 def read_series(path: str) -> Tuple[np.ndarray, np.ndarray, List[str]]:
-    """Load a delimited series file: (t, values[n, d], channel names)."""
+    """Load a delimited series file: (t, values[n, d], channel names).
+
+    A regular file is parsed in parts (`_parse_parts`) and, should that fail,
+    again whole, so the arrays and errors are those of one parse.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.strip():
@@ -162,11 +232,10 @@ def read_series(path: str) -> Tuple[np.ndarray, np.ndarray, List[str]]:
         names = [c.strip() for c in next(csv.reader([header]))]
         if len(names) < 2:
             raise ValueError(f"{path}: need a timestamp column plus channels")
+        data = _parse_parts(path, fh, len(names)) if os.path.isfile(path) else None
         try:
-            with warnings.catch_warnings():
-                # Zero data rows are legitimate; loadtxt warns about them.
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
+            if data is None:
+                data = _loadtxt(fh)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed numeric data ({exc})") from exc
     if data.size == 0:
@@ -208,12 +277,16 @@ def _rows(t: np.ndarray, values: np.ndarray, start: int, stop: int) -> str:
     return row * len(block) % tuple(block.ravel().tolist())
 
 
+def _create(path: str):
+    """A new text file at `path`, written in place; an existing one is FileExistsError."""
+    return open(path, "x", encoding="utf-8", newline="")
+
+
 def _write_rows(path: str, header: Sequence[str], texts: Iterable[str]) -> None:
-    """Replace `path` with a series file: the header row, then the row texts."""
-    with _replacing(path) as fh:
+    """Write a new series file in place: the header row, then the row texts."""
+    with _create(path) as fh:
         csv.writer(fh).writerow(header)
-        for text in texts:
-            fh.write(text)
+        fh.writelines(texts)
 
 
 def write_series(
@@ -223,8 +296,9 @@ def write_series(
     channel_names: Optional[Sequence[str]] = None,
 ) -> None:
     t, values, header = _series(t, values, channel_names)
-    blocks = (_rows(t, values, start, start + _ROW_BLOCK) for start in range(0, len(t), _ROW_BLOCK))
-    _write_rows(path, header, blocks)
+    with _replacing(path) as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(_rows(t, values, lo, lo + _ROW_BLOCK) for lo in range(0, len(t), _ROW_BLOCK))
 
 
 MANIFEST_COLUMNS = (
@@ -318,25 +392,20 @@ def _write_segment_files(files: Sequence[_SegmentFile]) -> None:
 
 
 def _writer_groups(files: Sequence[_SegmentFile]) -> List[Sequence[_SegmentFile]]:
-    """`files` cut into contiguous groups of about equal rows, one per writer process.
-
-    There is a group per CPU this process may run on, but no more than the
-    rows fill blocks, and only one where the platform cannot fork.
-    """
+    """`files` cut into contiguous groups of about equal rows, one per writer process."""
     ends = list(itertools.accumulate(len(f.t) for f in files))
     rows = ends[-1] if ends else 0
-    n = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n = max(1, min(len(os.sched_getaffinity(0)), -(-rows // _ROW_BLOCK)))
+    n = _processes(rows, _ROW_BLOCK)
     cuts = [0, *(bisect.bisect_left(ends, rows * j / n) + 1 for j in range(1, n)), len(files)]
     return [files[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
 def _fork(work, *args) -> Tuple[int, int]:
-    """Run `work(*args)` in a child process; returns its pid and the pipe its error comes on.
+    """Run `work(*args)` in a child process; returns its pid and the pipe its output comes on.
 
-    The child leaves by `os._exit` whatever happens, so it never returns into
-    the caller's frames nor flushes the stdio buffers it inherited.
+    The child sends the bytes `work` returns, if any, or its error's message.
+    It leaves by `os._exit` whatever happens, so it never returns into the
+    caller's frames nor flushes the stdio buffers it inherited.
     """
     read_end, write_end = os.pipe()
     try:
@@ -349,25 +418,29 @@ def _fork(work, *args) -> Tuple[int, int]:
         status = 1
         try:
             os.close(read_end)
-            work(*args)
-            status = 0
-        except BaseException as exc:
-            os.write(write_end, (str(exc) or type(exc).__name__).encode("utf-8", "replace"))
+            with os.fdopen(write_end, "wb") as fh:
+                try:
+                    fh.write(work(*args) or b"")
+                    status = 0
+                except BaseException as exc:
+                    fh.write((str(exc) or type(exc).__name__).encode("utf-8", "replace"))
         finally:
             os._exit(status)
     os.close(write_end)
     return pid, read_end
 
 
-def _reap(pid: int, read_end: int) -> str:
-    """Wait for a child of `_fork`: its error message, or "" if it succeeded."""
+def _reap(pid: int, read_end: int) -> Tuple[bytes, str]:
+    """Wait for a child of `_fork`: the bytes it sent and "", or b"" and its error message."""
     try:
         with os.fdopen(read_end, "rb") as fh:
-            message = fh.read().decode("utf-8", "replace")
+            sent = fh.read()
     finally:
         _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
-    return message or (f"segment writer process {pid} exited with {code}" if code else "")
+    if code == 0:
+        return sent, ""
+    return b"", sent.decode("utf-8", "replace") or f"child process {pid} exited with {code}"
 
 
 def write_segments(
@@ -375,12 +448,14 @@ def write_segments(
 ) -> str:
     """Write one raw file per segment, then the manifest; returns the manifest's path.
 
-    The segment files are cut into contiguous groups (`_writer_groups`): this
-    process writes the first and a forked child each other one.  All children
-    are waited for, even on failure, and the first child's error is raised as
-    OSError.  The manifest is written only once every segment file is.
+    `out_dir/segments/` is made here and must not exist.  Its files are cut
+    into contiguous groups (`_writer_groups`): this process writes the first
+    and a forked child each other one, each file in place.  All children are
+    waited for, even on failure, and the first child's error is raised as
+    OSError.  The manifest is written, by replacement, only once every
+    segment file is; `replacing_run` keeps a failed run's files from sight.
     """
-    os.makedirs(os.path.join(out_dir, os.path.dirname(_SEGMENT)), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, os.path.dirname(_SEGMENT)))
     files = [
         _SegmentFile(os.path.join(out_dir, _SEGMENT % seg.segment_id), seg.raw_span,
                      *_series(seg.t, seg.values, channel_names))
@@ -394,7 +469,7 @@ def write_segments(
         if groups:
             _write_segment_files(groups[0])
     finally:
-        errors = [_reap(*child) for child in children]
+        errors = [_reap(*child)[1] for child in children]
     error = next(filter(None, errors), None)
     if error:
         raise OSError(error)

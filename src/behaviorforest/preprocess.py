@@ -91,9 +91,13 @@ class _Channel:
 
     def __init__(self, breakpoints: Sequence[float], margin: float):
         bp = np.array(breakpoints, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = np.diff(bp)
+        if not np.isfinite(gaps).all():  # a bin's width scales its margin
+            raise ValueError(f"breakpoints {breakpoints} must differ by finite gaps")
         self.table = _search_table(bp)
         self.edges = np.concatenate(([-np.inf], bp, [np.inf]))
-        widths = np.pad(np.diff(bp), 1, mode="edge") if len(bp) > 1 else np.ones(2)
+        widths = np.pad(gaps, 1, mode="edge") if len(bp) > 1 else np.ones(2)
         self.deltas = margin * widths
         below = np.maximum.accumulate(self.deltas)[:-1]
         above = np.maximum.accumulate(self.deltas[::-1])[-2::-1]

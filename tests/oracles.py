@@ -532,7 +532,7 @@ class ObjectForest:
         return forest
 
     def snapshot(self, config_hash: str) -> dict:
-        """The v1 document that `forest.forest_snapshot` must build for this forest."""
+        """The v1 document that `forest_snapshot` must build for this forest."""
         links: List[List[dict]] = [[]]
         for depth, node in self.iter_nodes():
             doc = {"symbol": node.symbol, "terminal_count": node.terminal_count, "children": []}
@@ -560,6 +560,30 @@ class ObjectForest:
                 edges.append(f'  n{ids[-1]} -> n{i} [label="{node.edge_weight}"];')
             ids.append(i)
         return "\n".join(["digraph behavior_forest {", *nodes, *edges, "}"]) + "\n"
+
+
+def forest_snapshot(forest, config_hash: str) -> dict:
+    """The v1 document of a `BehaviorForest`, built from its `iter_nodes` rows.
+
+    `forest.snapshot_dumps` must write this document as `json.dumps(doc,
+    indent=2, sort_keys=True)` does, and `forest.forest_restore` must read it.
+    """
+    # links[d - 1] is the list a depth-d node's link goes into: the root
+    # entries {"symbol", "node"} or its parent's {"edge_weight", "node"} links.
+    links: List[List[dict]] = [[]]
+    for depth, symbol, weight, terminal in forest.iter_nodes():
+        doc = {"symbol": symbol, "terminal_count": terminal, "children": []}
+        link = {"symbol": symbol} if depth == 1 else {"edge_weight": weight}
+        link["node"] = doc
+        del links[depth:]
+        links[-1].append(link)
+        links.append(doc["children"])
+    return {
+        "version": SNAPSHOT_VERSION,
+        "config_hash": config_hash,
+        "roots": links[0],
+        "total_insertions": forest.total_insertions,
+    }
 
 
 def loop_window_variances(series: np.ndarray, window_length: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import node_at
+from oracles import forest_snapshot, node_at
 
 from behaviorforest import cli
 from behaviorforest.analysis import compare_variances, generate_synthetic
@@ -26,7 +26,6 @@ from behaviorforest.forest import (
     BehaviorDetector,
     BehaviorForest,
     forest_restore,
-    forest_snapshot,
     forest_to_dot,
 )
 from behaviorforest.io import load_config, read_series

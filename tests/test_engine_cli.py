@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import StepBehaviorDetector, StepPipeline, node_at
+from oracles import StepBehaviorDetector, StepPipeline, forest_snapshot, node_at
 
 from behaviorforest import cli
 from behaviorforest import engine as engine_module
@@ -27,11 +27,7 @@ from behaviorforest.core import (
     EngineConfig,
 )
 from behaviorforest.engine import DiscoveryEngine, discover, replay
-from behaviorforest.forest import (
-    BehaviorForest,
-    forest_restore,
-    forest_snapshot,
-)
+from behaviorforest.forest import BehaviorForest, forest_restore
 from behaviorforest.io import (
     config_from_dict,
     load_config,
@@ -927,14 +923,17 @@ class TestCli:
         out = workdir / "run"
         assert cli.main(["discover", str(data), "--config", cfg, "--out", str(out)]) == 0
         before = tree_bytes(out)
-        replacing = bfio._replacing
 
-        def failing_replacing(path):
-            if os.path.basename(path) == failing:
-                raise OSError("disk full")
-            return replacing(path)
+        def failing_at(opener):
+            def failing_opener(path):
+                if os.path.basename(path) == failing:
+                    raise OSError("disk full")
+                return opener(path)
+            return failing_opener
 
-        monkeypatch.setattr(bfio, "_replacing", failing_replacing)
+        # Segment files are created in place, every other file by replacement.
+        monkeypatch.setattr(bfio, "_replacing", failing_at(bfio._replacing))
+        monkeypatch.setattr(bfio, "_create", failing_at(bfio._create))
         rerun = [command, str(data), "--config", cfg, "--out", str(out), "--threshold", "1"]
         assert cli.main(rerun) == 3
         monkeypatch.undo()

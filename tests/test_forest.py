@@ -15,6 +15,7 @@ from oracles import (
     RunBehaviorDetector,
     StepBehaviorDetector,
     StepPipeline,
+    forest_snapshot,
     node_at,
     path_id_dot,
     unit_runs,
@@ -24,14 +25,15 @@ from behaviorforest.core import BreakpointSpec, EngineConfig, SnapshotError
 from behaviorforest.forest import (
     TERMINATED_BY_PLATEAU,
     TERMINATED_BY_STREAM_END,
+    V1_MAX_DEPTH,
     BehaviorDetector,
     BehaviorForest,
     DiscoveredBehavior,
     forest_restore,
-    forest_snapshot,
     forest_to_dot,
     snapshot_dumps,
 )
+from behaviorforest.io import read_snapshot, write_text
 from behaviorforest.preprocess import PreprocessPipeline
 
 CANONICAL_SYMBOLS = [1, 1, 1, 2, 3, 2, 1, 1, 1, 1, 1, 2, 3, 4]
@@ -531,6 +533,25 @@ class TestSnapshot:
         text = snapshot_dumps(forest, "abc")
         restored = forest_restore(json.loads(text))
         assert snapshot_dumps(restored, "abc") == text
+
+    def test_deepest_written_chain_reads_back(self, tmp_path):
+        # v1 nests three JSON levels per symbol; the written depth is bounded
+        # so that the decoder, which recurses per level, can read it back.
+        path = str(tmp_path / "forest.json")
+        for depth in (V1_MAX_DEPTH, V1_MAX_DEPTH + 1):
+            forest = BehaviorForest()
+            forest.insert([1, 2, 3, 4, 5] * (depth // 5) + [1, 2, 3, 4, 5][: depth % 5])
+            forest.insert([1, 2])
+            if depth > V1_MAX_DEPTH:
+                with pytest.raises(SnapshotError, match="too deep for the v1 snapshot format"):
+                    snapshot_dumps(forest, "abc")
+                continue
+            text = snapshot_dumps(forest, "abc")
+            write_text(path, text + "\n")
+            restored = read_snapshot(path, "abc")
+            assert list(restored.iter_nodes()) == list(forest.iter_nodes())
+            assert max(row[0] for row in restored.iter_nodes()) == depth
+            assert snapshot_dumps(restored, "abc") == text
 
     def test_config_hash_mismatch(self):
         doc = forest_snapshot(self.build(), "abc")

@@ -148,13 +148,20 @@ def tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def force_writers(monkeypatch, workers, block=8):
-    """Make write_segments fork `workers - 1` children for enough rows; returns the fork pids."""
-    monkeypatch.setattr(bfio, "_ROW_BLOCK", block)
+def force_processes(monkeypatch, workers, **blocks):
+    """Make io fork up to `workers - 1` children for work that fills the given
+    blocks (`_ROW_BLOCK`, `_PARSE_BLOCK`); returns the fork pids."""
+    for name, size in blocks.items():
+        monkeypatch.setattr(bfio, name, size)
     monkeypatch.setattr(bfio.os, "sched_getaffinity", lambda pid: set(range(workers)))
     forked, fork = [], os.fork
     monkeypatch.setattr(bfio.os, "fork", lambda: forked.append(fork()) or forked[-1])
     return forked
+
+
+def force_writers(monkeypatch, workers, block=8):
+    """Make write_segments fork `workers - 1` children for enough rows; returns the fork pids."""
+    return force_processes(monkeypatch, workers, _ROW_BLOCK=block)
 
 
 class TestWriteSegments:
@@ -221,6 +228,27 @@ class TestWriteSegments:
         assert info.match(f"process {forked[0]} ")
         assert not (tmp_path / "o" / "segments.csv").exists()
 
+    def test_files_are_created_in_place_into_a_new_directory(self, tmp_path, monkeypatch):
+        segments = stream_segments()
+        force_writers(monkeypatch, 2)
+        replaced, replace = [], os.replace
+        monkeypatch.setattr(bfio.os, "replace", lambda *a: replaced.append(a[1]) or replace(*a))
+        out = tmp_path / "o"
+        manifest = bfio.write_segments(str(out), segments)
+        # Only the manifest is written by replacement; no temporary file is left.
+        assert replaced == [os.path.realpath(manifest)]
+        assert manifest == str(out / "segments.csv")
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+        assert len(list((out / "segments").iterdir())) == len(segments)
+        before = tree(out)
+        with pytest.raises(FileExistsError):
+            bfio.write_segments(str(out), segments[:1])
+        assert tree(out) == before
+        # Even an empty segments/ directory is refused: it is made, not reused.
+        (tmp_path / "e" / "segments").mkdir(parents=True)
+        with pytest.raises(FileExistsError):
+            bfio.write_segments(str(tmp_path / "e"), [])
+
     def test_memory_bounded_by_block(self, tmp_path):
         n = 100_000
         t = np.arange(n, dtype=np.float64)
@@ -266,6 +294,137 @@ class TestReadSeries:
         path = str(tmp_path / "s.csv")
         bfio.write_series(path, np.arange(3.0), np.zeros((3, len(names))), names)
         assert bfio.read_series(path)[2] == names
+
+
+PARSE_VALUES = ["0.0", "-0.0", "5e-324", "1e+308", "-inf", "nan", "0.1", "2", " 3.5 ", "1e-05"]
+
+
+@st.composite
+def series_text(draw):
+    """The bytes of a series file: comment and blank lines, LF, CRLF and lone
+    CR endings, maybe no final newline, and maybe one malformed value or
+    jagged row."""
+    width = draw(st.integers(1, 3))
+    lines = ["t," + ",".join(f"c{j}" for j in range(width))]
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank"]))
+        if kind == "row":
+            lines.append(",".join(draw(st.lists(
+                st.sampled_from(PARSE_VALUES), min_size=width + 1, max_size=width + 1))))
+        else:
+            lines.append("# a comment, 1,2" if kind == "comment" else "")
+    rows = [i for i, line in enumerate(lines) if i and line and not line.startswith("#")]
+    fault = draw(st.sampled_from(["none", "none", "value", "short", "long"]))
+    if rows and fault != "none":
+        i = draw(st.sampled_from(rows))
+        cells = lines[i].split(",")
+        if fault == "value":
+            cells[draw(st.integers(0, width))] = draw(st.sampled_from(["x", "1..2", "", "0x1"]))
+        lines[i] = ",".join(cells[:-1] if fault == "short" else cells + ["1.0"] * (fault == "long"))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+def parse_outcome(path):
+    """What read_series gives for `path`: its arrays' shapes and bytes, or its error text."""
+    try:
+        t, values, names = bfio.read_series(path)
+    except ValueError as exc:
+        return str(exc)
+    return t.shape, t.tobytes(), values.shape, values.tobytes(), names
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitParse:
+    @given(text=series_text(), cpus=st.integers(1, 3), block=st.integers(1, 64))
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_parts_parse_as_one(self, tmp_path, monkeypatch, text, cpus, block):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text)
+        monkeypatch.setattr(bfio, "_PARSE_BLOCK", 1 << 62)
+        want = parse_outcome(str(path))
+        forked = force_processes(monkeypatch, cpus, _PARSE_BLOCK=block)
+        loadtxt, calls = bfio._loadtxt, []
+
+        def counted(*args):
+            calls.append(args)  # a child's calls stay in the child
+            return loadtxt(*args)
+
+        monkeypatch.setattr(bfio, "_loadtxt", counted)
+        assert parse_outcome(str(path)) == want
+        head = text.split(b"\n", 1)[0]
+        body = len(text) - len(head) - 1 if b"\n" in text else 0
+        # A header line that ends at a lone CR is not found in bytes, so its
+        # file is parsed whole.
+        parts = 1 if b"\r" in head[:-1] else max(1, min(cpus, -(-body // block)))
+        assert len(forked) == parts - 1
+        # A sound file is parsed once, in parts; a faulty one then again whole.
+        assert len(calls) == 1 + (parts > 1 and isinstance(want, str))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault", ["none", "value", "jagged"])
+    def test_error_in_any_part_is_that_of_one_parse(self, tmp_path, monkeypatch, fault):
+        lines = [f"{i}.0,{i * 0.5!r}" for i in range(60)]
+        for i in (3, 58):  # one row in the first part, one in the last
+            path = tmp_path / f"s{i}.csv"
+            bad = list(lines)
+            bad[i] = {"none": bad[i], "value": f"{i}.0,1e", "jagged": f"{i}.0"}[fault]
+            path.write_text("t,x\n# written by hand\n" + "\r\n".join(bad) + "\n")
+            monkeypatch.setattr(bfio, "_PARSE_BLOCK", 1 << 62)
+            want = parse_outcome(str(path))
+            assert isinstance(want, str) == (fault != "none")
+            forked = force_processes(monkeypatch, 3, _PARSE_BLOCK=64)
+            assert parse_outcome(str(path)) == want
+            assert len(forked) == 2
+            assert_no_child_left()
+
+    def test_killed_child_is_parsed_again(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "s.csv")
+        bfio.write_series(path, np.arange(200.0), np.arange(400.0).reshape(200, 2))
+        want = parse_outcome(path)
+        forked = force_processes(monkeypatch, 2, _PARSE_BLOCK=256)
+        parent, loadtxt = os.getpid(), bfio._loadtxt
+
+        def killed_in_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return loadtxt(*args)
+
+        monkeypatch.setattr(bfio, "_loadtxt", killed_in_child)
+        assert parse_outcome(path) == want
+        assert len(forked) == 1
+        assert_no_child_left()
+
+    def test_segments_of_a_long_novel_run_are_parsed_by_one_process(self, tmp_path, monkeypatch):
+        # 400k samples of two channels holding N(0, 1) levels for 5-399
+        # samples: over 90% is recorded, in some 1,300 segment files.
+        rng = np.random.default_rng(0)
+        n = 400_000
+        levels = [np.repeat(rng.normal(size=n // 100), rng.integers(5, 400, n // 100))[:n]
+                  for _ in range(2)]
+        values = np.stack(levels, axis=1) + rng.normal(0.0, 0.02, (n, 2))
+        config = bfio.config_from_dict({"alphabet_sizes": [4, 4]})
+        _, result = discover(config, [("s", np.arange(float(n)), values)])
+        assert len(result.segments) > 1000
+        out = str(tmp_path / "o")
+        bfio.write_segments(out, result.segments)
+
+        def no_fork():
+            raise AssertionError("a segment file was parsed in parts")
+
+        monkeypatch.setattr(bfio.os, "fork", no_fork)
+        assert len(bfio.read_segments(out)) == len(result.segments)
 
 
 # sha256 of every file `discover` writes for generate_synthetic(0,

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -193,6 +194,25 @@ class TestHysteresisFilter:
         assert f(-0.5) == [0]
         assert f(2.05) == [0]  # crossed 3 bins but only 0.05 past 2.0
         assert f(2.5) == [3]
+
+    # Breakpoints whose gap overflows a float, or is infinite: BreakpointSpec
+    # refuses such a channel as a config error, and a filter built directly
+    # refuses it too, where margin * inf would otherwise be a threshold.
+    @pytest.mark.parametrize("bp", [(-1e308, 1e308), (-1.0, -9e307, 9e307), (0.0, math.inf)])
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    def test_rejects_gap_past_float_max(self, bp, margin):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must differ by finite gaps"):
+                HysteresisFilter(bp, margin)
+            with pytest.raises(ValueError, match="must differ by finite gaps"):
+                HysteresisFilter([(0.0, 1.0), bp], margin)
+            # The largest finite gap is taken, and debounces these far samples
+            # as plain discretization does.
+            f = HysteresisFilter((-8e307, 8e307), margin)
+            x = np.array([0.0, 1.5e308, 0.0, -1.5e308, 0.0])
+            assert f.run(x).tolist() == [1, 2, 1, 0, 1]
+            assert discretize_batch(x, (-8e307, 8e307)).tolist() == [1, 2, 1, 0, 1]
 
     def test_nan_rejected_and_state_kept(self):
         f = HysteresisFilter((-0.5, 0.5), margin=0.1)
