@@ -15,12 +15,12 @@ The vectorized hysteresis treats each channel as a K-state machine.  A
 sample deep enough inside its bin commits that bin from every state, so it
 fixes the state outright.  `process_batch` hands each chunk to one
 `HysteresisFilter.run` as a channel-major (channels, samples) copy, which
-finds the fixed samples of all channels by a byte-wide count of the
-thresholds each sample reaches, or, when a channel has more than
-`_COUNT_THRESHOLDS` of them, by a branchless search of L = ceil(log2 K)
-passes per channel.  Only the ambiguous samples between fixed ones are
-binned against the breakpoints and resolved, by an exact prefix scan over
-state-major state maps, one gather per doubling.
+finds the fixed samples of all channels by counting the thresholds each
+sample reaches: byte-wide over the whole block, or, when a channel has more
+than `_COUNT_THRESHOLDS` of them, by `np.searchsorted` per channel.  Only
+the ambiguous samples between fixed ones are binned, by `np.searchsorted`
+as everywhere here, and resolved by an exact prefix scan over state-major
+state maps, one gather per doubling.
 """
 
 from __future__ import annotations
@@ -29,25 +29,19 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DimensionMismatchError, EngineConfig, InvalidSampleError
+from .core import BreakpointSpec, DimensionMismatchError, EngineConfig, InvalidSampleError
 
 # Map entries (states x samples) per block of the hysteresis scan: 512 KB of
 # int64, so the column-wise gathers of a block stay in cache at large K.
 _SCAN_ENTRIES = 1 << 16
 
-# The longest threshold row (2K - 2 entries for K bins, so K <= 15) whose
-# count `HysteresisFilter.run` takes over a whole block; a stream with a
-# longer row searches each channel instead.  The count makes one pass per
-# entry and the search ceil(log2 K) gathers: on 8,192 x 2 blocks of fixed
-# samples the two tie at K = 15 to 17.
+# The longest threshold row (2K - 2 entries for K bins, so K <= 15) that
+# `HysteresisFilter.run` counts byte-wide over a whole block, one pass per
+# entry; a stream with a longer row counts by `np.searchsorted` per channel.
+# On a 2-vCPU Xeon, over 8,192 x 2 blocks of mid-bin samples, the count took
+# 0.20 ms at 28 entries and the search 0.68 ms; yet a limit of 128 made a
+# 64-bin random walk 1.21x and a 41-bin stream 1.08x slower end to end.
 _COUNT_THRESHOLDS = 28
-
-
-def _search_table(breakpoints: Sequence[float]) -> np.ndarray:
-    """Breakpoints NaN-padded to 2**L - 1 entries; a padded table comes back as is."""
-    bp = np.asarray(breakpoints, dtype=np.float64)
-    pad = (1 << max(1, len(bp).bit_length())) - 1 - len(bp)
-    return np.concatenate((bp, np.full(pad, np.nan))) if pad else bp
 
 
 def discretize_batch(values: np.ndarray, breakpoints: Sequence[float]) -> np.ndarray:
@@ -55,28 +49,16 @@ def discretize_batch(values: np.ndarray, breakpoints: Sequence[float]) -> np.nda
 
     A value's symbol equals the number of breakpoints <= value, so values
     below every breakpoint map to 0 and values at or above the last map to
-    the top bin.  NaN has no bin and is rejected.  The count is a binary
-    search over the breakpoints NaN-padded to 2**L - 1 entries, where
-    L = ceil(log2 K) for K bins: each of L array passes, with no per-value
-    branch, compares all values with the entries the earlier passes select
-    and adds the bit it finds.  `v >= NaN` is false, so pads never count.
+    the top bin: `np.searchsorted(breakpoints, value, side="right")`.  NaN
+    has no bin and is rejected, and so are breakpoints that `BreakpointSpec`
+    refuses.
     """
+    bp = BreakpointSpec((breakpoints,)).channels[0]
     values = np.asarray(values, dtype=np.float64)
     if np.isnan(values).any():
         idx = int(np.flatnonzero(np.isnan(values))[0])
         raise InvalidSampleError(f"NaN sample at index {idx} cannot be discretized")
-    return _search(values, _search_table(breakpoints))
-
-
-def _search(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Number of entries of a nondecreasing `_search_table` that are <= each value."""
-    step = (len(table) + 1) // 2
-    out = (values >= table[step - 1]) * step
-    while step > 1:
-        # out holds the bits found so far; entry out + step - 1 splits the rest.
-        step //= 2
-        out += (values >= table[step - 1 :].take(out)) * step
-    return out
+    return np.searchsorted(bp, values, side="right")
 
 
 class _Channel:
@@ -86,39 +68,30 @@ class _Channel:
     value <= hi[c]` clears the threshold of its bin c from every state, so
     its output is c whatever came before.  lo[c] = edges[c] + max(delta[:c])
     never decreases, and hi[c] = edges[c + 1] - max(delta[c + 1:]) is kept
-    below edges[c + 1], which tiny deltas round to.  Every vector is O(K).
+    below edges[c + 1], which tiny deltas round to.
+
+    `thresholds` is the nondecreasing row a sample fixed in bin c reaches
+    exactly 2c entries of, followed by one NaN.  For each boundary c the row
+    holds the first value past hi[c] that is not below lo[c], then lo[c +
+    1]; a sample that reaches one of the two but not the other lies in
+    neither bin's fixed range.  Where lo[c] > hi[c], the max keeps the row
+    sorted.  NaN sorts last, so a value never reaches it and a NaN sample
+    reaches all 2K - 1 entries: an odd count.  Every vector is O(K).
     """
 
     def __init__(self, breakpoints: Sequence[float], margin: float):
         bp = np.array(breakpoints, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gaps = np.diff(bp)
-        if not np.isfinite(gaps).all():  # a bin's width scales its margin
-            raise ValueError(f"breakpoints {breakpoints} must differ by finite gaps")
-        self.table = _search_table(bp)
         self.edges = np.concatenate(([-np.inf], bp, [np.inf]))
-        widths = np.pad(gaps, 1, mode="edge") if len(bp) > 1 else np.ones(2)
+        widths = np.pad(np.diff(bp), 1, mode="edge") if len(bp) > 1 else np.ones(2)
         self.deltas = margin * widths
         below = np.maximum.accumulate(self.deltas)[:-1]
         above = np.maximum.accumulate(self.deltas[::-1])[-2::-1]
-        self.lo = np.concatenate(([-np.inf], bp + below))
-        self.lo_table = _search_table(self.lo[1:])
-        hi = self.edges[1:] - np.concatenate((above, [0.0]))
-        self.hi = np.minimum(hi, np.nextafter(self.edges[1:], -np.inf))
+        lo = np.concatenate(([-np.inf], bp + below))
+        hi = np.minimum(bp - above, np.nextafter(bp, -np.inf))  # hi[c] for c < K - 1
+        self.thresholds = np.full(2 * len(bp) + 1, np.nan)
+        self.thresholds[0:-1:2] = np.maximum(np.nextafter(hi, np.inf), lo[:-1])
+        self.thresholds[1::2] = lo[1:]
         self.states = np.arange(len(widths))[:, None]
-
-    def thresholds(self) -> np.ndarray:
-        """The nondecreasing row a sample fixed in bin c reaches exactly 2c entries of.
-
-        For each boundary c the row holds the first value past hi[c] that is
-        not below lo[c], then lo[c + 1]; a sample that reaches one of the two
-        but not the other lies in neither bin's fixed range.  Where lo[c] >
-        hi[c], the max keeps the row sorted.
-        """
-        row = np.empty(2 * len(self.hi) - 2)
-        row[0::2] = np.maximum(np.nextafter(self.hi[:-1], np.inf), self.lo[:-1])
-        row[1::2] = self.lo[1:]
-        return row
 
     def resolve(
         self, out: np.ndarray, amb: np.ndarray, sub: np.ndarray, state: Optional[int]
@@ -134,7 +107,7 @@ class _Channel:
         by Hillis-Steele doubling, one flat gather per step, until every
         prefix map is constant; memory stays O(block * K).
         """
-        bins = out[amb] = _search(sub, self.table)
+        bins = out[amb] = np.searchsorted(self.edges[1:-1], sub, side="right")
         # Fold at each stretch start (its predecessor is fixed) and each block start.
         fold = np.empty(len(amb), dtype=bool)
         np.not_equal(amb[1:], amb[:-1] + 1, out=fold[1:])
@@ -179,24 +152,24 @@ class HysteresisFilter:
     K bins.  `committed` is None before the first sample, then a tuple of
     one symbol per channel.
 
-    A sample fixed in bin c has `lo[c] <= value <= hi[c]` (see `_Channel`).
-    When every channel's `_Channel.thresholds` row has at most
-    `_COUNT_THRESHOLDS` entries, `run` counts, for all channels at once, the
-    entries of its row that each sample reaches, one compare and one uint8
-    add per entry over the contiguous channel-major block; rows are
-    NaN-padded to the longest, and NaN never counts.  An even count 2c
-    fixes the sample in bin c and an odd one leaves it ambiguous.  A stream
-    with a longer row instead searches each channel's lo thresholds, L =
-    ceil(log2 K) passes, for the only bin c a sample can be fixed in, and
-    compares the sample with hi[c].
+    The breakpoints and margin must be ones an `EngineConfig` accepts.
+
+    A sample fixed in bin c has `lo[c] <= value <= hi[c]`, so it reaches
+    exactly 2c entries of its channel's `_Channel.thresholds` row; an odd
+    count leaves it ambiguous.  When no row has more than
+    `_COUNT_THRESHOLDS` entries before its NaN, `run` counts them for all
+    channels at once, one compare and one uint8 add per entry over the
+    contiguous channel-major block, with rows NaN-padded to the longest.  A
+    stream with a longer row counts by one `np.searchsorted` per channel.
     """
 
     def __init__(self, breakpoints: Sequence, margin: float):
-        if np.ndim(breakpoints[0]) == 0:  # a flat list is one channel
+        if not len(breakpoints) or np.ndim(breakpoints[0]) == 0:  # a flat list is one channel
             breakpoints = (breakpoints,)
+        config = EngineConfig(BreakpointSpec(tuple(breakpoints)), hysteresis_margin=margin)
         self.committed: Optional[Tuple[int, ...]] = None
-        self._channels = [_Channel(ch, float(margin)) for ch in breakpoints]
-        rows = [ch.thresholds() for ch in self._channels]
+        self._channels = [_Channel(ch, float(margin)) for ch in config.breakpoints.channels]
+        rows = [ch.thresholds[:-1] for ch in self._channels]
         width = max(map(len, rows))
         self._rows: Optional[np.ndarray] = None
         if width <= _COUNT_THRESHOLDS:
@@ -225,16 +198,13 @@ class HysteresisFilter:
             count = (~(block < self._rows[0])).view(np.uint8)
             for t in self._rows[1:]:
                 count += block >= t
-            amb = np.flatnonzero((count & 1).view(bool))
-            out = (count >> 1).astype(np.int64)
         else:
-            out = np.empty((d, n), dtype=np.int64)
-            amb = []
-            for c, (ch, v) in enumerate(zip(self._channels, block)):
-                # lo[1:] <= value counts the only bin v can be fixed in.
-                out[c] = fixed = _search(v, ch.lo_table)
-                amb.append(np.flatnonzero(~(v <= ch.hi.take(fixed))) + c * n)
-            amb = np.concatenate(amb)
+            count = np.stack([
+                np.searchsorted(ch.thresholds, v, side="right")
+                for ch, v in zip(self._channels, block)
+            ])
+        amb = np.flatnonzero((count & 1).astype(bool))
+        out = (count >> 1).astype(np.int64, copy=False)
         if len(amb):
             sub = block.take(amb)
             nan = amb[np.isnan(sub)]

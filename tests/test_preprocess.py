@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from behaviorforest.core import (
     BreakpointSpec,
+    ConfigError,
     DimensionMismatchError,
     EngineConfig,
     InvalidSampleError,
@@ -96,6 +97,18 @@ class TestDiscretize:
         with pytest.raises(InvalidSampleError):
             discretize_batch(np.array([0.0, math.nan]), (0.0,))
 
+    # Breakpoints that BreakpointSpec refuses: binning against them used to
+    # return [0, 2, 2] for the descending pair.
+    @pytest.mark.parametrize("bp, refusal", [
+        ((2.0, 1.0), "must ascend by finite gaps"),
+        ((1.0, 1.0), "must ascend by finite gaps"),
+        ((math.nan,), "not a finite number"),
+        ((), "empty breakpoint list"),
+    ])
+    def test_rejects_what_a_config_refuses(self, bp, refusal):
+        with pytest.raises(ConfigError, match=refusal):
+            discretize_batch(np.array([0.0, 1.5, 2.5]), bp)
+
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(42)
         bp = tuple(sorted(rng.normal(size=9)))
@@ -114,7 +127,10 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("n_bins", [2, 3, 4, 5, 8, 9, 16, 17, 255, 256, 257, 4096])
     def test_matches_searchsorted_oracle(self, n_bins):
-        # n_bins - 1 breakpoints, one of them 0.0, around 1, 2 or 12 search levels.
+        # n_bins - 1 breakpoints, one of them 0.0.  discretize_batch is
+        # np.searchsorted itself, so the bin semantics asserted below are the
+        # check: a breakpoint joins the bin above, -0.0, subnormals, infinities,
+        # the int64 dtype, and inputs of other dtypes and strides.
         rng = np.random.default_rng(n_bins)
         bp = np.sort(np.concatenate(([0.0], rng.normal(size=n_bins - 2))))
         assert len(np.unique(bp)) == n_bins - 1
@@ -196,16 +212,17 @@ class TestHysteresisFilter:
         assert f(2.5) == [3]
 
     # Breakpoints whose gap overflows a float, or is infinite: BreakpointSpec
-    # refuses such a channel as a config error, and a filter built directly
-    # refuses it too, where margin * inf would otherwise be a threshold.
+    # refuses such a channel as a config error, and so does a filter built
+    # directly, where margin * inf would otherwise be a threshold.
     @pytest.mark.parametrize("bp", [(-1e308, 1e308), (-1.0, -9e307, 9e307), (0.0, math.inf)])
     @pytest.mark.parametrize("margin", [0.0, 0.1])
     def test_rejects_gap_past_float_max(self, bp, margin):
+        refusal = "finite number" if math.inf in bp else "must ascend by finite gaps"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="must differ by finite gaps"):
+            with pytest.raises(ConfigError, match=refusal):
                 HysteresisFilter(bp, margin)
-            with pytest.raises(ValueError, match="must differ by finite gaps"):
+            with pytest.raises(ConfigError, match=refusal):
                 HysteresisFilter([(0.0, 1.0), bp], margin)
             # The largest finite gap is taken, and debounces these far samples
             # as plain discretization does.
@@ -213,6 +230,26 @@ class TestHysteresisFilter:
             x = np.array([0.0, 1.5e308, 0.0, -1.5e308, 0.0])
             assert f.run(x).tolist() == [1, 2, 1, 0, 1]
             assert discretize_batch(x, (-8e307, 8e307)).tolist() == [1, 2, 1, 0, 1]
+
+    # Breakpoints or margins that BreakpointSpec or EngineConfig refuse.  Each
+    # used to run or fail inside the filter: descending or equal breakpoints
+    # left a bin unreachable, a NaN breakpoint put every sample in bin 0, an
+    # empty list raised IndexError, an infinite breakpoint overflowed in
+    # nextafter, and a NaN margin never let a bin change.
+    @pytest.mark.parametrize("bp, margin, refusal", [
+        ([2.0, 1.0], 0.1, "must ascend by finite gaps"),
+        ([1.0, 1.0], 0.1, "must ascend by finite gaps"),
+        ([math.nan], 0.1, "breakpoint nan is not a finite number"),
+        ([], 0.1, "empty breakpoint list"),
+        ([[]], 0.1, "empty breakpoint list"),
+        ([math.inf], 0.1, "breakpoint inf is not a finite number"),
+        ([0.0, 1.0], math.nan, "hysteresis_margin must satisfy"),
+        ([0.0, 1.0], 0.5, "hysteresis_margin must satisfy"),
+        ([0.0, 1.0], -0.1, "hysteresis_margin must satisfy"),
+    ])
+    def test_rejects_what_a_config_refuses(self, bp, margin, refusal):
+        with pytest.raises(ConfigError, match=refusal):
+            HysteresisFilter(bp, margin)
 
     def test_nan_rejected_and_state_kept(self):
         f = HysteresisFilter((-0.5, 0.5), margin=0.1)
@@ -561,10 +598,11 @@ class TestPipeline:
     @settings(max_examples=150, deadline=None)
     def test_batch_equals_streaming_on_both_binning_paths(self, data):
         # Streams whose bins all fit the threshold count, and streams with a
-        # channel past it (those search), cut into chunks of any size.
+        # channel past it (those search), cut into chunks of any size.  At 130
+        # bins a row has 258 entries, more than a byte can count.
         k = preprocess._COUNT_THRESHOLDS // 2 + 1  # the most bins the count takes
         sizes = data.draw(st.lists(
-            st.integers(2, 5) | st.sampled_from([k - 1, k, k + 1, k + 4]),
+            st.integers(2, 5) | st.sampled_from([k - 1, k, k + 1, k + 4, 130]),
             min_size=1, max_size=3,
         ))
         channels = [
