@@ -152,6 +152,12 @@ class EngineConfig:
         # The range check also refuses nan and inf, and never converts a huge int.
         if not ((_is_int(h) or isinstance(h, float)) and 0.0 <= h < 0.5):
             raise ConfigError(f"hysteresis_margin must satisfy 0 <= h < 0.5, got {h!r}")
+        # Hysteresis thresholds lie within the end breakpoints -+ h * the widest gap
+        # (1 for one breakpoint); the filter also steps one float below the lowest.
+        for c, ch in enumerate(self.breakpoints.channels):
+            reach = h * max((b - a for a, b in zip(ch, ch[1:])), default=1.0)
+            if ch[0] - reach <= -sys.float_info.max or ch[-1] + reach > sys.float_info.max:
+                raise ConfigError(f"channel {c}: hysteresis thresholds overflow a float")
         if not _is_int(self.termination_run) or self.termination_run < 2:
             raise ConfigError("termination_run must be an integer >= 2")
         if not _is_int(self.initiation_context) or self.initiation_context < 1:

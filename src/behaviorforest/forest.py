@@ -18,10 +18,10 @@ one-symbol edge of weight 0.  A path that never reaches a plateau is thus
 one edge however long it is, and inserting it stores one tuple slice.
 The forest is read through `occurrence_count`, which matches each edge
 with one tuple comparison, `iter_nodes`, which yields plain node rows to
-the writers, `terminal_paths` and `total_insertions`.  `roots` serves
-`BehaviorNode` views, which raise IndexError once an insert has made them
-stale; they stay only for the benchmark's forest checker.  Every walk
-over a forest is one explicit-stack pre-order traversal over edges, and the
+the writers, `terminal_paths` and `total_insertions`.  `roots` returns
+`BehaviorNode`s over a copy of the edges, which later inserts leave as it
+is; it stays only for the benchmark's forest checker.  Every walk over a
+forest is one explicit-stack pre-order traversal over edges, and the
 snapshot and Graphviz writers read its rows, so nothing recurses but the
 JSON decoder that reads a snapshot back.
 """
@@ -189,47 +189,28 @@ class _Edge:
 
 
 class BehaviorNode:
-    """Read-only view of one logical node: the symbol at `offset` on an edge.
+    """One logical node: the symbol at `offset` on an edge of a copied forest.
 
     `symbol`, `edge_weight` (traversals of the link from the parent, 0 at a
-    root), `terminal_count` (behaviors that ended exactly here) and
-    `children` (symbol -> view) are read from the edge when asked for, so a
-    view costs nothing until it is read.  An insert that splits an edge
-    moves the nodes below the split to a new edge and cuts them off the old
-    one; every read of a view of one of them then raises IndexError, so
-    take views again after inserting.  A view above the split stays live.
-    Views are reached only from `BehaviorForest.roots`, and stay for the
-    benchmark's forest checker until it reads `iter_nodes` rows instead.
+    root) and `terminal_count` (behaviors that ended exactly here) are read
+    when the node is made; `children` (symbol -> node) when it is asked for.
+    Nodes are reached only from `BehaviorForest.roots`, whose edges no
+    insert touches, and stay for the benchmark's forest checker until it
+    reads `iter_nodes` rows instead.
     """
 
-    __slots__ = ("_edge", "_offset")
+    __slots__ = ("_edge", "_offset", "symbol", "edge_weight", "terminal_count")
 
     def __init__(self, edge: _Edge, offset: int):
         self._edge = edge
         self._offset = offset
-
-    def _live_edge(self) -> _Edge:
-        edge = self._edge
-        if self._offset >= len(edge.symbols):
-            raise IndexError("stale BehaviorNode: an insert moved this node to a new edge")
-        return edge
-
-    @property
-    def symbol(self) -> int:
-        return self._live_edge().symbols[self._offset]
-
-    @property
-    def edge_weight(self) -> int:
-        return self._live_edge().weight
-
-    @property
-    def terminal_count(self) -> int:
-        edge = self._live_edge()
-        return edge.terminal_count if self._offset == len(edge.symbols) - 1 else 0
+        self.symbol = edge.symbols[offset]
+        self.edge_weight = edge.weight
+        self.terminal_count = edge.terminal_count if offset == len(edge.symbols) - 1 else 0
 
     @property
     def children(self) -> Dict[int, "BehaviorNode"]:
-        edge, offset = self._live_edge(), self._offset + 1
+        edge, offset = self._edge, self._offset + 1
         if offset < len(edge.symbols):
             return {edge.symbols[offset]: BehaviorNode(edge, offset)}
         return {symbol: BehaviorNode(child, 0) for symbol, child in edge.children.items()}
@@ -241,7 +222,7 @@ class BehaviorForest:
     A node's terminal mark is independent of being a structural leaf, so a
     behavior that is a prefix of a longer one is still counted exactly.
     The trees are stored as edges and read as the module docstring says;
-    `roots` alone serves `BehaviorNode` views of the logical nodes.
+    `roots` alone returns `BehaviorNode`s, over a copy of the edges.
     """
 
     def __init__(self) -> None:
@@ -250,8 +231,16 @@ class BehaviorForest:
 
     @property
     def roots(self) -> Dict[int, BehaviorNode]:
-        """Views of the roots, kept for the benchmark's forest checker."""
-        return {symbol: BehaviorNode(edge, 0) for symbol, edge in self._roots.items()}
+        """The roots of a copy of the forest, kept for the benchmark's forest checker.
+
+        Each edge is copied once, children before parents, sharing its symbol
+        tuple, so a read costs O(edges) and no later insert changes the copy.
+        """
+        copies: Dict[int, _Edge] = {}  # id of an edge -> its copy
+        for _, edge in reversed(list(self._walk())):
+            children = {symbol: copies.pop(id(child)) for symbol, child in edge.children.items()}
+            copies[id(edge)] = _Edge(edge.symbols, edge.weight, edge.terminal_count, children)
+        return {symbol: BehaviorNode(copies[id(edge)], 0) for symbol, edge in self._roots.items()}
 
     def insert(self, path: Sequence[int]) -> InsertionReceipt:
         """Walk/extend the path, bumping edge weights and the terminal count.

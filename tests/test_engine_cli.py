@@ -105,6 +105,20 @@ class TestEngineOnFixture:
         ]
         assert forest_snapshot(base_engine.forest, "h") == forest_snapshot(small_engine.forest, "h")
 
+    def test_one_dimensional_values_are_one_channel(self):
+        t, values = fixture_stream()
+
+        def rows(segments):
+            return [
+                (s.segment_id, s.stream_id, s.raw_span, s.path, s.reason, s.occurrence_index,
+                 s.t.tobytes(), s.values.shape, s.values.tobytes())
+                for s in segments
+            ]
+
+        flat = DiscoveryEngine(fixture_config()).process_stream("fix", t, values[:, 0])
+        assert rows(flat) == rows(DiscoveryEngine(fixture_config()).process_stream("fix", t, values))
+        assert len(flat) == 2
+
     def test_overflow_is_counted_but_not_recorded(self):
         t, values = fixture_stream()
         streams = [("a", t, values), ("b", t, values)]
@@ -223,6 +237,11 @@ class TestEngineOnFixture:
         assert [(s.path, s.raw_span) for s in results[1].segments] == [
             (s.path, s.raw_span) for s in second.segments
         ]
+
+    def test_replay_rejects_fewer_than_one_run(self):
+        t, values = fixture_stream()
+        with pytest.raises(ValueError, match="runs must be >= 1, got 0"):
+            replay(fixture_config(), [("fix", t, values)], runs=0)
 
     def test_replay_saturates_at_threshold(self):
         t, values = fixture_stream()
@@ -822,6 +841,18 @@ class TestCli:
         rc = cli.main(["discover", str(data), "--config", str(bad), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == "error: channel 0: breakpoints must ascend by finite gaps\n"
+        assert not out.exists()
+
+    def test_exit_code_2_for_hysteresis_thresholds_past_float_max(self, workdir, capsys):
+        # The gaps are finite, but bp[-1] + 0.49 * 1.7e308 is not.
+        data = self.gen(workdir)
+        bad = workdir / "bad.json"
+        doc = {"breakpoints": [[0.0, 1.7e308], [-0.5, 0.5]], "hysteresis_margin": 0.49}
+        bad.write_text(json.dumps(doc))
+        out = workdir / "x"
+        rc = cli.main(["discover", str(data), "--config", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: channel 0: hysteresis thresholds overflow a float\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("sizes", [[4.9, 4], ["4", 4], [4.0, 4]])

@@ -402,53 +402,30 @@ class TestForest:
         assert forest.total_insertions == 2
         assert sum(row[3] for row in forest.iter_nodes()) == 2
 
-    def test_views_above_a_split_stay_live(self):
-        forest = BehaviorForest()
-        forest.insert((1, 2, 3, 4))
-        above, below = node_at(forest, (1, 2)), node_at(forest, (1, 2, 3))
-        forest.insert((1, 2, 9))
-        assert (above.edge_weight, sorted(above.children)) == (2, [3, 9])
-        with pytest.raises(IndexError):
-            below.symbol
-        assert node_at(forest, (1, 2, 3)).edge_weight == 1
-
-    def test_stale_views_raise_on_every_read(self):
-        forest = BehaviorForest()
-        forest.insert((1, 2, 3, 4))
-        view = node_at(forest, (1, 2, 3, 4))
-        forest.insert((1, 2, 9))
-        for read in ("symbol", "edge_weight", "terminal_count", "children"):
-            with pytest.raises(IndexError):
-                getattr(view, read)
-        fresh = node_at(forest, (1, 2, 3, 4))
-        assert (fresh.terminal_count, fresh.edge_weight, fresh.children) == (1, 1, {})
-
     @given(
         st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=7), min_size=2, max_size=12),
         st.integers(1, 11),
     )
     @settings(max_examples=150, deadline=None)
-    def test_views_read_true_values_or_raise(self, paths, cut):
-        """A view either reads what a fresh one from `roots` reads or raises on every read."""
-        forest = BehaviorForest()
+    def test_nodes_from_roots_keep_their_values(self, paths, cut):
+        """Nodes read from `roots` stay those of the forest they were read from."""
+
+        def tree(roots):
+            rows, stack = [], [((s,), node) for s, node in roots.items()]
+            while stack:
+                path, node = stack.pop()
+                rows.append((path, node.symbol, node.edge_weight, node.terminal_count))
+                stack.extend((path + (s,), child) for s, child in node.children.items())
+            return sorted(rows)
+
+        forest, earlier = BehaviorForest(), BehaviorForest()
         for path in paths[:cut]:
             forest.insert(path)
-        prefixes = {tuple(p[:k]) for p in paths[:cut] for k in range(1, len(p) + 1)}
-        views = {prefix: node_at(forest, prefix) for prefix in prefixes}
+            earlier.insert(path)
+        roots = forest.roots
         for path in paths[cut:]:
             forest.insert(path)
-        for prefix, view in views.items():
-            fresh = node_at(forest, prefix)
-            try:
-                got = (view.symbol, view.edge_weight, view.terminal_count, sorted(view.children))
-            except IndexError:
-                for read in ("symbol", "edge_weight", "terminal_count", "children"):
-                    with pytest.raises(IndexError):
-                        getattr(view, read)
-                continue
-            assert got == (
-                fresh.symbol, fresh.edge_weight, fresh.terminal_count, sorted(fresh.children)
-            )
+        assert tree(roots) == tree(earlier.roots)
 
     def test_rejects_short_paths(self):
         with pytest.raises(ValueError):
@@ -588,6 +565,12 @@ class TestSnapshot:
         doc["roots"][0]["symbol"] = 9
         with pytest.raises(SnapshotError):
             forest_restore(doc)
+
+        for key in ("symbol", "terminal_count"):
+            doc = json.loads(json.dumps(base))
+            doc["roots"][0]["node"]["children"][0]["node"][key] = -1
+            with pytest.raises(SnapshotError, match="must be non-negative"):
+                forest_restore(doc)
 
         doc = json.loads(json.dumps(base))
         del doc["roots"][0]["node"]["terminal_count"]

@@ -1,6 +1,7 @@
 """Symbolization pipeline: binning, hysteresis, fusion, run compression."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -36,6 +37,9 @@ from oracles import (
     split_unified,
     unify_symbols,
 )
+
+
+MAX = sys.float_info.max
 
 
 def make_config(channels, **kw):
@@ -231,11 +235,35 @@ class TestHysteresisFilter:
             assert f.run(x).tolist() == [1, 2, 1, 0, 1]
             assert discretize_batch(x, (-8e307, 8e307)).tolist() == [1, 2, 1, 0, 1]
 
+    @given(
+        st.lists(
+            st.floats(-MAX, -1e307) | st.floats(1e307, MAX) | st.floats(-10.0, 10.0),
+            min_size=1, max_size=4, unique=True,
+        ).map(sorted),
+        st.floats(0.0, 0.5, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_admitted_extremes_run_without_overflow(self, bp, margin):
+        """Whatever EngineConfig admits, the filter runs warning-free at the float limits."""
+        try:
+            EngineConfig(BreakpointSpec((bp,)), hysteresis_margin=margin)
+        except ConfigError:
+            return
+        near = [math.nextafter(b, to) for b in bp for to in (-math.inf, math.inf)]
+        values = [-MAX, MAX, -math.inf, math.inf, *bp, *near, 0.0, -math.inf, MAX]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feed = debouncer(bp, margin)
+            feed(*values)
+            feed(*reversed(values))
+
     # Breakpoints or margins that BreakpointSpec or EngineConfig refuse.  Each
     # used to run or fail inside the filter: descending or equal breakpoints
     # left a bin unreachable, a NaN breakpoint put every sample in bin 0, an
     # empty list raised IndexError, an infinite breakpoint overflowed in
-    # nextafter, and a NaN margin never let a bin change.
+    # nextafter, and a NaN margin never let a bin change.  The last three
+    # have finite gaps, but a threshold overflowed a float: they warned
+    # "overflow encountered in" add, nextafter and subtract.
     @pytest.mark.parametrize("bp, margin, refusal", [
         ([2.0, 1.0], 0.1, "must ascend by finite gaps"),
         ([1.0, 1.0], 0.1, "must ascend by finite gaps"),
@@ -246,6 +274,9 @@ class TestHysteresisFilter:
         ([0.0, 1.0], math.nan, "hysteresis_margin must satisfy"),
         ([0.0, 1.0], 0.5, "hysteresis_margin must satisfy"),
         ([0.0, 1.0], -0.1, "hysteresis_margin must satisfy"),
+        ([0.0, 1.7e308], 0.49, "hysteresis thresholds overflow a float"),
+        ([-MAX, 0.0], 0.0, "hysteresis thresholds overflow a float"),
+        ([-MAX, 0.0], 0.1, "hysteresis thresholds overflow a float"),
     ])
     def test_rejects_what_a_config_refuses(self, bp, margin, refusal):
         with pytest.raises(ConfigError, match=refusal):
@@ -663,6 +694,10 @@ class TestPipeline:
             pipe.process_batch(np.zeros((3, 1)))
         with pytest.raises(DimensionMismatchError):
             pipe.process_batch(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"expected a \(samples, channels\) array"):
+            pipe.process_batch(np.zeros((3, 2, 1)))
+        with pytest.raises(ValueError, match="expected 2 channels, got 3"):
+            HysteresisFilter(config.breakpoints.channels, 0.1).run(np.zeros((3, 4)))
 
     def test_empty_batch_is_noop(self):
         pipe = PreprocessPipeline(make_config([(0.5,)]))
