@@ -117,6 +117,13 @@ def _breakpoint(channel: int, value) -> float:
     return float(value)
 
 
+def _check_run_lengths(termination_run, initiation_context) -> None:
+    if not _is_int(termination_run) or termination_run < 2:
+        raise ConfigError("termination_run must be an integer >= 2")
+    if not _is_int(initiation_context) or initiation_context < 1:
+        raise ConfigError("initiation_context must be an integer >= 1")
+
+
 def _check_fused_size(alphabet_sizes: Sequence[int]) -> None:
     """Refuse alphabets whose fused mixed-radix codes would not fit in an int64."""
     if math.prod(alphabet_sizes) > 2**63:
@@ -158,10 +165,7 @@ class EngineConfig:
             reach = h * max((b - a for a, b in zip(ch, ch[1:])), default=1.0)
             if ch[0] - reach <= -sys.float_info.max or ch[-1] + reach > sys.float_info.max:
                 raise ConfigError(f"channel {c}: hysteresis thresholds overflow a float")
-        if not _is_int(self.termination_run) or self.termination_run < 2:
-            raise ConfigError("termination_run must be an integer >= 2")
-        if not _is_int(self.initiation_context) or self.initiation_context < 1:
-            raise ConfigError("initiation_context must be an integer >= 1")
+        _check_run_lengths(self.termination_run, self.initiation_context)
 
     @property
     def n_channels(self) -> int:

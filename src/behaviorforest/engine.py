@@ -4,11 +4,11 @@ One engine owns a forest and records against its config's relevance
 threshold; each stream gets a fresh pipeline and detector so patterns never
 straddle stream boundaries, while the forest keeps accumulating across
 streams and runs.  Streams are processed in chunks so the look-back buffer
-behaves like it would online: each chunk is buffered, reduced to the runs
-it closed, and the behaviors those runs close are settled against the
-forest: inserted, judged by `decide`, and materialized only if recorded
-within the buffer capacity.  An empty stream is one empty chunk, so the
-pipeline checks every stream.
+behaves like it would online: each chunk arrives in the buffer, is reduced
+to the runs it closed, and the behaviors those runs close are settled
+against the forest: inserted, judged by `decide`, and materialized only if
+recorded within the buffer capacity.  Every stream of a run is checked
+before any is processed, so input the chain would refuse changes nothing.
 `DiscoveryEngine.run` is the one loop over a dataset: `discover` calls it
 once and `replay` once per run.
 """
@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import EngineConfig
+from .core import DimensionMismatchError, EngineConfig, InvalidSampleError
 from .forest import BehaviorDetector, BehaviorForest, DiscoveredBehavior
 from .preprocess import PreprocessPipeline
 from .selection import RecordedSegment, RunStats, SampleBuffer, decide, materialize
@@ -47,12 +47,12 @@ class DiscoveryEngine:
     materialized and takes no segment id; its (stream_id, raw_span) joins
     `overflowed`.  The forest grows as in an unbounded run.
 
-    The look-back buffer refers to the stream's arrays instead of copying
-    them, so the caller must not write into `t` or `values` while
-    `process_stream` runs; once it returns, the arrays are the caller's
-    again, since every segment owns copies of its samples.  A call's
-    memory is the caller's arrays, plus the recorded segments, plus the
-    forest.
+    The look-back buffer is the prefix of the stream's own arrays that has
+    arrived so far, not a copy, so the caller must not write into `t` or
+    `values` while `process_stream` runs; once it returns, the arrays are
+    the caller's again, since every segment owns copies of its samples.  A
+    call's memory is the caller's arrays, plus the recorded segments, plus
+    the forest.
     """
 
     def __init__(
@@ -76,24 +76,10 @@ class DiscoveryEngine:
         values: np.ndarray,
     ) -> List[RecordedSegment]:
         """Run one stream start to finish, returning its recorded segments."""
-        t = np.asarray(t, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if t.ndim != 1:
-            raise ValueError(f"stream {stream_id!r}: timestamps must be 1-D, got shape {t.shape}")
-        if values.ndim not in (1, 2):
-            raise ValueError(
-                f"stream {stream_id!r}: expected a (samples, channels) array, "
-                f"got shape {values.shape}"
-            )
-        if values.ndim == 1:
-            values = values[:, None]
-        if len(t) != len(values):
-            raise ValueError(
-                f"stream {stream_id!r}: {len(t)} timestamps for {len(values)} samples"
-            )
+        t, values = self._checked(stream_id, t, values)
         pipeline = PreprocessPipeline(self.config, stream_id)
         detector = BehaviorDetector(self.config.termination_run, self.config.initiation_context)
-        buffer = SampleBuffer()
+        buffer = SampleBuffer(t, values)
         capacity = self.buffer_capacity
         threshold = self.config.relevance_threshold
         segments: List[RecordedSegment] = []
@@ -117,7 +103,7 @@ class DiscoveryEngine:
         n = len(values)
         for lo in range(0, max(n, 1), _CHUNK_SIZE):
             hi = min(lo + _CHUNK_SIZE, n)
-            buffer.extend(t[lo:hi], values[lo:hi])
+            buffer.extend(hi - lo)
             for behavior in detector.step(pipeline.process_batch(values[lo:hi])):
                 settle(behavior)
         for behavior in detector.step(pipeline.flush()):
@@ -131,13 +117,16 @@ class DiscoveryEngine:
         Every settled behavior is inserted exactly once, so the forest's
         insertion count grows by the number of behaviors detected.  Stream
         ids must be distinct: the stats merge spans per id.  A repeated id
-        raises ValueError before any stream is processed.
+        (ValueError) or a refused stream raises before any is processed.
         """
         ids = [stream_id for stream_id, _, _ in streams]
         if len(set(ids)) < len(ids):
             raise ValueError(f"stream ids must be distinct within one run, got {ids}")
         inserted = self.forest.total_insertions
         overflows = len(self.overflowed)
+        # process_stream checks the first stream before it changes anything.
+        for stream_id, t, values in streams[1:]:
+            self._checked(stream_id, t, values)
         segments: List[RecordedSegment] = []
         total = 0
         for stream_id, t, values in streams:
@@ -149,6 +138,39 @@ class DiscoveryEngine:
             segments=tuple(segments),
             overflowed=tuple(self.overflowed[overflows:]),
         )
+
+    def _checked(
+        self, stream_id: str, t: np.ndarray, values: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The stream as float64 (samples,) and (samples, channels) arrays.
+
+        Raises, naming the stream, on input the chain would refuse part-way;
+        `min` propagates NaN, so one pass finds a NaN sample.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        if t.ndim != 1:
+            raise ValueError(f"stream {stream_id!r}: timestamps must be 1-D, got shape {t.shape}")
+        if values.ndim not in (1, 2):
+            raise ValueError(
+                f"stream {stream_id!r}: expected a (samples, channels) array, "
+                f"got shape {values.shape}"
+            )
+        if values.ndim == 1:
+            values = values[:, None]
+        if len(t) != len(values):
+            raise ValueError(
+                f"stream {stream_id!r}: {len(t)} timestamps for {len(values)} samples"
+            )
+        if values.shape[1] != self.config.n_channels:
+            raise DimensionMismatchError(
+                f"stream {stream_id!r}: expected {self.config.n_channels} channels, "
+                f"got {values.shape[1]}"
+            )
+        if np.isnan(values.min(initial=np.inf)):
+            idx = int(np.flatnonzero(np.isnan(values).any(axis=1))[0])
+            raise InvalidSampleError(f"stream {stream_id!r}: NaN sample at index {idx}")
+        return t, values
 
 
 def discover(

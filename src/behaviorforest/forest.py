@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import EngineConfig, SnapshotError
+from .core import EngineConfig, SnapshotError, _check_run_lengths
 
 TERMINATED_BY_PLATEAU = "plateau"
 TERMINATED_BY_STREAM_END = "end_of_stream"
@@ -93,10 +93,7 @@ class BehaviorDetector:
         termination_run: int = EngineConfig.termination_run,
         initiation_context: int = EngineConfig.initiation_context,
     ):
-        if termination_run < 2:
-            raise ValueError("termination_run must be >= 2")
-        if initiation_context < 1:
-            raise ValueError("initiation_context must be >= 1")
+        _check_run_lengths(termination_run, initiation_context)
         self.termination_run = termination_run
         self.initiation_context = initiation_context
         self._reset()

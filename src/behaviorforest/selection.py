@@ -3,7 +3,7 @@
 A behavior is recorded when its path is new to the forest or still below
 the occurrence threshold (`decide`); everything else is discarded and
 survives only as forest counts.  A recorded behavior's raw samples are
-copied out of a look-back buffer that refers to the stream's own chunks.
+copied out of a look-back buffer over the stream's own arrays.
 A run's statistics are derived from the segments it recorded,
 deduplicating overlapping spans per stream before computing the recorded
 fraction, so they cannot disagree with what was written.
@@ -11,7 +11,6 @@ fraction, so they cannot disagree with what was written.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,40 +37,25 @@ def decide(receipt: InsertionReceipt, threshold: int) -> Optional[str]:
 
 
 class SampleBuffer:
-    """Look-back buffer of raw frames indexed by absolute sample position.
+    """Look-back buffer: the prefix of one stream's float64 arrays that has arrived.
 
-    Each extended chunk is kept by reference, tagged with the absolute
-    index of its first sample: a float64 chunk (a slice of the caller's
-    stream, strided or not) is held as it is and only other dtypes are
-    converted, so buffering copies no samples.  The caller must not write
-    into an array while it is buffered.  `DiscoveryEngine.process_stream`
-    meets this: the buffer lives only for the call, and the call holds the
-    stream throughout.  `extract` always returns fresh arrays, so a
-    recorded segment never shares memory with the caller's arrays.  The
-    buffer serves every span in `[0, len(buffer))`; how far back a
-    recorded behavior may reach is the engine's `buffer_capacity` rule.
+    `extend(n)` lets the next `n` samples arrive, and `extract` copies any
+    span of `[0, len(buffer))`, so a segment never shares the stream's memory.
+    The arrays are held by reference and must not be written into while the
+    buffer is in use.  How far back a recorded behavior may reach is the
+    engine's `buffer_capacity` rule.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, t: np.ndarray, values: np.ndarray) -> None:
+        self._t = t
+        self._values = values
         self._next = 0
-        self._starts: List[int] = []
-        self._t: List[np.ndarray] = []
-        self._values: List[np.ndarray] = []
 
     def __len__(self) -> int:
         return self._next
 
-    def extend(self, t: np.ndarray, values: np.ndarray) -> None:
-        t = np.asarray(t, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if len(t) != len(values):
-            raise ValueError(f"{len(t)} timestamps for {len(values)} samples")
-        if len(t) == 0:
-            return
-        self._starts.append(self._next)
-        self._t.append(t)
-        self._values.append(values)
-        self._next += len(t)
+    def extend(self, n: int) -> None:
+        self._next += n
 
     def extract(self, span: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
         """Fresh float64 copies of the samples in the half-open span."""
@@ -82,16 +66,7 @@ class SampleBuffer:
             raise ValueError(
                 f"span [{start}, {end}) lies outside the buffered samples [0, {self._next})"
             )
-        first = bisect_right(self._starts, start) - 1
-        last = bisect_left(self._starts, end)
-        t_parts, value_parts = [], []
-        for base, t, values in zip(
-            self._starts[first:last], self._t[first:last], self._values[first:last]
-        ):
-            lo, hi = max(start - base, 0), end - base
-            t_parts.append(t[lo:hi])
-            value_parts.append(values[lo:hi])
-        return np.concatenate(t_parts), np.concatenate(value_parts)
+        return self._t[start:end].copy(), self._values[start:end].copy()
 
 
 @dataclass(eq=False)

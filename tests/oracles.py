@@ -26,23 +26,26 @@ from behaviorforest.preprocess import discretize_batch
 
 
 class ListSampleBuffer:
-    """Look-back buffer holding one Python tuple per sample.
+    """Look-back buffer holding one Python tuple per sample that has arrived.
 
-    The reference for `selection.SampleBuffer`: it keeps every sample, so
-    its `extract` defines which spans are served, which raise, and what
-    they return.
+    The reference for `selection.SampleBuffer`: it copies each sample out of
+    the stream as it arrives, so its `extract` defines which spans are
+    served, which raise, and what they return.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, t: np.ndarray, values: np.ndarray) -> None:
+        self._stream = (t, values)
         self._t: List[float] = []
         self._values: List[Tuple[float, ...]] = []
 
     def __len__(self) -> int:
         return len(self._t)
 
-    def extend(self, t: np.ndarray, values: np.ndarray) -> None:
-        self._t.extend(float(x) for x in t)
-        self._values.extend(map(tuple, np.asarray(values, dtype=np.float64)))
+    def extend(self, n: int) -> None:
+        t, values = self._stream
+        lo = len(self._t)
+        self._t.extend(float(x) for x in t[lo : lo + n])
+        self._values.extend(map(tuple, np.asarray(values[lo : lo + n], dtype=np.float64)))
 
     def extract(self, span: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
         start, end = span

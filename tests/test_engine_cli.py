@@ -25,9 +25,10 @@ from behaviorforest.core import (
     ConfigError,
     DimensionMismatchError,
     EngineConfig,
+    InvalidSampleError,
 )
 from behaviorforest.engine import DiscoveryEngine, discover, replay
-from behaviorforest.forest import BehaviorForest, forest_restore
+from behaviorforest.forest import BehaviorForest, forest_restore, snapshot_dumps
 from behaviorforest.io import (
     config_from_dict,
     load_config,
@@ -294,6 +295,44 @@ def test_process_stream_memory_excludes_the_stream():
         tracemalloc.stop()
     assert segments
     assert peak < (t.nbytes + values.nbytes) / 4
+
+
+@pytest.mark.parametrize(
+    "error", [InvalidSampleError, DimensionMismatchError], ids=["nan", "channels"]
+)
+def test_failed_run_leaves_the_engine_as_it_was(error):
+    # Stream a alone settles 40 behaviors; under a capacity of 1,405 samples
+    # 13 of its recorded ones take segment ids and 7 overflow.  Swapped
+    # channels make new paths, so the streams after it record some too.
+    config = load_config(os.path.join(CONFIG_DIR, "synthetic.json"))
+    t, values = generate_synthetic(0)
+    swapped = values[:, ::-1]
+    if error is InvalidSampleError:
+        bad = swapped.copy()
+        bad[len(values) // 2, 0] = np.nan
+    else:
+        bad = np.hstack([swapped, swapped[:, :1]])
+    engine = DiscoveryEngine(config, buffer_capacity=1405)
+    reference = DiscoveryEngine(config, buffer_capacity=1405)
+    engine.run([("a", t, values)])
+    reference.run([("a", t, values)])
+    before = snapshot_dumps(engine.forest, "h"), list(engine.overflowed)
+    assert len(before[1]) == 7
+    with pytest.raises(error, match="stream 'b'"):
+        engine.run([("c", t, swapped), ("b", t, bad)])
+    assert (snapshot_dumps(engine.forest, "h"), engine.overflowed) == before
+    with pytest.raises(error, match="stream 'b'"):
+        engine.process_stream("b", t, bad)
+    assert (snapshot_dumps(engine.forest, "h"), engine.overflowed) == before
+    # The next good run numbers its segments as if the failures never happened.
+    got, want = engine.run([("c", t, swapped)]), reference.run([("c", t, swapped)])
+    assert got.segments[0].segment_id == 13
+    assert [(s.segment_id, s.raw_span, s.path, s.reason) for s in got.segments] == [
+        (s.segment_id, s.raw_span, s.path, s.reason) for s in want.segments
+    ]
+    assert (got.stats, got.overflowed) == (want.stats, want.overflowed)
+    assert engine.overflowed == reference.overflowed
+    assert snapshot_dumps(engine.forest, "h") == snapshot_dumps(reference.forest, "h")
 
 
 LEVELS = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.sampled_from([-1.0, 0.0, 1.0]))

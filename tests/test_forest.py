@@ -21,7 +21,7 @@ from oracles import (
     unit_runs,
 )
 
-from behaviorforest.core import BreakpointSpec, EngineConfig, SnapshotError
+from behaviorforest.core import BreakpointSpec, ConfigError, EngineConfig, SnapshotError
 from behaviorforest.forest import (
     TERMINATED_BY_PLATEAU,
     TERMINATED_BY_STREAM_END,
@@ -151,10 +151,21 @@ class TestDetector:
         assert dbs[0].raw_span == (0, 130)
 
     def test_rejects_degenerate_parameters(self):
-        with pytest.raises(ValueError):
-            BehaviorDetector(termination_run=1)
-        with pytest.raises(ValueError):
-            BehaviorDetector(initiation_context=0)
+        # The detector refuses what a config refuses, with the config's message.
+        for kwargs in (
+            {"termination_run": 1},
+            {"initiation_context": 0},
+            {"termination_run": float("nan")},
+            {"termination_run": float("inf")},
+            {"termination_run": 2.5},
+            {"termination_run": 3.0},
+            {"initiation_context": True},
+            {"initiation_context": float("nan")},
+        ):
+            with pytest.raises(ConfigError) as refused:
+                BehaviorDetector(**kwargs)
+            with pytest.raises(ConfigError, match=re.escape(str(refused.value))):
+                EngineConfig(BreakpointSpec(((0.0,),)), **kwargs)
 
     def test_behavior_validation(self):
         with pytest.raises(ValueError):

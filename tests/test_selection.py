@@ -71,59 +71,61 @@ class TestDecide:
 
 
 class TestSampleBuffer:
-    def fill(self, buf, n, start_t=0.0):
+    def fill(self, n, start_t=0.0):
         t = np.arange(n, dtype=float) + start_t
-        buf.extend(t, np.stack([t, -t], axis=1))
-        return t
+        buf = SampleBuffer(t, np.stack([t, -t], axis=1))
+        buf.extend(n)
+        return buf
 
     def test_unbounded_keeps_everything(self):
-        buf = SampleBuffer()
-        self.fill(buf, 1000)
+        buf = self.fill(1000)
         assert len(buf) == 1000
         t, values = buf.extract((0, 1000))
         assert len(t) == 1000
         assert values.shape == (1000, 2)
 
     def test_extract_is_exact(self):
-        buf = SampleBuffer()
-        self.fill(buf, 50)
+        buf = self.fill(50)
         t, values = buf.extract((10, 13))
         assert t.tolist() == [10.0, 11.0, 12.0]
         assert values[:, 0].tolist() == [10.0, 11.0, 12.0]
         assert values[:, 1].tolist() == [-10.0, -11.0, -12.0]
 
     def test_span_past_the_end_rejected(self):
-        buf = SampleBuffer()
-        self.fill(buf, 5)
+        buf = self.fill(5)
         with pytest.raises(ValueError):
             buf.extract((0, 6))
         with pytest.raises(ValueError):
             buf.extract((3, 3))
 
-    def test_rejects_misaligned_chunk(self):
-        buf = SampleBuffer()
-        with pytest.raises(ValueError):
-            buf.extend(np.arange(3.0), np.zeros((2, 1)))
-        assert len(buf) == 0
+    def test_span_past_the_arrived_samples_rejected(self):
+        t = np.arange(10.0)
+        buf = SampleBuffer(t, t[:, None])
+        buf.extend(4)
+        assert buf.extract((1, 4))[0].tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match=r"outside the buffered samples \[0, 4\)"):
+            buf.extract((2, 5))
+        buf.extend(6)
+        assert buf.extract((2, 10))[0].tolist() == list(map(float, range(2, 10)))
 
     @pytest.mark.parametrize("span", [(2, 6), (0, 10), (4, 14)], ids=["inner", "whole", "across"])
     def test_extract_shares_no_memory_with_chunks(self, span):
-        chunks = [np.arange(10.0), np.arange(10.0, 20.0)]
-        values = [np.stack([t, -t], axis=1) for t in chunks]
-        buf = SampleBuffer()
-        for t, v in zip(chunks, values):
-            buf.extend(t, v)
+        t = np.arange(20.0)
+        values = np.stack([t, -t], axis=1)
+        buf = SampleBuffer(t, values)
+        buf.extend(10)
+        buf.extend(10)
         seg_t, seg_values = buf.extract(span)
         assert seg_t.tolist() == list(map(float, range(*span)))
-        for t, v in zip(chunks, values):
-            assert not np.shares_memory(seg_t, t)
-            assert not np.shares_memory(seg_values, v)
+        assert seg_values[:, 1].tolist() == [-float(i) for i in range(*span)]
+        assert not np.shares_memory(seg_t, t)
+        assert not np.shares_memory(seg_values, values)
 
     def test_extracted_arrays_survive_writes(self):
-        buf = SampleBuffer()
         t = np.arange(10, dtype=float)
         values = np.stack([t, -t], axis=1)
-        buf.extend(t, values)
+        buf = SampleBuffer(t, values)
+        buf.extend(10)
         seg_t, seg_values = buf.extract((2, 6))
         t[:] = 99.0
         values[:] = 99.0
@@ -154,12 +156,10 @@ class TestSampleBuffer:
         t = rng.standard_normal(n)
         values = rng.standard_normal((n, n_channels))
         values[rng.random(values.shape) < 0.05] = -0.0
-        buf, oracle = SampleBuffer(), ListSampleBuffer()
-        lo = 0
+        buf, oracle = SampleBuffer(t, values), ListSampleBuffer(t, values)
         for size in chunks:
-            buf.extend(t[lo : lo + size], values[lo : lo + size])
-            oracle.extend(t[lo : lo + size], values[lo : lo + size])
-            lo += size
+            buf.extend(size)
+            oracle.extend(size)
             assert len(buf) == len(oracle)
             index = st.integers(-3, len(oracle) + 3)
             for span in data.draw(st.lists(st.tuples(index, index), max_size=6)):
@@ -177,9 +177,9 @@ class TestMaterialize:
         return DiscoveredBehavior((1, 2, 1), span, TERMINATED_BY_PLATEAU)
 
     def test_recorded_segment_carries_raw_samples(self):
-        buf = SampleBuffer()
         t = np.arange(10, dtype=float) * 0.5
-        buf.extend(t, np.stack([t, t + 1], axis=1))
+        buf = SampleBuffer(t, np.stack([t, t + 1], axis=1))
+        buf.extend(10)
         forest = BehaviorForest()
         r = forest.insert((1, 2, 1))
         seg = materialize(
@@ -197,8 +197,8 @@ class TestMaterialize:
         assert seg.values.shape == (4, 2)
 
     def test_occurrence_index_counts_from_one(self):
-        buf = SampleBuffer()
-        buf.extend(np.arange(10.0), np.zeros((10, 1)))
+        buf = SampleBuffer(np.arange(10.0), np.zeros((10, 1)))
+        buf.extend(10)
         forest = BehaviorForest()
         indices = []
         for i in range(5):
