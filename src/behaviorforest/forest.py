@@ -13,9 +13,10 @@ edges, not nodes.  An edge is a tuple of symbols, one weight, one terminal
 count and a dict of child edges keyed by their first symbol.  It stands
 for a chain of logical nodes, one per symbol, in which every node but the
 last has one child, a terminal count of 0 and the edge's weight; the last
-node carries the terminal count and the children.  A root is its own
-one-symbol edge of weight 0.  A path that never reaches a plateau is thus
-one edge however long it is, and inserting it stores one tuple slice.
+node carries the terminal count and the children.  A root's edge is an
+ordinary one whose first node reads weight 0, and a new root's edge holds
+the inserted tuple itself: a path that never reaches a plateau is one edge
+however long it is, stored once and shared with its behavior.
 The forest is read through `occurrence_count`, which matches each edge
 with one tuple comparison, `iter_nodes`, which yields plain node rows to
 the writers, `terminal_paths` and `total_insertions`.  `roots` returns
@@ -188,9 +189,10 @@ class _Edge:
 class BehaviorNode:
     """One logical node: the symbol at `offset` on an edge of a copied forest.
 
-    `symbol`, `edge_weight` (traversals of the link from the parent, 0 at a
-    root) and `terminal_count` (behaviors that ended exactly here) are read
-    when the node is made; `children` (symbol -> node) when it is asked for.
+    `symbol`, `edge_weight` (traversals of the link from the parent: the
+    edge's weight, but 0 at a root) and `terminal_count` (behaviors that
+    ended exactly here) are read when the node is made; `children` (symbol
+    -> node) when it is asked for.
     Nodes are reached only from `BehaviorForest.roots`, whose edges no
     insert touches, and stay for the benchmark's forest checker until it
     reads `iter_nodes` rows instead.
@@ -198,11 +200,11 @@ class BehaviorNode:
 
     __slots__ = ("_edge", "_offset", "symbol", "edge_weight", "terminal_count")
 
-    def __init__(self, edge: _Edge, offset: int):
+    def __init__(self, edge: _Edge, offset: int, root: bool = False):
         self._edge = edge
         self._offset = offset
         self.symbol = edge.symbols[offset]
-        self.edge_weight = edge.weight
+        self.edge_weight = 0 if root else edge.weight
         self.terminal_count = edge.terminal_count if offset == len(edge.symbols) - 1 else 0
 
     @property
@@ -237,7 +239,8 @@ class BehaviorForest:
         for _, edge in reversed(list(self._walk())):
             children = {symbol: copies.pop(id(child)) for symbol, child in edge.children.items()}
             copies[id(edge)] = _Edge(edge.symbols, edge.weight, edge.terminal_count, children)
-        return {symbol: BehaviorNode(copies[id(edge)], 0) for symbol, edge in self._roots.items()}
+        return {symbol: BehaviorNode(copies[id(edge)], 0, root=True)
+                for symbol, edge in self._roots.items()}
 
     def insert(self, path: Sequence[int]) -> InsertionReceipt:
         """Walk/extend the path, bumping edge weights and the terminal count.
@@ -249,25 +252,22 @@ class BehaviorForest:
         n = len(path)
         if n < 2:
             raise ValueError(f"behavior path needs >= 2 symbols, got {path}")
-        edge = self._roots.get(path[0])
-        created = edge is None
-        if created:
-            edge = self._roots[path[0]] = _Edge(path[:1], 0)
-        i = 1  # path[:i] ends at the last node of `edge`
+        children, created = self._roots, False
+        i = 0  # path[:i] ends at the last node of the edge that owns `children`
         while i < n:
-            child = edge.children.get(path[i])
-            if child is None:
-                edge.children[path[i]] = edge = _Edge(path[i:], 1)
+            edge = children.get(path[i])
+            if edge is None:
+                edge = children[path[i]] = _Edge(path[i:], 1)  # path[0:] is path, not a copy
                 created = True
                 break
-            piece = path[i : i + len(child.symbols)]
-            if piece != child.symbols:
+            piece = path[i : i + len(edge.symbols)]
+            if piece != edge.symbols:
                 # The path diverges or ends inside the chain: split it there.
-                pairs = enumerate(zip(piece, child.symbols))
-                child.split(next((j for j, (a, b) in pairs if a != b), len(piece)))
-            child.weight += 1
-            edge = child
-            i += len(child.symbols)
+                pairs = enumerate(zip(piece, edge.symbols))
+                edge.split(next((j for j, (a, b) in pairs if a != b), len(piece)))
+            edge.weight += 1
+            i += len(edge.symbols)
+            children = edge.children
         prior = edge.terminal_count
         edge.terminal_count += 1
         self.total_insertions += 1
@@ -276,10 +276,9 @@ class BehaviorForest:
     def occurrence_count(self, path: Sequence[int]) -> int:
         """Behaviors that ended exactly on `path`; 0 if it ends inside an edge."""
         path = tuple(path)
-        edge = self._roots.get(path[0]) if path else None
-        i = 1  # path[:i] ends at the last node of `edge`
-        while edge is not None and i < len(path):
-            edge = edge.children.get(path[i])
+        edge, i = None, 0  # path[:i] ends at the last node of `edge`
+        while i < len(path):
+            edge = (self._roots if edge is None else edge.children).get(path[i])
             if edge is None or path[i : i + len(edge.symbols)] != edge.symbols:
                 return 0
             i += len(edge.symbols)
@@ -301,7 +300,7 @@ class BehaviorForest:
             last = len(edge.symbols) - 1
             for offset, symbol in enumerate(edge.symbols):
                 terminal = edge.terminal_count if offset == last else 0
-                yield depth + offset, symbol, edge.weight, terminal
+                yield depth + offset, symbol, edge.weight if depth + offset > 1 else 0, terminal
 
     def terminal_paths(self) -> Dict[Tuple[int, ...], int]:
         """All paths behaviors have ended on, with their occurrence counts."""
@@ -401,6 +400,8 @@ def forest_restore(doc: dict, expected_config_hash: Optional[str] = None) -> Beh
         terminals += terminal
         if parent is None and key != symbol:
             raise SnapshotError(f"root entry symbol {key} != node symbol {symbol}")
+        if parent is None and terminal:
+            raise SnapshotError(f"root {symbol} has terminal count {terminal}, not 0")
         if joinable and key == parent.weight:
             edge = parent
             edge.symbols.append(symbol)

@@ -438,6 +438,23 @@ class TestForest:
             forest.insert(path)
         assert tree(roots) == tree(earlier.roots)
 
+    def test_root_chain_splits_after_the_root_then_mid_chain(self):
+        forest = BehaviorForest()
+        assert forest.insert((0, 1, 2, 3)).created_new_node
+        assert list(forest.iter_nodes()) == [(1, 0, 0, 0), (2, 1, 1, 0), (3, 2, 1, 0), (4, 3, 1, 1)]
+        assert forest.insert((0, 5)).created_new_node
+        assert list(forest.iter_nodes()) == [
+            (1, 0, 0, 0), (2, 1, 1, 0), (3, 2, 1, 0), (4, 3, 1, 1), (2, 5, 1, 1),
+        ]
+        assert forest.insert((0, 1, 7)).created_new_node
+        assert list(forest.iter_nodes()) == [
+            (1, 0, 0, 0), (2, 1, 2, 0), (3, 2, 1, 0), (4, 3, 1, 1), (3, 7, 1, 1), (2, 5, 1, 1),
+        ]
+        assert [edge.symbols for _, edge in forest._walk()] == [(0,), (1,), (2, 3), (7,), (5,)]
+        assert {s: node_row(n) for s, n in forest.roots.items()} == {0: (0, 0, 0, [1, 5])}
+        assert forest.occurrence_count((0,)) == forest.occurrence_count((0, 1)) == 0
+        assert forest.occurrence_count((0, 1, 7)) == 1
+
     def test_rejects_short_paths(self):
         with pytest.raises(ValueError):
             BehaviorForest().insert((3,))
@@ -592,6 +609,12 @@ class TestSnapshot:
         kids = doc["roots"][0]["node"]["children"]
         kids.append(json.loads(json.dumps(kids[0])))
         with pytest.raises(SnapshotError):
+            forest_restore(doc)
+
+        # No behavior ends at a root: every path has at least two symbols.
+        root = {"symbol": 3, "node": {"symbol": 3, "terminal_count": 1, "children": []}}
+        doc = {"version": 1, "config_hash": "x", "total_insertions": 1, "roots": [root]}
+        with pytest.raises(SnapshotError, match="root 3 has terminal count 1"):
             forest_restore(doc)
 
     @given(
@@ -777,17 +800,17 @@ def test_radix_forest_matches_object_forest(paths):
 @settings(max_examples=200, deadline=None)
 def test_restore_keeps_weights_that_do_not_conserve(paths, seed):
     # Restore checks only the total, so any weights >= 1 and any terminal
-    # counts must come back node for node, as they did from node objects.
+    # counts below the roots must come back node for node, as they did from
+    # node objects.  Roots end no behavior, so theirs stay 0.
     oracle = ObjectForest()
     for path in paths:
         oracle.insert(path)
     doc = oracle.snapshot("h")
     rng = random.Random(seed)
-    total, stack = 0, list(doc["roots"])
+    total, stack = 0, [child for root in doc["roots"] for child in root["node"]["children"]]
     while stack:
         link = stack.pop()
-        if "edge_weight" in link:
-            link["edge_weight"] = rng.randint(1, 3)
+        link["edge_weight"] = rng.randint(1, 3)
         link["node"]["terminal_count"] = count = rng.choice([0, 0, 1, 2])
         total += count
         stack.extend(link["node"]["children"])
@@ -796,6 +819,12 @@ def test_restore_keeps_weights_that_do_not_conserve(paths, seed):
     assert list(forest.iter_nodes()) == node_rows(today)
     assert snapshot_dumps(forest, "h") == dumps_v1(today.snapshot("h"))
     assert forest_to_dot(forest) == today.dot()
+    # Inserts into the restored forest, whose roots are one-symbol edges,
+    # extend and split them as they do a forest built by inserts.
+    for path in reversed(paths):
+        assert forest.insert(path) == today.insert(path)
+    assert list(forest.iter_nodes()) == node_rows(today)
+    assert forest.terminal_paths() == today.terminal_paths()
 
 
 def test_restore_breaks_edges_where_a_chain_stops_conserving():
@@ -821,6 +850,7 @@ def test_restore_breaks_edges_where_a_chain_stops_conserving():
 
 def test_deep_chattering_path_is_held_as_one_edge():
     # Flicker's end-of-stream behavior: 271,282 symbols, no two alike in a row.
+    # It opens a new root, whose edge holds the inserted tuple, not a copy.
     steps = np.random.default_rng(0).integers(1, 4, size=271_281)
     path = tuple((np.concatenate(([0], np.cumsum(steps))) % 4).tolist())
     forest = BehaviorForest()
@@ -830,7 +860,8 @@ def test_deep_chattering_path_is_held_as_one_edge():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 8 * 1024
+    assert forest._roots[0].symbols is path
     assert receipt.created_new_node
     assert sum(1 for _ in forest.iter_nodes()) == len(path)
     assert forest.occurrence_count(path) == 1
